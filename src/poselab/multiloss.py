@@ -395,13 +395,21 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         g = np.asarray(grads[name], dtype=float)
         if g.shape != p.shape:
             raise ShapeMismatchError(f"{name}: gradient shape {g.shape} vs parameter {p.shape}")
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        # Moments are allocated once per name; setdefault would build (and
+        # discard) a zero array on every step.
+        for moments in (state.m, state.v):
+            if name not in moments:
+                moments[name] = np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+        # Square root in place: one parameter-sized temporary fewer at peak.
+        denom = v / correction2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        p -= state.lr * (m / correction1) / denom
 
 
 def train_toy(dataset, config: MultiLossConfig | None = None, spec: BinSpec | None = None,

@@ -58,26 +58,29 @@ class Raster:
 def rasterize(points2d, width: int, height: int) -> Raster:
     """Splat each (u, v) point as a Gaussian bump, clamped into [0, 1].
 
-    Points whose center falls outside the grid are skipped.  u indexes
-    columns, v rows.
+    Points whose center falls outside the grid (or is not finite) are
+    skipped.  u indexes columns, v rows.  Each bump is truncated to the
+    pixels within ceil(3 sigma) of the center's pixel on both axes, so it
+    factors into a column profile times a row profile and the whole image
+    is one (rows x points) @ (points x columns) product.
     """
     if width < 1 or height < 1:
         raise ValueError(f"raster dimensions must be >= 1, got {width}x{height}")
     pts = np.asarray(points2d, dtype=float).reshape(-1, 2)
-    vals = np.zeros((height, width))
-    reach = int(math.ceil(3.0 * SPLAT_SIGMA))
-    for u, v in pts:
-        if not (0.0 <= u < width and 0.0 <= v < height):
-            continue
-        col_lo = max(int(math.floor(u)) - reach, 0)
-        col_hi = min(int(math.floor(u)) + reach + 1, width)
-        row_lo = max(int(math.floor(v)) - reach, 0)
-        row_hi = min(int(math.floor(v)) + reach + 1, height)
-        cols = np.arange(col_lo, col_hi)
-        rows = np.arange(row_lo, row_hi)
-        sq = (cols[None, :] - u) ** 2 + (rows[:, None] - v) ** 2
-        vals[row_lo:row_hi, col_lo:col_hi] += np.exp(-sq / (2.0 * SPLAT_SIGMA ** 2))
-    return Raster(width, height, np.clip(vals, 0.0, 1.0))
+    u, v = pts[:, 0], pts[:, 1]
+    on_grid = (0.0 <= u) & (u < width) & (0.0 <= v) & (v < height)
+    cols = _splat_profiles(u[on_grid], width)
+    rows = _splat_profiles(v[on_grid], height)
+    return Raster(width, height, np.clip(rows.T @ cols, 0.0, 1.0))
+
+
+def _splat_profiles(centers: np.ndarray, size: int) -> np.ndarray:
+    """(points, size) 1-D splat profiles along one axis, zero beyond the window."""
+    reach = math.ceil(3.0 * SPLAT_SIGMA)
+    pixels = np.arange(size)
+    profiles = np.exp(-(pixels - centers[:, None]) ** 2 / (2.0 * SPLAT_SIGMA ** 2))
+    profiles[np.abs(pixels - np.floor(centers)[:, None]) > reach] = 0.0
+    return profiles
 
 
 def degrade_values(values: np.ndarray, factor: int) -> np.ndarray:

@@ -139,6 +139,33 @@ class TestLowresStudy:
             assert row.trials == 0
             assert row.excluded > 0
 
+    # (yaw, pitch, roll, mean) MAE per row, from the per-point splat loop
+    # that rasterize() replaced; the separable splat must reproduce them.
+    PINNED_ROWS = {
+        "none@x1": (38.29723489668101, 24.14491881630317, 31.44535934980811, 31.29583768759743),
+        "none@x5": (37.116036759955385, 23.797580885203264, 31.665666452022805, 30.859761365727152),
+        "none@x10": (36.341605264622224, 23.88253213804096, 31.904445883906124, 30.70952776218977),
+        "none@x15": (36.111755725079526, 23.484344840939244, 31.73799040014684, 30.44469698872187),
+        "uniform1to10@x1": (38.54095184653274, 25.47444196875642, 31.482087179945268,
+                            31.832493665078143),
+        "uniform1to10@x5": (37.39779038769663, 24.830888466117624, 31.97529717564785,
+                            31.40132534315404),
+        "uniform1to10@x10": (36.26389626361271, 24.456929729560002, 32.26212861455332,
+                             30.994318202575343),
+        "uniform1to10@x15": (35.47825967875321, 24.10888411404459, 32.22166404110009,
+                             30.602935944632634),
+    }
+
+    def test_pinned_row_maes(self):
+        cfg = StudyConfig(scenes=60, epochs=2, master_seed=0,
+                          lowres_schemes=("none", "uniform1to10"))
+        result = run_lowres_study(cfg)
+        assert [r.sweep for r in result.rows] == list(self.PINNED_ROWS)
+        for row in result.rows:
+            got = (row.yaw_mae, row.pitch_mae, row.roll_mae, row.mae)
+            assert got == pytest.approx(self.PINNED_ROWS[row.sweep], abs=1e-9, rel=0)
+            assert (row.trials, row.excluded) == (12, 0)
+
 
 class TestAlphaAblation:
     def test_rows_and_determinism(self):

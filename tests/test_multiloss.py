@@ -387,6 +387,34 @@ class TestAdam:
         assert state.step == 5
         assert params["w"][0] == pytest.approx(-0.5, rel=1e-3)
 
+    def test_matches_textbook_update_in_place(self):
+        rng = np.random.default_rng(3)
+        params = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
+        state = AdamState(lr=0.01)
+        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        ref_p = {k: v.copy() for k, v in params.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in params.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+        moments = None
+        for t in range(1, 26):
+            grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+            adam_step(params, grads, state)
+            for k, g in grads.items():
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g ** 2
+                m_hat = ref_m[k] / (1.0 - b1 ** t)
+                v_hat = ref_v[k] / (1.0 - b2 ** t)
+                ref_p[k] = ref_p[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert np.array_equal(params[k], ref_p[k])
+                assert np.array_equal(state.m[k], ref_m[k])
+                assert np.array_equal(state.v[k], ref_v[k])
+            # the moment arrays are updated in place, never replaced
+            current = {k: (state.m[k], state.v[k]) for k in params}
+            if moments is not None:
+                for k, (m, v) in current.items():
+                    assert m is moments[k][0] and v is moments[k][1]
+            moments = current
+
 
 def linear_dataset(n, seed=0):
     rng = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from poselab.raster import (
     AUGMENT_SCHEMES,
     SET5_FACTORS,
+    SPLAT_SIGMA,
     Raster,
     UnknownSchemeError,
     augment_factor,
@@ -14,6 +17,76 @@ from poselab.raster import (
     rasterize,
     write_pgm,
 )
+
+
+def rasterize_loop(points2d, width, height):
+    """Reference splat: one truncated 2-D Gaussian per point, in a Python loop."""
+    pts = np.asarray(points2d, dtype=float).reshape(-1, 2)
+    vals = np.zeros((height, width))
+    reach = int(math.ceil(3.0 * SPLAT_SIGMA))
+    for u, v in pts:
+        if not (0.0 <= u < width and 0.0 <= v < height):
+            continue
+        col_lo = max(int(math.floor(u)) - reach, 0)
+        col_hi = min(int(math.floor(u)) + reach + 1, width)
+        row_lo = max(int(math.floor(v)) - reach, 0)
+        row_hi = min(int(math.floor(v)) + reach + 1, height)
+        cols = np.arange(col_lo, col_hi)
+        rows = np.arange(row_lo, row_hi)
+        sq = (cols[None, :] - u) ** 2 + (rows[:, None] - v) ** 2
+        vals[row_lo:row_hi, col_lo:col_hi] += np.exp(-sq / (2.0 * SPLAT_SIGMA ** 2))
+    return np.clip(vals, 0.0, 1.0)
+
+
+def _oracle_cases():
+    """{name: (points, width, height)} for the loop-vs-rasterize check."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for i in range(40):
+        # 68 points, some off the grid on every side
+        cases.append((f"random-{i}", rng.uniform(-4.0, 36.0, size=(68, 2)), 32, 32))
+    pts = rng.uniform(0.0, 32.0, size=(68, 2))
+    pts[::5, 0] = np.nan
+    pts[1::7, 1] = np.inf
+    pts[2::9, 0] = -np.inf
+    pts[3::11] = np.nan
+    cases.append(("nan-inf", pts, 32, 32))
+    w, h = 12, 9
+    edges = [0.0, w - 1e-12, w, 5.5]
+    cases.append(("edges-u", [[u, 4.25] for u in edges], w, h))
+    cases.append(("edges-v", [[5.25, v] for v in [0.0, h - 1e-12, h, 4.5]], w, h))
+    cases.append(("corners", [[0.0, 0.0], [w - 1e-12, h - 1e-12], [0.0, h - 1e-12],
+                              [w - 1e-12, 0.0]], w, h))
+    for width, height in ((7, 19), (19, 7)):
+        cases.append((f"{width}x{height}", rng.uniform(-2.0, 21.0, size=(68, 2)), width, height))
+    cases.append(("1x1", [[0.0, 0.0], [0.5, 0.999], [1.0, 0.5], [0.3, 0.2]], 1, 1))
+    cases.append(("1x1-miss", [[1.0, 0.0], [-0.1, 0.5]], 1, 1))
+    cases.append(("empty", np.zeros((0, 2)), 32, 32))
+    # windows cut off by the left, right, top and bottom borders
+    cases.append(("border-clip", [[0.4, 10.3], [15.7, 6.1], [8.2, 0.6], [3.9, 11.8],
+                                  [1.5, 1.5], [14.5, 10.5]], 16, 12))
+    # dense clusters whose sum passes 1 and clips, next to unclipped tails
+    cluster = np.array([10.3, 9.7]) + rng.normal(scale=0.6, size=(68, 2))
+    cases.append(("dense", cluster, 20, 20))
+    return {name: (points, width, height) for name, points, width, height in cases}
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestRasterizeMatchesLoop:
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_matches_reference_loop(self, name):
+        points, width, height = ORACLE_CASES[name]
+        got = rasterize(points, width, height).values
+        np.testing.assert_allclose(got, rasterize_loop(points, width, height),
+                                   atol=1e-15, rtol=0)
+
+    def test_dense_case_reaches_clip(self):
+        points, width, height = ORACLE_CASES["dense"]
+        ref = rasterize_loop(points, width, height)
+        assert ref.max() == 1.0 and ((0.0 < ref) & (ref < 1.0)).any()
+        assert rasterize(points, width, height).values.max() == 1.0
 
 
 class TestRaster:
