@@ -195,12 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, svg=True):
-        p.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point")
+    def common(p, trials=True):
+        if trials:
+            p.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point")
         p.add_argument("--seed", type=int, help="master seed; trial i uses seed+i")
         p.add_argument("--out", required=True, help="output CSV path")
-        if svg:
-            p.add_argument("--svg", help="also write an SVG chart here")
+        p.add_argument("--svg", help="also write an SVG chart here")
 
     p = sub.add_parser("study-subset", help="MAE per keypoint subset under nonrigid deformation")
     common(p)
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_study_stretch)
 
     p = sub.add_parser("study-lowres", help="trained-net MAE vs raster degradation factor")
-    common(p)
+    common(p, trials=False)
     p.add_argument("--scenes", type=int, help="synthetic scenes to generate")
     p.add_argument("--epochs", type=int)
     p.add_argument("--hidden", type=int, help="hidden layer width")
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_study_lowres)
 
     p = sub.add_parser("ablate-alpha", help="trained-net MAE vs regression loss weight")
-    common(p)
+    common(p, trials=False)
     p.add_argument("--sweep", help="comma-separated alpha values")
     p.add_argument("--scenes", type=int)
     p.add_argument("--epochs", type=int)

@@ -185,17 +185,24 @@ def save_face_model(model: FaceModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_face_model(path) -> FaceModel:
-    """Parse 'id x y z' lines ('#' starts a comment) and recenter the result."""
+def _parse_id_lines(path, fields: str) -> dict:
+    """Read a landmark file with one whitespace-separated record per line.
+
+    fields names the columns, id first (e.g. 'id x y z'); '#' starts a
+    comment.  Returns {id: coordinates} in file order.  Raises ParseError
+    (with the line number) on a malformed line and DuplicateIdError on a
+    repeated id.
+    """
+    width = len(fields.split())
     text = Path(path).read_text()
-    seen = {}
+    records = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(path, lineno, f"expected 4 fields 'id x y z', got {len(parts)}")
+        if len(parts) != width:
+            raise ParseError(path, lineno, f"expected {width} fields '{fields}', got {len(parts)}")
         try:
             landmark_id = int(parts[0])
         except ValueError:
@@ -208,12 +215,18 @@ def load_face_model(path) -> FaceModel:
             raise ParseError(path, lineno, "coordinates must be decimal numbers") from None
         if not all(math.isfinite(c) for c in coords):
             raise ParseError(path, lineno, "coordinates must be finite")
-        if landmark_id in seen:
+        if landmark_id in records:
             raise DuplicateIdError(f"{path}:{lineno}: duplicate landmark id {landmark_id}")
-        seen[landmark_id] = coords
-    if len(seen) != 68:
-        raise WrongCountError(f"{path}: expected 68 landmarks, got {len(seen)}")
-    pts = np.array([seen[i] for i in range(1, 69)])
+        records[landmark_id] = coords
+    return records
+
+
+def load_face_model(path) -> FaceModel:
+    """Parse 'id x y z' lines ('#' starts a comment) and recenter the result."""
+    records = _parse_id_lines(path, "id x y z")
+    if len(records) != 68:
+        raise WrongCountError(f"{path}: expected 68 landmarks, got {len(records)}")
+    pts = np.array([records[i] for i in range(1, 69)])
     pts -= pts.mean(axis=0)
     return FaceModel(pts)
 

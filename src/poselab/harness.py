@@ -3,12 +3,20 @@
 Each study samples random head poses, builds ground-truth landmark
 projections, perturbs one ingredient (keypoint subset, landmark jitter,
 model stretch, raster resolution, loss weight), and reports wrap-aware
-per-angle MAE plus their mean.  Trial i always uses seed master_seed+i,
-so every study is bitwise reproducible and embarrassingly parallel in
-principle while results stay order-deterministic.
+per-angle MAE plus their mean.  Trial (or scene) i always uses seed
+master_seed+i, so every study is bitwise reproducible and embarrassingly
+parallel in principle while results stay order-deterministic.
+
+Two engines do the work.  _pnp_sweep runs the subset, jitter and stretch
+studies: each study only says how one trial turns a sampled pose into a
+landmark-to-pose problem per sweep label.  _trained_rows runs the
+low-resolution study and the alpha ablation: it splits one scene dataset
+(built by _scene_dataset), trains one net per run and scores it on the
+held-out scenes.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -17,8 +25,7 @@ import numpy as np
 
 from .camera import BehindCameraError, Pose, default_intrinsics, project
 from .facemodel import (
-    DuplicateIdError,
-    ParseError,
+    _parse_id_lines,
     builtin_mean_face,
     deform_subject,
     jitter_landmarks,
@@ -33,7 +40,7 @@ from .multiloss import (
     train_toy,
 )
 from .pnp import DegenerateProblemError, PnPProblem, solve_pnp
-from .raster import augment_factor, degrade_values, rasterize
+from .raster import AUGMENT_SCHEMES, UnknownSchemeError, augment_factor, degrade_values, rasterize
 from .rotmath import EulerAngles, angle_error
 
 __all__ = [
@@ -108,6 +115,14 @@ class StudyConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.raster_size < 1:
             raise ValueError("raster_size must be >= 1")
+        for scheme in self.lowres_schemes:
+            if scheme not in ("none", *AUGMENT_SCHEMES):
+                raise UnknownSchemeError(f"unknown augmentation scheme {scheme!r}; "
+                                         f"known: none, {', '.join(AUGMENT_SCHEMES)}")
+        if not all(isinstance(f, numbers.Integral) and f >= 1 for f in self.lowres_factors):
+            raise ValueError(f"lowres factors must be integers >= 1, got {self.lowres_factors}")
+        if not all(math.isfinite(a) and a >= 0 for a in self.alpha_sweep):
+            raise ValueError(f"alphas must be finite and >= 0, got {self.alpha_sweep}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +179,7 @@ def _sweep_label(value) -> str:
 
 
 def _finish_row(label, error_sum: np.ndarray, count: int, excluded: int) -> StudyRow:
+    """Mean per-angle error over count trials; a NaN row when count is 0."""
     if count > 0:
         per_angle = error_sum / count
         return StudyRow(_sweep_label(label), float(per_angle[0]), float(per_angle[1]),
@@ -171,42 +187,59 @@ def _finish_row(label, error_sum: np.ndarray, count: int, excluded: int) -> Stud
     return StudyRow(_sweep_label(label), math.nan, math.nan, math.nan, math.nan, 0, excluded)
 
 
+def _pnp_sweep(config: StudyConfig, study: str, labels, model, trial) -> StudyResult:
+    """The trial loop shared by the PnP studies.
+
+    Trial i samples a pose from seed master_seed+i and calls
+    trial(rng, pose, intrinsics), which makes the study's own draws from
+    rng and returns label -> (model_rows, image_rows).  Each label's
+    problem is solved and scored against the true rotation.  A trial
+    whose projection raises BehindCameraError is excluded at every label;
+    a solve that raises excludes the trial at that label only.
+    """
+    intrinsics = default_intrinsics(config.image_width, config.image_height)
+    tz_base = _viewing_distance(model)
+    sums = {label: np.zeros(3) for label in labels}
+    counts = dict.fromkeys(labels, 0)
+    excluded = dict.fromkeys(labels, 0)
+
+    for i in range(config.trials):
+        rng = np.random.default_rng(config.master_seed + i)
+        pose = _sample_pose(rng, config, tz_base)
+        try:
+            problems = trial(rng, pose, intrinsics)
+        except BehindCameraError:
+            for label in labels:
+                excluded[label] += 1
+            continue
+        for label in labels:
+            model_rows, image_rows = problems[label]
+            try:
+                solution = solve_pnp(PnPProblem(model_rows, image_rows, intrinsics))
+            except (BehindCameraError, DegenerateProblemError):
+                excluded[label] += 1
+                continue
+            sums[label] += _pose_errors(solution.pose.rotation, pose.rotation)
+            counts[label] += 1
+
+    return StudyResult(study, tuple(_finish_row(label, sums[label], counts[label], excluded[label])
+                                    for label in labels))
+
+
 def run_subset_study(config: StudyConfig | None = None) -> StudyResult:
     """Solve deformed-subject scenes against the undeformed mean face,
     once per named keypoint subset."""
     config = config or StudyConfig()
     model = builtin_mean_face()
-    intrinsics = default_intrinsics(config.image_width, config.image_height)
-    tz_base = _viewing_distance(model)
-    subsets = [subset_by_name(name) for name in config.subsets]
-    sums = {s.name: np.zeros(3) for s in subsets}
-    counts = {s.name: 0 for s in subsets}
-    excluded = {s.name: 0 for s in subsets}
+    rows = {name: subset_by_name(name).rows() for name in config.subsets}
 
-    for i in range(config.trials):
-        rng = np.random.default_rng(config.master_seed + i)
-        pose = _sample_pose(rng, config, tz_base)
+    def trial(rng, pose, intrinsics):
         deform_seed = int(rng.integers(2 ** 63))
         subject = deform_subject(model, config.rigid_sigma, config.nonrigid_sigma, deform_seed)
-        try:
-            image = project(subject.points, pose, intrinsics)
-        except BehindCameraError:
-            for s in subsets:
-                excluded[s.name] += 1
-            continue
-        for s in subsets:
-            rows = s.rows()
-            try:
-                solution = solve_pnp(PnPProblem(model.points[rows], image[rows], intrinsics))
-            except (BehindCameraError, DegenerateProblemError):
-                excluded[s.name] += 1
-                continue
-            sums[s.name] += _pose_errors(solution.pose.rotation, pose.rotation)
-            counts[s.name] += 1
+        image = project(subject.points, pose, intrinsics)
+        return {name: (model.points[r], image[r]) for name, r in rows.items()}
 
-    rows_out = tuple(_finish_row(s.name, sums[s.name], counts[s.name], excluded[s.name])
-                     for s in subsets)
-    return StudyResult("subset", rows_out)
+    return _pnp_sweep(config, "subset", config.subsets, model, trial)
 
 
 def run_jitter_study(config: StudyConfig | None = None, subset_name: str = "all-68") -> StudyResult:
@@ -218,37 +251,17 @@ def run_jitter_study(config: StudyConfig | None = None, subset_name: str = "all-
     """
     config = config or StudyConfig()
     model = builtin_mean_face()
-    intrinsics = default_intrinsics(config.image_width, config.image_height)
-    tz_base = _viewing_distance(model)
     subset = subset_by_name(subset_name)
     rows = subset.rows()
+    model_rows = model.points[rows]
     magnitudes = [float(m) for m in config.jitter_sweep]
-    sums = {m: np.zeros(3) for m in magnitudes}
-    counts = {m: 0 for m in magnitudes}
-    excluded = {m: 0 for m in magnitudes}
 
-    for i in range(config.trials):
-        rng = np.random.default_rng(config.master_seed + i)
-        pose = _sample_pose(rng, config, tz_base)
+    def trial(rng, pose, intrinsics):
         jitter_seed = int(rng.integers(2 ** 63))
-        try:
-            clean = project(model.points, pose, intrinsics)[rows]
-        except BehindCameraError:
-            for m in magnitudes:
-                excluded[m] += 1
-            continue
-        for m in magnitudes:
-            noisy = jitter_landmarks(clean, m, jitter_seed)
-            try:
-                solution = solve_pnp(PnPProblem(model.points[rows], noisy, intrinsics))
-            except (BehindCameraError, DegenerateProblemError):
-                excluded[m] += 1
-                continue
-            sums[m] += _pose_errors(solution.pose.rotation, pose.rotation)
-            counts[m] += 1
+        clean = project(model.points, pose, intrinsics)[rows]
+        return {m: (model_rows, jitter_landmarks(clean, m, jitter_seed)) for m in magnitudes}
 
-    rows_out = tuple(_finish_row(m, sums[m], counts[m], excluded[m]) for m in magnitudes)
-    return StudyResult(f"jitter-{subset.name}", rows_out)
+    return _pnp_sweep(config, f"jitter-{subset.name}", magnitudes, model, trial)
 
 
 def run_stretch_study(config: StudyConfig | None = None, axis: str = "width") -> StudyResult:
@@ -258,43 +271,34 @@ def run_stretch_study(config: StudyConfig | None = None, axis: str = "width") ->
     if axis not in ("width", "height"):
         raise ValueError(f"axis must be 'width' or 'height', got {axis!r}")
     model = builtin_mean_face()
-    intrinsics = default_intrinsics(config.image_width, config.image_height)
-    tz_base = _viewing_distance(model)
     scales = [float(s) for s in config.stretch_sweep]
     stretched = {
         s: stretch_model(model, s, 1.0) if axis == "width" else stretch_model(model, 1.0, s)
         for s in scales
     }
-    sums = {s: np.zeros(3) for s in scales}
-    counts = {s: 0 for s in scales}
-    excluded = {s: 0 for s in scales}
 
-    for i in range(config.trials):
-        rng = np.random.default_rng(config.master_seed + i)
-        pose = _sample_pose(rng, config, tz_base)
-        try:
-            image = project(model.points, pose, intrinsics)
-        except BehindCameraError:
-            for s in scales:
-                excluded[s] += 1
-            continue
-        for s in scales:
-            try:
-                solution = solve_pnp(PnPProblem(stretched[s].points, image, intrinsics))
-            except (BehindCameraError, DegenerateProblemError):
-                excluded[s] += 1
-                continue
-            sums[s] += _pose_errors(solution.pose.rotation, pose.rotation)
-            counts[s] += 1
+    def trial(rng, pose, intrinsics):
+        image = project(model.points, pose, intrinsics)
+        return {s: (stretched[s].points, image) for s in scales}
 
-    rows_out = tuple(_finish_row(s, sums[s], counts[s], excluded[s]) for s in scales)
-    return StudyResult(f"stretch-{axis}", rows_out)
+    return _pnp_sweep(config, f"stretch-{axis}", scales, model, trial)
 
 
-def _scene_pose_and_landmarks(config: StudyConfig, model, intrinsics, tz_base, index):
-    rng = np.random.default_rng(config.master_seed + index)
-    pose = _sample_pose(rng, config, tz_base)
-    return pose, project(model.points, pose, intrinsics)
+def _scene_dataset(config: StudyConfig, features, width: int):
+    """(inputs, targets) for config.scenes scenes: row i is
+    features(landmarks), a length-width vector of the mean face
+    projected at the pose drawn from seed master_seed+i, next to that
+    pose's true (yaw, pitch, roll)."""
+    model = builtin_mean_face()
+    intrinsics = default_intrinsics(config.image_width, config.image_height)
+    tz_base = _viewing_distance(model)
+    inputs = np.empty((config.scenes, width))
+    targets = np.empty((config.scenes, 3))
+    for i in range(config.scenes):
+        pose = _sample_pose(np.random.default_rng(config.master_seed + i), config, tz_base)
+        inputs[i] = features(project(model.points, pose, intrinsics))
+        targets[i] = pose.rotation.as_array()
+    return inputs, targets
 
 
 def _train_val_split(config: StudyConfig, n: int):
@@ -302,6 +306,36 @@ def _train_val_split(config: StudyConfig, n: int):
     perm = np.random.default_rng(config.master_seed + n).permutation(n)
     n_val = min(max(int(round(n * config.val_fraction)), 1), n - 1)
     return perm[n_val:], perm[:n_val]
+
+
+def _trained_rows(config: StudyConfig, inputs, targets, runs) -> tuple:
+    """Train one net per run on a shared split, then score it.
+
+    Each run is (loss_config, augment, views); each view is (label,
+    transform) and yields one row: the net's MAE on transform(held-out
+    inputs).  All runs share the seed, split and initialization.  A run
+    whose training diverges yields NaN rows with trials=0 for all its
+    labels.
+    """
+    train_idx, val_idx = _train_val_split(config, len(inputs))
+    train_pairs = [(inputs[j], EulerAngles(*targets[j])) for j in train_idx]
+    n_val = len(val_idx)
+    rows = []
+    for loss_config, augment, views in runs:
+        try:
+            net, _ = train_toy(
+                train_pairs, config=loss_config, spec=BinSpec(),
+                epochs=config.epochs, seed=config.master_seed,
+                hidden_size=config.hidden_size, batch_size=config.batch_size,
+                lr=config.learning_rate, val_fraction=0.0, augment=augment,
+            )
+        except TrainingDivergedError:
+            rows.extend(_finish_row(label, None, 0, n_val) for label, _ in views)
+            continue
+        for label, transform in views:
+            errors = angle_error(predict_angles(net, transform(inputs[val_idx])), targets[val_idx])
+            rows.append(_finish_row(label, errors.sum(axis=0), n_val, 0))
+    return tuple(rows)
 
 
 def _landmark_features(image_points: np.ndarray) -> np.ndarray:
@@ -329,68 +363,29 @@ def run_lowres_study(config: StudyConfig | None = None) -> StudyResult:
     yields NaN rows with trials=0 for all its factors.
     """
     config = config or StudyConfig()
-    model = builtin_mean_face()
-    intrinsics = default_intrinsics(config.image_width, config.image_height)
-    tz_base = _viewing_distance(model)
     size = config.raster_size
     scale = np.array([size / config.image_width, size / config.image_height])
+    inputs, targets = _scene_dataset(
+        config, lambda landmarks: rasterize(landmarks * scale, size, size).values.ravel(),
+        size * size)
 
-    n = config.scenes
-    inputs = np.empty((n, size * size))
-    targets = np.empty((n, 3))
-    for i in range(n):
-        pose, landmarks = _scene_pose_and_landmarks(config, model, intrinsics, tz_base, i)
-        inputs[i] = rasterize(landmarks * scale, size, size).values.ravel()
-        targets[i] = pose.rotation.as_array()
+    def degraded(factor):
+        return lambda held_out: np.stack([
+            degrade_values(flat.reshape(size, size), factor).ravel() for flat in held_out
+        ])
 
-    train_idx, val_idx = _train_val_split(config, n)
-    train_pairs = [(inputs[j], EulerAngles(*targets[j])) for j in train_idx]
-    factors = [int(f) for f in config.lowres_factors]
-
-    rows_out = []
-    for scheme in config.lowres_schemes:
-        augment = None if scheme == "none" else _make_raster_augment(scheme, size)
-        try:
-            net, _ = train_toy(
-                train_pairs, config=MultiLossConfig(), spec=BinSpec(),
-                epochs=config.epochs, seed=config.master_seed,
-                hidden_size=config.hidden_size, batch_size=config.batch_size,
-                lr=config.learning_rate, val_fraction=0.0, augment=augment,
-            )
-        except TrainingDivergedError:
-            rows_out.extend(
-                StudyRow(f"{scheme}@x{f}", math.nan, math.nan, math.nan, math.nan, 0, len(val_idx))
-                for f in factors
-            )
-            continue
-        for f in factors:
-            degraded = np.stack([
-                degrade_values(inputs[j].reshape(size, size), f).ravel() for j in val_idx
-            ])
-            errors = angle_error(predict_angles(net, degraded), targets[val_idx])
-            per_angle = errors.mean(axis=0)
-            rows_out.append(StudyRow(
-                f"{scheme}@x{f}", float(per_angle[0]), float(per_angle[1]),
-                float(per_angle[2]), float(per_angle.mean()), len(val_idx), 0,
-            ))
-    return StudyResult("lowres", tuple(rows_out))
+    runs = [
+        (MultiLossConfig(), None if scheme == "none" else _make_raster_augment(scheme, size),
+         [(f"{scheme}@x{f}", degraded(f)) for f in config.lowres_factors])
+        for scheme in config.lowres_schemes
+    ]
+    return StudyResult("lowres", _trained_rows(config, inputs, targets, runs))
 
 
 def landmark_dataset(config: StudyConfig | None = None):
     """(inputs, targets) for config.scenes synthetic scenes: normalized
     flat landmark vectors (N, 136) and true angle rows (N, 3)."""
-    config = config or StudyConfig()
-    model = builtin_mean_face()
-    intrinsics = default_intrinsics(config.image_width, config.image_height)
-    tz_base = _viewing_distance(model)
-    n = config.scenes
-    inputs = np.empty((n, 136))
-    targets = np.empty((n, 3))
-    for i in range(n):
-        pose, landmarks = _scene_pose_and_landmarks(config, model, intrinsics, tz_base, i)
-        inputs[i] = _landmark_features(landmarks)
-        targets[i] = pose.rotation.as_array()
-    return inputs, targets
+    return _scene_dataset(config or StudyConfig(), _landmark_features, 136)
 
 
 def run_alpha_ablation(config: StudyConfig | None = None) -> StudyResult:
@@ -401,31 +396,11 @@ def run_alpha_ablation(config: StudyConfig | None = None) -> StudyResult:
     """
     config = config or StudyConfig()
     inputs, targets = landmark_dataset(config)
-    n = config.scenes
-    train_idx, val_idx = _train_val_split(config, n)
-    train_pairs = [(inputs[j], EulerAngles(*targets[j])) for j in train_idx]
-
-    rows_out = []
-    for alpha in config.alpha_sweep:
-        alpha = float(alpha)
-        try:
-            net, _ = train_toy(
-                train_pairs, config=MultiLossConfig(alpha=alpha), spec=BinSpec(),
-                epochs=config.epochs, seed=config.master_seed,
-                hidden_size=config.hidden_size, batch_size=config.batch_size,
-                lr=config.learning_rate, val_fraction=0.0,
-            )
-        except TrainingDivergedError:
-            rows_out.append(StudyRow(_sweep_label(alpha), math.nan, math.nan, math.nan,
-                                     math.nan, 0, len(val_idx)))
-            continue
-        errors = angle_error(predict_angles(net, inputs[val_idx]), targets[val_idx])
-        per_angle = errors.mean(axis=0)
-        rows_out.append(StudyRow(
-            _sweep_label(alpha), float(per_angle[0]), float(per_angle[1]),
-            float(per_angle[2]), float(per_angle.mean()), len(val_idx), 0,
-        ))
-    return StudyResult("alpha", tuple(rows_out))
+    runs = [
+        (MultiLossConfig(alpha=float(alpha)), None, [(float(alpha), lambda held_out: held_out)])
+        for alpha in config.alpha_sweep
+    ]
+    return StudyResult("alpha", _trained_rows(config, inputs, targets, runs))
 
 
 def emit_csv(result: StudyResult, path) -> None:
@@ -520,31 +495,6 @@ def load_landmarks(path):
     Returns (ids, points) where ids is an int array of landmark ids in
     file order and points the matching (N, 2) pixel coordinates.
     """
-    text = Path(path).read_text()
-    ids, points = [], []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(path, lineno, f"expected 3 fields 'id u v', got {len(parts)}")
-        try:
-            landmark_id = int(parts[0])
-        except ValueError:
-            raise ParseError(path, lineno, f"landmark id {parts[0]!r} is not an integer") from None
-        if not 1 <= landmark_id <= 68:
-            raise ParseError(path, lineno, f"landmark id {landmark_id} outside 1..68")
-        try:
-            uv = [float(parts[1]), float(parts[2])]
-        except ValueError:
-            raise ParseError(path, lineno, "coordinates must be decimal numbers") from None
-        if not all(math.isfinite(c) for c in uv):
-            raise ParseError(path, lineno, "coordinates must be finite")
-        if landmark_id in seen:
-            raise DuplicateIdError(f"{path}:{lineno}: duplicate landmark id {landmark_id}")
-        seen.add(landmark_id)
-        ids.append(landmark_id)
-        points.append(uv)
-    return np.array(ids, dtype=int), np.array(points, dtype=float).reshape(-1, 2)
+    records = _parse_id_lines(path, "id u v")
+    points = np.array(list(records.values()), dtype=float).reshape(-1, 2)
+    return np.array(list(records), dtype=int), points

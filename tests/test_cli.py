@@ -136,6 +136,17 @@ class TestAblateAlpha:
         assert [r.sweep for r in rows] == ["0.0", "2.0"]
 
 
+@pytest.mark.parametrize("command", ["study-lowres", "ablate-alpha"])
+def test_trained_net_studies_reject_trials(tmp_path, capsys, command):
+    # Trained-net studies size their data with --scenes; --trials would be ignored.
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--trials", "7", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSolvePnP:
     def test_recovers_pose_from_file(self, tmp_path, capsys):
         lm = tmp_path / "landmarks.txt"

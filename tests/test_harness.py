@@ -1,9 +1,11 @@
 import math
 import xml.etree.ElementTree as ET
+from functools import partial
 
 import numpy as np
 import pytest
 
+from poselab.camera import BehindCameraError
 from poselab.facemodel import DuplicateIdError, ParseError
 from poselab.harness import (
     CSV_HEADER,
@@ -22,6 +24,7 @@ from poselab.harness import (
     run_subset_study,
 )
 from poselab.multiloss import TrainingDivergedError
+from poselab.pnp import DegenerateProblemError
 
 SMALL_RIGID = StudyConfig(trials=6, nonrigid_sigma=0.0)
 
@@ -47,6 +50,13 @@ class TestStudyConfig:
             {"val_fraction": 1.0},
             {"raster_size": 0},
             {"hidden_size": 0},
+            {"lowres_schemes": ("none", "blur")},
+            {"lowres_factors": (2.5,)},
+            {"lowres_factors": (2.0,)},
+            {"lowres_factors": (0,)},
+            {"alpha_sweep": (-0.5,)},
+            {"alpha_sweep": (math.nan,)},
+            {"alpha_sweep": (math.inf,)},
         ],
     )
     def test_validation(self, kwargs):
@@ -111,6 +121,126 @@ class TestStretchStudy:
             run_stretch_study(StudyConfig(trials=2), axis="depth")
 
 
+class TestPnPSweep:
+    """The trial loop, solve and bookkeeping shared by the subset, jitter
+    and stretch studies."""
+
+    CONFIG = StudyConfig(trials=12, master_seed=3)
+
+    # (sweep, yaw, pitch, roll, mean) MAE per row, computed by the three
+    # separate per-study loops that _pnp_sweep replaced.
+    PINNED = {
+        "subset": (
+            ("rigid-6", 31.787628995027145, 11.505237246090397,
+             7.080496723567766, 16.79112098822844),
+            ("core-12", 12.649538017797562, 10.39551881151352,
+             6.045988058065948, 9.69701496245901),
+            ("no-mouth-48", 14.492895754137967, 10.464614950745998,
+             5.924351568038922, 10.293954090974296),
+            ("all-68", 31.345758936774853, 20.220202838966987,
+             9.336636253296135, 20.300866009679325),
+        ),
+        "jitter-rigid-6": (
+            ("0.0", 4.263256414560601e-14, 3.420527749931068e-14,
+             4.263256414560601e-14, 3.9823468596840904e-14),
+            ("1.0", 0.7690626870810023, 0.45660269869987885,
+             0.48279417594509394, 0.5694865205753251),
+            ("2.0", 1.5445327019619484, 0.9028623626336393,
+             0.9720359236440773, 1.1398103294132216),
+            ("3.0", 2.325348737892984, 1.3367433181804138, 1.468163337735027, 1.710085131269475),
+            ("4.0", 3.1111407732831666, 1.7559902275289652, 1.9718600822378025, 2.279663694349978),
+            ("5.0", 3.902367910055118, 2.1582712355666724, 2.484038626695751, 2.848225924105847),
+            ("6.0", 4.700332241708117, 2.543544552032539, 3.0057908894042042, 3.41655589438162),
+            ("7.0", 5.507064493134969, 2.908886439931789, 3.53833453889233, 3.984761823986363),
+            ("8.0", 6.325112157348314, 3.251104236780139, 4.082972703874575, 4.553063032667676),
+            ("9.0", 7.1572359568441195, 3.5676339309381166, 4.6410534953482445, 5.121974461043494),
+            ("10.0", 8.005992421579402, 3.8565197994021845, 5.213882008238271, 5.692131409739953),
+        ),
+        "jitter-all-68": (
+            ("0.0", 2.960594732333751e-14, 6.925247412562878e-14,
+             5.0922229396140515e-14, 4.99268836150356e-14),
+            ("1.0", 0.19267894162996768, 0.1573346531863241,
+             0.11813050687112418, 0.15604803389580532),
+            ("2.0", 0.38627007664360136, 0.31504897845021,
+             0.23696859322985256, 0.3127625494412213),
+            ("3.0", 0.5807797317367154, 0.4731615174057187,
+             0.3565172465572921, 0.4701528318999087),
+            ("4.0", 0.7762142729403484, 0.6316907131323771,
+             0.47677970385561136, 0.6282282299761123),
+            ("5.0", 0.9725801289103574, 0.79065492036868, 0.5977594707667429, 0.7869981733485935),
+            ("6.0", 1.1698838344961924, 0.950072475733927, 0.7194603721922626, 0.9464722274741272),
+            ("7.0", 1.3681320805928945, 1.1099617053980424,
+             0.8418865596039081, 1.1066601151982816),
+            ("8.0", 1.5673317067627248, 1.2703409244466837, 0.9650425482334354, 1.267571726480948),
+            ("9.0", 1.7674898231236742, 1.4312284983011379, 1.0889332872876107, 1.429217202904141),
+            ("10.0", 1.9686137408534374, 1.5926428734430205,
+             1.2135641505532142, 1.5916069216165571),
+        ),
+        "stretch-width": (
+            ("0.6", 7.76285030699833, 8.512148400895615, 7.664197140515651, 7.9797319494698655),
+            ("0.8", 3.842250370448344, 3.967961624296752, 3.542721081736581, 3.784311025493892),
+            ("1.0", 3.0790185216271006e-14, 6.866613759074862e-14,
+             5.0922229396140515e-14, 5.012618406772005e-14),
+            ("1.2", 3.3380839865539293, 3.097035994707877, 2.855245700678807, 3.0967885606468712),
+            ("1.4", 6.558780691472662, 5.611459538067929, 5.1068266928035575, 5.759022307448049),
+        ),
+        "stretch-height": (
+            ("0.6", 6.460780774252673, 8.09501840655863, 6.55977864780546, 7.038525942872254),
+            ("0.8", 3.118608604735828, 4.082121914321482, 3.3782412578616277, 3.5263239256396464),
+            ("1.0", 3.0790185216271006e-14, 6.866613759074862e-14,
+             5.0922229396140515e-14, 5.012618406772005e-14),
+            ("1.2", 3.0761342389886117, 4.101015445809259, 3.3305963640012064, 3.5025820162663592),
+            ("1.4", 5.926243784987133, 7.890975497465086, 6.500558858326184, 6.7725927135928),
+        ),
+    }
+
+    STUDIES = (
+        run_subset_study,
+        partial(run_jitter_study, subset_name="rigid-6"),
+        partial(run_jitter_study, subset_name="all-68"),
+        partial(run_stretch_study, axis="width"),
+        partial(run_stretch_study, axis="height"),
+    )
+
+    def test_pinned_rows(self):
+        results = [run(self.CONFIG) for run in self.STUDIES]
+        assert [r.study for r in results] == list(self.PINNED)
+        for result in results:
+            expected = tuple(StudyRow(*values, 12, 0) for values in self.PINNED[result.study])
+            assert result.rows == expected
+
+    def test_exclusions(self, monkeypatch):
+        # project raises on the first trial only; solve_pnp then raises for
+        # the second label of every remaining trial.
+        from poselab import harness
+
+        real_project, real_solve = harness.project, harness.solve_pnp
+        state = {"projections": 0, "solves": 0}
+
+        def project(*args):
+            state["projections"] += 1
+            if state["projections"] == 1:
+                raise BehindCameraError("trial 0 behind the camera")
+            return real_project(*args)
+
+        def solve_pnp(problem):
+            state["solves"] += 1
+            if state["solves"] % 2 == 0:
+                raise DegenerateProblemError("second label")
+            return real_solve(problem)
+
+        monkeypatch.setattr("poselab.harness.project", project)
+        monkeypatch.setattr("poselab.harness.solve_pnp", solve_pnp)
+        config = StudyConfig(trials=3, subsets=("rigid-6", "all-68"),
+                             jitter_sweep=(0.0, 2.0), stretch_sweep=(0.8, 1.0))
+        for run in self.STUDIES:
+            state.update(projections=0, solves=0)
+            result = run(config)
+            counts = [(r.trials, r.excluded) for r in result.rows]
+            assert counts == [(2, 1), (0, 3)], result.study
+            assert math.isfinite(result.rows[0].mae) and math.isnan(result.rows[1].mae)
+
+
 TINY_TRAIN = dict(scenes=60, epochs=2, hidden_size=16, batch_size=16)
 
 
@@ -126,13 +256,20 @@ class TestLowresStudy:
             assert math.isfinite(row.mae)
             assert 0.0 <= row.mae <= 120.0
 
-    def test_diverged_scheme_marked(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "run, overrides",
+        [
+            (run_lowres_study, {"lowres_schemes": ("none",), "lowres_factors": (1, 5)}),
+            (run_alpha_ablation, {"alpha_sweep": (0.0, 2.0)}),
+        ],
+        ids=["lowres", "alpha"],
+    )
+    def test_diverged_scheme_marked(self, monkeypatch, run, overrides):
         def boom(*args, **kwargs):
             raise TrainingDivergedError("boom")
 
         monkeypatch.setattr("poselab.harness.train_toy", boom)
-        cfg = StudyConfig(lowres_schemes=("none",), lowres_factors=(1, 5), **TINY_TRAIN)
-        result = run_lowres_study(cfg)
+        result = run(StudyConfig(**overrides, **TINY_TRAIN))
         assert len(result.rows) == 2
         for row in result.rows:
             assert math.isnan(row.mae)
