@@ -5,7 +5,6 @@ visible only with z > 0.  Image origin is the top-left corner, +u right,
 +v down.  Lens distortion is fixed at zero.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +84,12 @@ def project(points, pose: Pose, intrinsics: CameraIntrinsics) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
-    cam = pts @ pose.rotation_matrix().T + pose.translation
+    return _project_rigid(pts, pose.rotation_matrix(), pose.translation, intrinsics)
+
+
+def _project_rigid(points, rotation, translation, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """The pinhole model for unchecked (N, 3) points under p -> rotation @ p + translation."""
+    cam = points @ rotation.T + translation
     z = cam[:, 2]
     if np.any(z <= MIN_DEPTH):
         bad = int(np.argmin(z))

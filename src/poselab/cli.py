@@ -83,22 +83,31 @@ def _print_result(result) -> None:
         print(line)
 
 
-def _write_outputs(result, csv_path, svg_path) -> None:
-    emit_csv(result, csv_path)
-    print(f"wrote {csv_path}")
-    if svg_path is not None:
-        emit_svg(result, svg_path)
-        print(f"wrote {svg_path}")
-    _print_result(result)
+def _write_studies(args, run, variants=("",)) -> int:
+    """Run each variant and write its CSV (and SVG) with a per-row summary.
+
+    With several variants every file name gets the variant as a suffix.
+    """
+    multi = len(variants) > 1
+    for variant in variants:
+        result = run(variant)
+        csv_path = _suffixed(args.out, variant, multi)
+        emit_csv(result, csv_path)
+        print(f"wrote {csv_path}")
+        if args.svg:
+            svg_path = _suffixed(args.svg, variant, multi)
+            emit_svg(result, svg_path)
+            print(f"wrote {svg_path}")
+        _print_result(result)
+    return 0
 
 
 def cmd_study_subset(args) -> int:
     overrides = _base_overrides(args)
     if args.subsets is not None:
         overrides["subsets"] = _names(args.subsets)
-    result = run_subset_study(StudyConfig(**overrides))
-    _write_outputs(result, Path(args.out), Path(args.svg) if args.svg else None)
-    return 0
+    config = StudyConfig(**overrides)
+    return _write_studies(args, lambda _: run_subset_study(config))
 
 
 def cmd_study_jitter(args) -> int:
@@ -106,14 +115,8 @@ def cmd_study_jitter(args) -> int:
     if args.sweep is not None:
         overrides["jitter_sweep"] = _floats(args.sweep)
     config = StudyConfig(**overrides)
-    subset_names = args.subset or ["all-68"]
-    multi = len(subset_names) > 1
-    for name in subset_names:
-        result = run_jitter_study(config, name)
-        csv_path = _suffixed(args.out, name, multi)
-        svg_path = _suffixed(args.svg, name, multi) if args.svg else None
-        _write_outputs(result, csv_path, svg_path)
-    return 0
+    return _write_studies(args, lambda name: run_jitter_study(config, name),
+                          args.subset or ["all-68"])
 
 
 def cmd_study_stretch(args) -> int:
@@ -121,14 +124,8 @@ def cmd_study_stretch(args) -> int:
     if args.sweep is not None:
         overrides["stretch_sweep"] = _floats(args.sweep)
     config = StudyConfig(**overrides)
-    axes = ("width", "height") if args.axis == "both" else (args.axis,)
-    multi = len(axes) > 1
-    for axis in axes:
-        result = run_stretch_study(config, axis)
-        csv_path = _suffixed(args.out, axis, multi)
-        svg_path = _suffixed(args.svg, axis, multi) if args.svg else None
-        _write_outputs(result, csv_path, svg_path)
-    return 0
+    return _write_studies(args, lambda axis: run_stretch_study(config, axis),
+                          ("width", "height") if args.axis == "both" else (args.axis,))
 
 
 def cmd_study_lowres(args) -> int:
@@ -137,18 +134,16 @@ def cmd_study_lowres(args) -> int:
         overrides["lowres_schemes"] = _names(args.schemes)
     if args.factors is not None:
         overrides["lowres_factors"] = _ints(args.factors)
-    result = run_lowres_study(StudyConfig(**overrides))
-    _write_outputs(result, Path(args.out), Path(args.svg) if args.svg else None)
-    return 0
+    config = StudyConfig(**overrides)
+    return _write_studies(args, lambda _: run_lowres_study(config))
 
 
 def cmd_ablate_alpha(args) -> int:
     overrides = _base_overrides(args)
     if args.sweep is not None:
         overrides["alpha_sweep"] = _floats(args.sweep)
-    result = run_alpha_ablation(StudyConfig(**overrides))
-    _write_outputs(result, Path(args.out), Path(args.svg) if args.svg else None)
-    return 0
+    config = StudyConfig(**overrides)
+    return _write_studies(args, lambda _: run_alpha_ablation(config))
 
 
 def cmd_solve_pnp(args) -> int:

@@ -243,8 +243,8 @@ def stretch_model(model: FaceModel, sx: float, sy: float) -> FaceModel:
 
 def jitter_landmarks(points2d, magnitude: float, rng_seed) -> np.ndarray:
     """Displace every coordinate by an independent uniform draw in [-m, +m]."""
-    if magnitude < 0:
-        raise ValueError(f"jitter magnitude must be >= 0, got {magnitude}")
+    if not (math.isfinite(magnitude) and magnitude >= 0):
+        raise ValueError(f"jitter magnitude must be finite and >= 0, got {magnitude}")
     pts = np.asarray(points2d, dtype=float)
     rng = np.random.default_rng(rng_seed)
     return pts + rng.uniform(-magnitude, magnitude, size=pts.shape)

@@ -39,7 +39,7 @@ from .multiloss import (
     predict_angles,
     train_toy,
 )
-from .pnp import DegenerateProblemError, PnPProblem, solve_pnp
+from .pnp import DegenerateProblemError, PnPProblem, _viewing_distance, solve_pnp
 from .raster import AUGMENT_SCHEMES, UnknownSchemeError, augment_factor, degrade_values, rasterize
 from .rotmath import EulerAngles, angle_error
 
@@ -107,8 +107,8 @@ class StudyConfig:
                      "lowres_factors", "alpha_sweep"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
-        if any(m < 0 for m in self.jitter_sweep):
-            raise ValueError("jitter magnitudes must be >= 0")
+        if not all(math.isfinite(m) and m >= 0 for m in self.jitter_sweep):
+            raise ValueError(f"jitter magnitudes must be finite and >= 0, got {self.jitter_sweep}")
         if self.epochs < 0 or self.hidden_size < 1 or self.batch_size < 1:
             raise ValueError("bad training dimensions")
         if not 0.0 < self.val_fraction < 1.0:
@@ -147,10 +147,6 @@ class StudyRow:
 class StudyResult:
     study: str
     rows: tuple
-
-
-def _viewing_distance(model) -> float:
-    return 2.0 * model.bounding_radius() / math.tan(math.radians(25.0))
 
 
 def _sample_pose(rng, config: StudyConfig, tz_base: float) -> Pose:
@@ -198,7 +194,7 @@ def _pnp_sweep(config: StudyConfig, study: str, labels, model, trial) -> StudyRe
     a solve that raises excludes the trial at that label only.
     """
     intrinsics = default_intrinsics(config.image_width, config.image_height)
-    tz_base = _viewing_distance(model)
+    tz_base = _viewing_distance(model.bounding_radius())
     sums = {label: np.zeros(3) for label in labels}
     counts = dict.fromkeys(labels, 0)
     excluded = dict.fromkeys(labels, 0)
@@ -291,7 +287,7 @@ def _scene_dataset(config: StudyConfig, features, width: int):
     pose's true (yaw, pitch, roll)."""
     model = builtin_mean_face()
     intrinsics = default_intrinsics(config.image_width, config.image_height)
-    tz_base = _viewing_distance(model)
+    tz_base = _viewing_distance(model.bounding_radius())
     inputs = np.empty((config.scenes, width))
     targets = np.empty((config.scenes, 3))
     for i in range(config.scenes):
@@ -308,34 +304,39 @@ def _train_val_split(config: StudyConfig, n: int):
     return perm[n_val:], perm[:n_val]
 
 
-def _trained_rows(config: StudyConfig, inputs, targets, runs) -> tuple:
-    """Train one net per run on a shared split, then score it.
+def _trained_rows(config: StudyConfig, inputs, targets, views, runs) -> tuple:
+    """Train one net per run on a shared split, then score every net on
+    every view of the held-out inputs.
 
-    Each run is (loss_config, augment, views); each view is (label,
-    transform) and yields one row: the net's MAE on transform(held-out
-    inputs).  All runs share the seed, split and initialization.  A run
-    whose training diverges yields NaN rows with trials=0 for all its
-    labels.
+    Each view is a transform of the held-out inputs.  It is applied once,
+    after all training, so one transformed copy is alive at a time.  Each
+    run is (loss_config, augment, labels) and yields one row per view,
+    labelled in order: the net's MAE on that view.  All runs share the
+    seed, split and initialization.  A run whose training diverges yields
+    NaN rows with trials=0 for all its labels.
     """
     train_idx, val_idx = _train_val_split(config, len(inputs))
     train_pairs = [(inputs[j], EulerAngles(*targets[j])) for j in train_idx]
-    n_val = len(val_idx)
-    rows = []
-    for loss_config, augment, views in runs:
+    nets = []
+    for loss_config, augment, _ in runs:
         try:
-            net, _ = train_toy(
+            nets.append(train_toy(
                 train_pairs, config=loss_config, spec=BinSpec(),
                 epochs=config.epochs, seed=config.master_seed,
                 hidden_size=config.hidden_size, batch_size=config.batch_size,
                 lr=config.learning_rate, val_fraction=0.0, augment=augment,
-            )
+            )[0])
         except TrainingDivergedError:
-            rows.extend(_finish_row(label, None, 0, n_val) for label, _ in views)
-            continue
-        for label, transform in views:
-            errors = angle_error(predict_angles(net, transform(inputs[val_idx])), targets[val_idx])
-            rows.append(_finish_row(label, errors.sum(axis=0), n_val, 0))
-    return tuple(rows)
+            nets.append(None)
+    n_val = len(val_idx)
+    rows = [[_finish_row(label, None, 0, n_val) for label in labels] for *_, labels in runs]
+    for v, view in enumerate(views):
+        view_inputs = view(inputs[val_idx])
+        for (*_, labels), net, run_rows in zip(runs, nets, rows):
+            if net is not None:
+                errors = angle_error(predict_angles(net, view_inputs), targets[val_idx])
+                run_rows[v] = _finish_row(labels[v], errors.sum(axis=0), n_val, 0)
+    return tuple(row for run_rows in rows for row in run_rows)
 
 
 def _landmark_features(image_points: np.ndarray) -> np.ndarray:
@@ -374,12 +375,13 @@ def run_lowres_study(config: StudyConfig | None = None) -> StudyResult:
             degrade_values(flat.reshape(size, size), factor).ravel() for flat in held_out
         ])
 
+    views = [degraded(f) for f in config.lowres_factors]
     runs = [
         (MultiLossConfig(), None if scheme == "none" else _make_raster_augment(scheme, size),
-         [(f"{scheme}@x{f}", degraded(f)) for f in config.lowres_factors])
+         [f"{scheme}@x{f}" for f in config.lowres_factors])
         for scheme in config.lowres_schemes
     ]
-    return StudyResult("lowres", _trained_rows(config, inputs, targets, runs))
+    return StudyResult("lowres", _trained_rows(config, inputs, targets, views, runs))
 
 
 def landmark_dataset(config: StudyConfig | None = None):
@@ -396,11 +398,10 @@ def run_alpha_ablation(config: StudyConfig | None = None) -> StudyResult:
     """
     config = config or StudyConfig()
     inputs, targets = landmark_dataset(config)
-    runs = [
-        (MultiLossConfig(alpha=float(alpha)), None, [(float(alpha), lambda held_out: held_out)])
-        for alpha in config.alpha_sweep
-    ]
-    return StudyResult("alpha", _trained_rows(config, inputs, targets, runs))
+    runs = [(MultiLossConfig(alpha=float(alpha)), None, [float(alpha)])
+            for alpha in config.alpha_sweep]
+    rows = _trained_rows(config, inputs, targets, [lambda held_out: held_out], runs)
+    return StudyResult("alpha", rows)
 
 
 def emit_csv(result: StudyResult, path) -> None:

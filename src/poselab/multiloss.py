@@ -3,7 +3,8 @@
 Angles are classified into fixed-width bins via softmax; a continuous
 estimate is decoded as the probability-weighted mean of the bin centers.
 The training loss per angle is cross-entropy on the true bin plus
-alpha * (decoded - target)^2, summed over yaw, pitch, roll.  Also ships
+alpha * (decoded - target)^2, summed over yaw, pitch, roll; one core
+computes it and its gradient for single samples and batches.  Also ships
 a small dense network with three angle heads, manual backprop, a
 bias-corrected Adam optimizer, and a text serialization format, so the
 loss can be exercised end to end without any ML framework.
@@ -139,9 +140,19 @@ def softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    return _softmax(z)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    # Unchecked: non-finite logits give NaN rows instead of an error.
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _neg_log(p):
+    """-log p elementwise; inf where p is 0."""
+    with np.errstate(divide="ignore"):
+        return -np.log(p)
 
 
 def cross_entropy(probabilities, target_bin: int) -> float:
@@ -151,10 +162,8 @@ def cross_entropy(probabilities, target_bin: int) -> float:
         raise ValueError(f"expected a 1-D probability vector, got shape {p.shape}")
     if not 0 <= target_bin < p.shape[0]:
         raise ValueError(f"target bin {target_bin} outside [0, {p.shape[0]})")
-    pt = float(p[target_bin])
-    if pt <= 0.0:
-        return math.inf
-    return -math.log(pt)
+    # numpy's log, like the loss core: math.log can differ in the last bit
+    return float(_neg_log(max(float(p[target_bin]), 0.0)))
 
 
 def expected_angle(probabilities, spec: BinSpec):
@@ -168,10 +177,29 @@ def expected_angle(probabilities, spec: BinSpec):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _logits_array(output) -> np.ndarray:
-    if isinstance(output, AngleHeadOutput):
-        return output.logits
-    return AngleHeadOutput(output).logits
+def _loss_terms(logits, target_bins, target_angles, spec: BinSpec, alpha: float):
+    """Per-angle cross-entropy and squared error, both (..., 3), and
+    d(CE + alpha * SE)/d(logits) for unchecked (..., 3, nb) logits.
+
+    Per angle with probabilities p, decoded angle E and target t:
+    dL/dz_j = (p_j - [j = target bin]) + 2*alpha*(E - t) * p_j * (c_j - E).
+    """
+    p = _softmax(logits)
+    picked = np.take_along_axis(p, target_bins[..., None], axis=-1)
+    decoded = p @ spec.centers
+    gap = decoded - target_angles
+    grad = p.copy()
+    np.put_along_axis(grad, target_bins[..., None], picked - 1.0, axis=-1)
+    grad += (2.0 * alpha) * gap[..., None] * p * (spec.centers - decoded[..., None])
+    return _neg_log(picked[..., 0]), gap * gap, grad
+
+
+def _checked_sample(output, target: EulerAngles, spec: BinSpec):
+    logits = output.logits if isinstance(output, AngleHeadOutput) else AngleHeadOutput(output).logits
+    if logits.shape[1] != spec.num_bins:
+        raise ValueError(f"logits have {logits.shape[1]} bins, spec has {spec.num_bins}")
+    angles = target.as_array()
+    return logits, np.array([bin_angle(a, spec) for a in angles]), angles
 
 
 def multi_loss(output, target: EulerAngles, spec: BinSpec, config: MultiLossConfig):
@@ -181,57 +209,22 @@ def multi_loss(output, target: EulerAngles, spec: BinSpec, config: MultiLossConf
     config.alpha times the squared gap between the decoded angle and the
     continuous target, in degrees.  Total sums yaw, pitch, roll.
     """
-    logits = _logits_array(output)
-    if logits.shape[1] != spec.num_bins:
-        raise ValueError(f"logits have {logits.shape[1]} bins, spec has {spec.num_bins}")
-    breakdown = []
-    for row, target_value in zip(logits, (target.yaw, target.pitch, target.roll)):
-        target_bin = bin_angle(target_value, spec)
-        p = softmax(row)
-        ce = cross_entropy(p, target_bin)
-        gap = expected_angle(p, spec) - target_value
-        se = gap * gap
-        breakdown.append(AngleLossTerms(ce, se, ce + config.alpha * se))
+    ce, se, _ = _loss_terms(*_checked_sample(output, target, spec), spec, config.alpha)
+    breakdown = tuple(AngleLossTerms(float(c), float(e), float(c + config.alpha * e))
+                      for c, e in zip(ce, se))
     total = breakdown[0].total + breakdown[1].total + breakdown[2].total
-    return total, tuple(breakdown)
+    return total, breakdown
 
 
 def multi_loss_gradient(output, target: EulerAngles, spec: BinSpec, config: MultiLossConfig) -> np.ndarray:
-    """Exact d(multi_loss)/d(logits), shape (3, num_bins).
-
-    Per angle with probabilities p, decoded angle E and target t:
-    dL/dz_j = (p_j - [j = target bin]) + 2*alpha*(E - t) * p_j * (c_j - E).
-    """
-    logits = _logits_array(output)
-    if logits.shape[1] != spec.num_bins:
-        raise ValueError(f"logits have {logits.shape[1]} bins, spec has {spec.num_bins}")
-    grad = np.empty_like(logits)
-    for i, (row, target_value) in enumerate(zip(logits, (target.yaw, target.pitch, target.roll))):
-        target_bin = bin_angle(target_value, spec)
-        p = softmax(row)
-        decoded = float(p @ spec.centers)
-        g = p.copy()
-        g[target_bin] -= 1.0
-        g += 2.0 * config.alpha * (decoded - target_value) * p * (spec.centers - decoded)
-        grad[i] = g
-    return grad
+    """Exact d(multi_loss)/d(logits), shape (3, num_bins)."""
+    return _loss_terms(*_checked_sample(output, target, spec), spec, config.alpha)[2]
 
 
 def _batch_loss_and_grad(logits, target_bins, target_angles, spec, alpha):
     """Mean-over-batch total loss and its gradient w.r.t. (B, 3, nb) logits."""
-    n = logits.shape[0]
-    z = logits - logits.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    log_p = z - log_norm
-    p = np.exp(log_p)
-    picked = np.take_along_axis(log_p, target_bins[..., None], axis=-1)[..., 0]
-    decoded = p @ spec.centers
-    gap = decoded - target_angles
-    loss = float(np.mean((-picked + alpha * gap * gap).sum(axis=1)))
-    grad = p.copy()
-    grad[np.arange(n)[:, None], np.arange(3)[None, :], target_bins] -= 1.0
-    grad += (2.0 * alpha) * gap[..., None] * p * (spec.centers[None, None, :] - decoded[..., None])
-    return loss, grad / n
+    ce, se, grad = _loss_terms(logits, target_bins, target_angles, spec, alpha)
+    return float(np.mean((ce + alpha * se).sum(axis=-1))), grad / len(logits)
 
 
 @dataclass(eq=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import MIN_DEPTH, BehindCameraError, CameraIntrinsics, Pose, project
+from .camera import BehindCameraError, CameraIntrinsics, Pose, _project_rigid, project
 from .rotmath import (
     EulerAngles,
     axis_angle_to_rotation,
@@ -119,8 +119,12 @@ def default_init(problem: PnPProblem) -> Pose:
     """
     pts = problem.model_points
     radius = float(np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
-    tz = 2.0 * radius / math.tan(math.radians(25.0))
-    return Pose(EulerAngles(0.0, 0.0, 0.0), np.array([0.0, 0.0, tz]))
+    return Pose(EulerAngles(0.0, 0.0, 0.0), np.array([0.0, 0.0, _viewing_distance(radius)]))
+
+
+def _viewing_distance(radius: float) -> float:
+    """Depth at which a model of this bounding radius spans about 50 degrees."""
+    return 2.0 * radius / math.tan(math.radians(25.0))
 
 
 def reprojection_residuals(problem: PnPProblem, pose: Pose) -> np.ndarray:
@@ -140,15 +144,9 @@ def _pose_from_params(x: np.ndarray) -> Pose:
 
 
 def _residuals_at(problem: PnPProblem, x: np.ndarray) -> np.ndarray:
-    rot = axis_angle_to_rotation(x[:3])
-    cam = problem.model_points @ rot.T + x[3:]
-    z = cam[:, 2]
-    if np.any(z <= MIN_DEPTH):
-        raise BehindCameraError("model point behind camera at this iterate")
-    k = problem.intrinsics
-    u = k.fx * cam[:, 0] / z + k.cx
-    v = k.fy * cam[:, 1] / z + k.cy
-    return (np.column_stack([u, v]) - problem.image_points).ravel()
+    predicted = _project_rigid(problem.model_points, axis_angle_to_rotation(x[:3]), x[3:],
+                               problem.intrinsics)
+    return (predicted - problem.image_points).ravel()
 
 
 def _right_jacobian(rvec: np.ndarray) -> np.ndarray:

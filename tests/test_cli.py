@@ -73,6 +73,14 @@ class TestStudyJitter:
         assert (tmp_path / "jitter.all-68.csv").exists()
         assert (tmp_path / "jitter.rigid-6.csv").exists()
 
+    @pytest.mark.parametrize("sweep", ["0,nan", "0,inf"])
+    def test_non_finite_magnitude_fails_cleanly(self, tmp_path, capsys, sweep):
+        out = tmp_path / "x.csv"
+        code = main(["study-jitter", "--trials", "1", "--sweep", sweep, "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStudyStretch:
     def test_both_axes_default(self, tmp_path):

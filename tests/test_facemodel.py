@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,11 @@ class TestJitter:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
             jitter_landmarks(np.zeros((4, 2)), -1.0, 0)
+
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_magnitude_rejected(self, magnitude):
+        with pytest.raises(ValueError, match="finite"):
+            jitter_landmarks(np.zeros((4, 2)), magnitude, 0)
 
 
 class TestDeform:

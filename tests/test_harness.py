@@ -57,6 +57,9 @@ class TestStudyConfig:
             {"alpha_sweep": (-0.5,)},
             {"alpha_sweep": (math.nan,)},
             {"alpha_sweep": (math.inf,)},
+            {"jitter_sweep": (0.0, math.nan)},
+            {"jitter_sweep": (0.0, math.inf)},
+            {"jitter_sweep": (-math.inf,)},
         ],
     )
     def test_validation(self, kwargs):

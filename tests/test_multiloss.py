@@ -261,6 +261,25 @@ class TestMultiLossGradient:
         grad = multi_loss_gradient(logits, EulerAngles(0, 0, 0), DEFAULT, MultiLossConfig(alpha=2.0))
         assert np.all(np.isfinite(grad))
 
+    def test_batch_rows_match_single_samples(self):
+        # One loss core serves multi_loss, its gradient and the training
+        # batch.  B is a power of two, so dividing by it is exact.
+        from poselab.multiloss import _batch_loss_and_grad
+
+        rng = np.random.default_rng(5)
+        cfg = MultiLossConfig(alpha=2.0)
+        b = 8
+        logits = rng.normal(scale=3.0, size=(b, 3, DEFAULT.num_bins))
+        angles = rng.uniform(-98.9, 98.9, size=(b, 3))
+        bins = np.array([[bin_angle(a, DEFAULT) for a in row] for row in angles])
+        loss, grad = _batch_loss_and_grad(logits, bins, angles, DEFAULT, cfg.alpha)
+        totals = []
+        for i in range(b):
+            target = EulerAngles(*angles[i])
+            assert np.array_equal(grad[i] * b, multi_loss_gradient(logits[i], target, DEFAULT, cfg))
+            totals.append(multi_loss(logits[i], target, DEFAULT, cfg)[0])
+        assert loss == pytest.approx(np.mean(totals), rel=1e-12, abs=0.0)
+
     def test_zero_at_perfect_prediction(self):
         logits = np.zeros((3, 2))
         logits[:, 0] = 600.0

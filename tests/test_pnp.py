@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from poselab.camera import Pose, default_intrinsics, project
+from poselab.camera import BehindCameraError, Pose, default_intrinsics, project
 from poselab.facemodel import builtin_mean_face, subset_by_name
 from poselab.pnp import (
     DegenerateProblemError,
@@ -141,6 +141,14 @@ class TestSolvePnP:
         assert sol.converged
         assert sol.iterations <= 2
         assert sol.rmse <= 1e-12
+
+    def test_init_behind_camera_names_point(self):
+        # LM residuals share project's depth rule and message; at depth 0.2
+        # only the nose tip (row 30, model z -0.24) is behind the camera.
+        problem, _ = make_problem((10.0, -5.0, 3.0), (0.0, 0.0, 5.0))
+        init = Pose(EulerAngles(0.0, 0.0, 0.0), np.array([0.0, 0.0, 0.2]))
+        with pytest.raises(BehindCameraError, match=r"^point 30 has camera depth -0\.0394"):
+            solve_pnp(problem, init=init)
 
     def test_init_robustness(self):
         problem, truth = make_problem((40.0, -30.0, 20.0), (0.2, -0.2, 6.0))
