@@ -3,6 +3,7 @@
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .facemodel import builtin_mean_face, load_face_model
@@ -51,26 +52,6 @@ def _suffixed(out: str, tag: str, multi: bool) -> Path:
     return path.with_name(f"{path.stem}.{tag}{path.suffix}")
 
 
-def _base_overrides(args) -> dict:
-    mapping = (
-        ("trials", "trials"),
-        ("seed", "master_seed"),
-        ("rigid_sigma", "rigid_sigma"),
-        ("nonrigid_sigma", "nonrigid_sigma"),
-        ("scenes", "scenes"),
-        ("epochs", "epochs"),
-        ("hidden", "hidden_size"),
-        ("batch_size", "batch_size"),
-        ("lr", "learning_rate"),
-    )
-    overrides = {}
-    for attr, field_name in mapping:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field_name] = value
-    return overrides
-
-
 def _print_result(result) -> None:
     for r in result.rows:
         if math.isnan(r.mae):
@@ -83,14 +64,39 @@ def _print_result(result) -> None:
         print(line)
 
 
-def _write_studies(args, run, variants=("",)) -> int:
-    """Run each variant and write its CSV (and SVG) with a per-row summary.
+# StudyConfig's tuple fields arrive as comma-separated text.
+_LIST_PARSERS = {
+    "subsets": _names,
+    "jitter_sweep": _floats,
+    "stretch_sweep": _floats,
+    "lowres_schemes": _names,
+    "lowres_factors": _ints,
+    "alpha_sweep": _floats,
+}
+
+
+def _study_config(args) -> StudyConfig:
+    """StudyConfig from every field given on the command line; each option's
+    dest is its field name."""
+    given = {f.name: getattr(args, f.name) for f in fields(StudyConfig)
+             if getattr(args, f.name, None) is not None}
+    for name, parse in _LIST_PARSERS.items():
+        if name in given:
+            given[name] = parse(given[name])
+    return StudyConfig(**given)
+
+
+def cmd_study(args) -> int:
+    """Run args.study once per variant and write its CSV (and SVG) with a
+    per-row summary.
 
     With several variants every file name gets the variant as a suffix.
     """
+    config = _study_config(args)
+    variants = args.variants(args)
     multi = len(variants) > 1
     for variant in variants:
-        result = run(variant)
+        result = args.study(config, variant)
         csv_path = _suffixed(args.out, variant, multi)
         emit_csv(result, csv_path)
         print(f"wrote {csv_path}")
@@ -100,50 +106,6 @@ def _write_studies(args, run, variants=("",)) -> int:
             print(f"wrote {svg_path}")
         _print_result(result)
     return 0
-
-
-def cmd_study_subset(args) -> int:
-    overrides = _base_overrides(args)
-    if args.subsets is not None:
-        overrides["subsets"] = _names(args.subsets)
-    config = StudyConfig(**overrides)
-    return _write_studies(args, lambda _: run_subset_study(config))
-
-
-def cmd_study_jitter(args) -> int:
-    overrides = _base_overrides(args)
-    if args.sweep is not None:
-        overrides["jitter_sweep"] = _floats(args.sweep)
-    config = StudyConfig(**overrides)
-    return _write_studies(args, lambda name: run_jitter_study(config, name),
-                          args.subset or ["all-68"])
-
-
-def cmd_study_stretch(args) -> int:
-    overrides = _base_overrides(args)
-    if args.sweep is not None:
-        overrides["stretch_sweep"] = _floats(args.sweep)
-    config = StudyConfig(**overrides)
-    return _write_studies(args, lambda axis: run_stretch_study(config, axis),
-                          ("width", "height") if args.axis == "both" else (args.axis,))
-
-
-def cmd_study_lowres(args) -> int:
-    overrides = _base_overrides(args)
-    if args.schemes is not None:
-        overrides["lowres_schemes"] = _names(args.schemes)
-    if args.factors is not None:
-        overrides["lowres_factors"] = _ints(args.factors)
-    config = StudyConfig(**overrides)
-    return _write_studies(args, lambda _: run_lowres_study(config))
-
-
-def cmd_ablate_alpha(args) -> int:
-    overrides = _base_overrides(args)
-    if args.sweep is not None:
-        overrides["alpha_sweep"] = _floats(args.sweep)
-    config = StudyConfig(**overrides)
-    return _write_studies(args, lambda _: run_alpha_ablation(config))
 
 
 def cmd_solve_pnp(args) -> int:
@@ -164,8 +126,7 @@ def cmd_solve_pnp(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    overrides = _base_overrides(args)
-    config = StudyConfig(**overrides)
+    config = _study_config(args)
     inputs, targets = landmark_dataset(config)
     pairs = [(inputs[i], EulerAngles(*targets[i])) for i in range(len(inputs))]
     net, history = train_toy(
@@ -190,53 +151,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=True):
+    def study(name, help, run, variants=lambda args: ("",), trials=True):
+        p = sub.add_parser(name, help=help)
         if trials:
             p.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point")
-        p.add_argument("--seed", type=int, help="master seed; trial i uses seed+i")
+        p.add_argument("--seed", dest="master_seed", type=int,
+                       help="master seed; trial i uses seed+i")
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--svg", help="also write an SVG chart here")
+        p.set_defaults(func=cmd_study, study=run, variants=variants)
+        return p
 
-    p = sub.add_parser("study-subset", help="MAE per keypoint subset under nonrigid deformation")
-    common(p)
+    p = study("study-subset", "MAE per keypoint subset under nonrigid deformation",
+              lambda config, _: run_subset_study(config))
     p.add_argument("--subsets", help="comma-separated subset names")
-    p.add_argument("--rigid-sigma", dest="rigid_sigma", type=float,
+    p.add_argument("--rigid-sigma", type=float,
                    help="whole-face Gaussian displacement sigma, model units")
-    p.add_argument("--nonrigid-sigma", dest="nonrigid_sigma", type=float,
+    p.add_argument("--nonrigid-sigma", type=float,
                    help="extra mouth/jaw displacement sigma, model units")
-    p.set_defaults(func=cmd_study_subset)
 
-    p = sub.add_parser("study-jitter", help="MAE vs uniform landmark jitter magnitude")
-    common(p)
-    p.add_argument("--sweep", help="comma-separated jitter magnitudes in pixels")
+    p = study("study-jitter", "MAE vs uniform landmark jitter magnitude", run_jitter_study,
+              lambda args: args.subset or ["all-68"])
+    p.add_argument("--sweep", dest="jitter_sweep",
+                   help="comma-separated jitter magnitudes in pixels")
     p.add_argument("--subset", action="append",
                    help="subset to run (repeatable; default all-68); multiple "
                         "subsets write suffixed files")
-    p.set_defaults(func=cmd_study_jitter)
 
-    p = sub.add_parser("study-stretch", help="MAE vs solver-model stretch factor")
-    common(p)
-    p.add_argument("--sweep", help="comma-separated scale factors")
+    p = study("study-stretch", "MAE vs solver-model stretch factor", run_stretch_study,
+              lambda args: ("width", "height") if args.axis == "both" else (args.axis,))
+    p.add_argument("--sweep", dest="stretch_sweep", help="comma-separated scale factors")
     p.add_argument("--axis", choices=("width", "height", "both"), default="both")
-    p.set_defaults(func=cmd_study_stretch)
 
-    p = sub.add_parser("study-lowres", help="trained-net MAE vs raster degradation factor")
-    common(p, trials=False)
+    p = study("study-lowres", "trained-net MAE vs raster degradation factor",
+              lambda config, _: run_lowres_study(config), trials=False)
     p.add_argument("--scenes", type=int, help="synthetic scenes to generate")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--hidden", type=int, help="hidden layer width")
-    p.add_argument("--schemes", help="comma-separated augmentation schemes "
-                                     "(none, fixed10, uniform1to10, set5)")
-    p.add_argument("--factors", help="comma-separated integer degradation factors")
-    p.set_defaults(func=cmd_study_lowres)
+    p.add_argument("--hidden", dest="hidden_size", type=int, help="hidden layer width")
+    p.add_argument("--schemes", dest="lowres_schemes",
+                   help="comma-separated augmentation schemes (none, fixed10, uniform1to10, set5)")
+    p.add_argument("--factors", dest="lowres_factors",
+                   help="comma-separated integer degradation factors")
 
-    p = sub.add_parser("ablate-alpha", help="trained-net MAE vs regression loss weight")
-    common(p, trials=False)
-    p.add_argument("--sweep", help="comma-separated alpha values")
+    p = study("ablate-alpha", "trained-net MAE vs regression loss weight",
+              lambda config, _: run_alpha_ablation(config), trials=False)
+    p.add_argument("--sweep", dest="alpha_sweep", help="comma-separated alpha values")
     p.add_argument("--scenes", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--hidden", type=int)
-    p.set_defaults(func=cmd_ablate_alpha)
+    p.add_argument("--hidden", dest="hidden_size", type=int)
 
     p = sub.add_parser("solve-pnp", help="solve one pose from a landmark file")
     p.add_argument("--landmarks", required=True, help="file with one 'id u v' per line")
@@ -250,11 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model path")
     p.add_argument("--scenes", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--hidden", dest="hidden_size", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--alpha", type=float, default=2.0, help="regression loss weight")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="master_seed", type=int)
     p.set_defaults(func=cmd_train_toy)
 
     return parser

@@ -261,8 +261,9 @@ def deform_subject(model: FaceModel, rigid_sigma: float, nonrigid_sigma: float, 
     out in a least-squares solve.  Not recentered, so zero-sigma
     landmarks stay exactly where they were.
     """
-    if rigid_sigma < 0 or nonrigid_sigma < 0:
-        raise ValueError("deformation sigmas must be >= 0")
+    if not all(math.isfinite(s) and s >= 0 for s in (rigid_sigma, nonrigid_sigma)):
+        raise ValueError(f"deformation sigmas must be finite and >= 0, got "
+                         f"{rigid_sigma}, {nonrigid_sigma}")
     rng = np.random.default_rng(rng_seed)
     pts = model.points + rigid_sigma * rng.standard_normal(3)
     pts[0:17] += nonrigid_sigma * rng.standard_normal(3)    # jaw ids 1-17

@@ -101,12 +101,17 @@ class StudyConfig:
                             ("roll_range", self.roll_range)):
             if not 0.0 < value < spec.max_angle:
                 raise ValueError(f"{name} must be in (0, {spec.max_angle}), got {value}")
-        if self.rigid_sigma < 0 or self.nonrigid_sigma < 0:
-            raise ValueError("deformation sigmas must be >= 0")
+        for name, value in (("rigid_sigma", self.rigid_sigma),
+                            ("nonrigid_sigma", self.nonrigid_sigma)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name in ("subsets", "jitter_sweep", "stretch_sweep", "lowres_schemes",
                      "lowres_factors", "alpha_sweep"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has repeated values: {values}")
         if not all(math.isfinite(m) and m >= 0 for m in self.jitter_sweep):
             raise ValueError(f"jitter magnitudes must be finite and >= 0, got {self.jitter_sweep}")
         if self.epochs < 0 or self.hidden_size < 1 or self.batch_size < 1:
@@ -149,23 +154,24 @@ class StudyResult:
     rows: tuple
 
 
-def _sample_pose(rng, config: StudyConfig, tz_base: float) -> Pose:
-    """Uniform pose draw; fixed draw order keeps streams reproducible."""
-    yaw = rng.uniform(-config.yaw_range, config.yaw_range)
-    pitch = rng.uniform(-config.pitch_range, config.pitch_range)
-    roll = rng.uniform(-config.roll_range, config.roll_range)
-    tx = rng.uniform(-0.3, 0.3)
-    ty = rng.uniform(-0.3, 0.3)
-    tz = tz_base * rng.uniform(0.8, 1.3)
-    return Pose(EulerAngles(yaw, pitch, roll), np.array([tx, ty, tz]))
+def _scenes(config: StudyConfig, model, count: int):
+    """Yield (rng, pose, intrinsics) for scenes 0..count-1.
 
-
-def _pose_errors(estimated: EulerAngles, truth: EulerAngles) -> np.ndarray:
-    return np.array([
-        angle_error(estimated.yaw, truth.yaw),
-        angle_error(estimated.pitch, truth.pitch),
-        angle_error(estimated.roll, truth.roll),
-    ])
+    Scene i draws a uniform pose, at a depth scaled to the model, from
+    seed master_seed+i; the caller makes its own draws from rng after
+    that.  The fixed draw order keeps streams reproducible.
+    """
+    intrinsics = default_intrinsics(config.image_width, config.image_height)
+    tz_base = _viewing_distance(model.bounding_radius())
+    for i in range(count):
+        rng = np.random.default_rng(config.master_seed + i)
+        yaw = rng.uniform(-config.yaw_range, config.yaw_range)
+        pitch = rng.uniform(-config.pitch_range, config.pitch_range)
+        roll = rng.uniform(-config.roll_range, config.roll_range)
+        tx = rng.uniform(-0.3, 0.3)
+        ty = rng.uniform(-0.3, 0.3)
+        tz = tz_base * rng.uniform(0.8, 1.3)
+        yield rng, Pose(EulerAngles(yaw, pitch, roll), np.array([tx, ty, tz])), intrinsics
 
 
 def _sweep_label(value) -> str:
@@ -193,15 +199,11 @@ def _pnp_sweep(config: StudyConfig, study: str, labels, model, trial) -> StudyRe
     whose projection raises BehindCameraError is excluded at every label;
     a solve that raises excludes the trial at that label only.
     """
-    intrinsics = default_intrinsics(config.image_width, config.image_height)
-    tz_base = _viewing_distance(model.bounding_radius())
     sums = {label: np.zeros(3) for label in labels}
     counts = dict.fromkeys(labels, 0)
     excluded = dict.fromkeys(labels, 0)
 
-    for i in range(config.trials):
-        rng = np.random.default_rng(config.master_seed + i)
-        pose = _sample_pose(rng, config, tz_base)
+    for rng, pose, intrinsics in _scenes(config, model, config.trials):
         try:
             problems = trial(rng, pose, intrinsics)
         except BehindCameraError:
@@ -215,7 +217,7 @@ def _pnp_sweep(config: StudyConfig, study: str, labels, model, trial) -> StudyRe
             except (BehindCameraError, DegenerateProblemError):
                 excluded[label] += 1
                 continue
-            sums[label] += _pose_errors(solution.pose.rotation, pose.rotation)
+            sums[label] += angle_error(solution.pose.rotation.as_array(), pose.rotation.as_array())
             counts[label] += 1
 
     return StudyResult(study, tuple(_finish_row(label, sums[label], counts[label], excluded[label])
@@ -286,12 +288,9 @@ def _scene_dataset(config: StudyConfig, features, width: int):
     projected at the pose drawn from seed master_seed+i, next to that
     pose's true (yaw, pitch, roll)."""
     model = builtin_mean_face()
-    intrinsics = default_intrinsics(config.image_width, config.image_height)
-    tz_base = _viewing_distance(model.bounding_radius())
     inputs = np.empty((config.scenes, width))
     targets = np.empty((config.scenes, 3))
-    for i in range(config.scenes):
-        pose = _sample_pose(np.random.default_rng(config.master_seed + i), config, tz_base)
+    for i, (_, pose, intrinsics) in enumerate(_scenes(config, model, config.scenes)):
         inputs[i] = features(project(model.points, pose, intrinsics))
         targets[i] = pose.rotation.as_array()
     return inputs, targets

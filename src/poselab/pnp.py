@@ -33,10 +33,18 @@ __all__ = [
     "solve_pnp",
 ]
 
+# Starting damping, and its factors after a rejected and an accepted step.
+INITIAL_DAMPING = 1e-3
+DAMPING_UP = 10.0
+DAMPING_DOWN = 0.1
 # Give up and return the best iterate once damping grows past this.
 MAX_DAMPING = 1e14
 # Keep the damping matrix positive even for exactly-zero diagonal entries.
 DIAG_FLOOR = 1e-12
+# Converged when the step norm or the RMS reprojection error (pixels)
+# drops below its tolerance.
+STEP_TOLERANCE = 1e-10
+RESIDUAL_TOLERANCE = 1e-12
 
 
 class DegenerateProblemError(ValueError):
@@ -78,27 +86,14 @@ class PnPProblem:
 
 @dataclass(frozen=True)
 class LMConfig:
-    """Solver knobs. jacobian selects 'analytic' or 'numeric' derivatives."""
+    """Caller-set solver knobs: the iteration cap and an 'analytic' or 'numeric' jacobian."""
 
     max_iterations: int = 100
-    initial_damping: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
-    # converged when the step norm or the RMS reprojection error (pixels)
-    # drops below its tolerance
-    step_tolerance: float = 1e-10
-    residual_tolerance: float = 1e-12
     jacobian: str = "analytic"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.initial_damping <= 0.0:
-            raise ValueError("initial_damping must be positive")
-        if not self.damping_up > 1.0 > self.damping_down > 0.0:
-            raise ValueError("need damping_up > 1 > damping_down > 0")
-        if self.step_tolerance <= 0.0 or self.residual_tolerance <= 0.0:
-            raise ValueError("tolerances must be positive")
         if self.jacobian not in ("analytic", "numeric"):
             raise ValueError(f"jacobian must be 'analytic' or 'numeric', got {self.jacobian!r}")
 
@@ -236,9 +231,9 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None, config: LMConfig | 
     x = _params_from_pose(init)
     residual = _residuals_at(problem, x)
     cost = float(residual @ residual)
-    lam = config.initial_damping
+    lam = INITIAL_DAMPING
     iterations = 0
-    converged = math.sqrt(cost / n_points) <= config.residual_tolerance
+    converged = math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE
 
     while not converged and iterations < config.max_iterations:
         jac = compute_jacobian(problem, x)
@@ -262,15 +257,15 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None, config: LMConfig | 
                     x = x + step
                     residual = trial_residual
                     cost = trial_cost
-                    lam = max(lam * config.damping_down, 1e-12)
+                    lam = max(lam * DAMPING_DOWN, 1e-12)
                     accepted = True
                     break
-            lam *= config.damping_up
+            lam *= DAMPING_UP
         iterations += 1
         if not accepted:
             break
-        if (float(np.linalg.norm(step)) <= config.step_tolerance
-                or math.sqrt(cost / n_points) <= config.residual_tolerance):
+        if (float(np.linalg.norm(step)) <= STEP_TOLERANCE
+                or math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE):
             converged = True
 
     rmse = math.sqrt(cost / n_points)

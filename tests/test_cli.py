@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poselab import cli
 from poselab.camera import Pose, default_intrinsics, project
 from poselab.cli import main
 from poselab.facemodel import builtin_mean_face, save_face_model
@@ -49,6 +50,16 @@ class TestStudySubset:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, field", [("--rigid-sigma", "nan", "rigid_sigma"),
+                                                      ("--nonrigid-sigma", "inf", "nonrigid_sigma")])
+    def test_non_finite_sigma_names_field(self, tmp_path, capsys, option, value, field):
+        out = tmp_path / "x.csv"
+        code = main(["study-subset", "--trials", "1", option, value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and field in err
+        assert not out.exists()
 
 
 class TestStudyJitter:
@@ -142,6 +153,75 @@ class TestAblateAlpha:
         assert code == 0
         rows = read_study_csv(out).rows
         assert [r.sweep for r in rows] == ["0.0", "2.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["study-subset", "--subsets", "rigid-6,all-68,rigid-6"],
+    ["study-jitter", "--sweep", "1,1.0"],
+])
+def test_repeated_sweep_values_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    code = main([*argv, "--trials", "2", "--out", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _Stop(Exception):
+    """Raised by a stand-in once it has seen the command's StudyConfig."""
+
+
+# Each command's options, every one with a distinct value, and the
+# StudyConfig fields they must set.  train-toy hands its config to
+# landmark_dataset; the studies hand theirs to run_*.
+OPTION_CASES = [
+    ("run_subset_study",
+     ["study-subset", "--trials", "11", "--seed", "12", "--subsets", "core-12,rigid-6",
+      "--rigid-sigma", "0.18", "--nonrigid-sigma", "0.19"],
+     {"trials": 11, "master_seed": 12, "subsets": ("core-12", "rigid-6"),
+      "rigid_sigma": 0.18, "nonrigid_sigma": 0.19}),
+    ("run_jitter_study",
+     ["study-jitter", "--trials", "11", "--seed", "12", "--sweep", "0.5,2.5",
+      "--subset", "rigid-6"],
+     {"trials": 11, "master_seed": 12, "jitter_sweep": (0.5, 2.5)}),
+    ("run_stretch_study",
+     ["study-stretch", "--trials", "11", "--seed", "12", "--sweep", "0.7,0.9",
+      "--axis", "height"],
+     {"trials": 11, "master_seed": 12, "stretch_sweep": (0.7, 0.9)}),
+    ("run_lowres_study",
+     ["study-lowres", "--seed", "12", "--scenes", "13", "--epochs", "14", "--hidden", "15",
+      "--schemes", "fixed10,set5", "--factors", "2,3"],
+     {"master_seed": 12, "scenes": 13, "epochs": 14, "hidden_size": 15,
+      "lowres_schemes": ("fixed10", "set5"), "lowres_factors": (2, 3)}),
+    ("run_alpha_ablation",
+     ["ablate-alpha", "--seed", "12", "--sweep", "0.25,3", "--scenes", "13", "--epochs", "14",
+      "--hidden", "15"],
+     {"master_seed": 12, "alpha_sweep": (0.25, 3.0), "scenes": 13, "epochs": 14,
+      "hidden_size": 15}),
+    ("landmark_dataset",
+     ["train-toy", "--scenes", "13", "--epochs", "14", "--hidden", "15", "--batch-size", "16",
+      "--lr", "0.017", "--alpha", "1.5", "--seed", "12"],
+     {"scenes": 13, "epochs": 14, "hidden_size": 15, "batch_size": 16,
+      "learning_rate": 0.017, "master_seed": 12}),
+]
+
+
+@pytest.mark.parametrize("stand_in_for, argv, expected", OPTION_CASES,
+                         ids=[argv[0] for _, argv, _ in OPTION_CASES])
+def test_options_set_study_config_fields(tmp_path, monkeypatch, stand_in_for, argv, expected):
+    seen = []
+
+    def stand_in(config, *_):
+        seen.append(config)
+        raise _Stop
+
+    monkeypatch.setattr(cli, stand_in_for, stand_in)
+    out = tmp_path / "x.csv"
+    with pytest.raises(_Stop):
+        main([*argv, "--out", str(out)])
+    (config,) = seen
+    assert {name: getattr(config, name) for name in expected} == expected
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["study-lowres", "ablate-alpha"])

@@ -229,6 +229,12 @@ class TestDeform:
         with pytest.raises(ValueError):
             deform_subject(builtin_mean_face(), -0.1, 0.0, rng_seed=0)
 
+    @pytest.mark.parametrize("sigmas", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan),
+                                        (0.0, -math.inf)])
+    def test_non_finite_sigma_rejected(self, sigmas):
+        with pytest.raises(ValueError, match="sigmas must be finite"):
+            deform_subject(builtin_mean_face(), *sigmas, rng_seed=0)
+
 
 class TestSubsets:
     def test_named_subsets_catalog(self):

@@ -60,6 +60,16 @@ class TestStudyConfig:
             {"jitter_sweep": (0.0, math.nan)},
             {"jitter_sweep": (0.0, math.inf)},
             {"jitter_sweep": (-math.inf,)},
+            {"rigid_sigma": math.nan},
+            {"rigid_sigma": math.inf},
+            {"nonrigid_sigma": math.nan},
+            {"nonrigid_sigma": math.inf},
+            {"subsets": ("rigid-6", "all-68", "rigid-6")},
+            {"jitter_sweep": (1.0, 1)},
+            {"stretch_sweep": (0.8, 0.8)},
+            {"lowres_schemes": ("none", "none")},
+            {"lowres_factors": (1, 5, 1)},
+            {"alpha_sweep": (0.0, 1.0, 1.0)},
         ],
     )
     def test_validation(self, kwargs):

@@ -59,14 +59,11 @@ class TestLMConfig:
     def test_defaults(self):
         cfg = LMConfig()
         assert cfg.max_iterations == 100
-        assert cfg.initial_damping == 1e-3
         assert cfg.jacobian == "analytic"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LMConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            LMConfig(initial_damping=-1.0)
         with pytest.raises(ValueError):
             LMConfig(jacobian="symbolic")
 
