@@ -5,6 +5,7 @@ visible only with z > 0.  Image origin is the top-left corner, +u right,
 +v down.  Lens distortion is fixed at zero.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,9 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValueError(f"intrinsics must be finite, got fx={self.fx}, fy={self.fy}, "
+                             f"cx={self.cx}, cy={self.cy}")
         if not (self.fx > 0.0 and self.fy > 0.0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
@@ -66,8 +70,9 @@ def default_intrinsics(image_width: float, image_height: float) -> CameraIntrins
     Focal length is taken as the image width and the principal point as
     the image center.
     """
-    if image_width < 1 or image_height < 1:
-        raise ValueError("image dimensions must be at least 1 pixel")
+    if not all(math.isfinite(d) and d >= 1 for d in (image_width, image_height)):
+        raise ValueError(f"image dimensions must be finite and at least 1 pixel, "
+                         f"got {image_width} x {image_height}")
     return CameraIntrinsics(
         fx=float(image_width),
         fy=float(image_width),

@@ -1,12 +1,13 @@
 """Command line front end for the studies, one-shot solves, and training."""
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .facemodel import builtin_mean_face, load_face_model
+from .facemodel import builtin_mean_face, load_face_model, subset_by_name
 from .harness import (
     StudyConfig,
     emit_csv,
@@ -86,11 +87,23 @@ def _study_config(args) -> StudyConfig:
     return StudyConfig(**given)
 
 
+def _jitter_subsets(args) -> tuple:
+    """The --subset names (default all-68), each known and none repeated."""
+    names = tuple(args.subset or ("all-68",))
+    if len(set(names)) != len(names):
+        raise ValueError(f"--subset has repeated values: {names}")
+    for name in names:
+        subset_by_name(name)
+    return names
+
+
 def cmd_study(args) -> int:
     """Run args.study once per variant and write its CSV (and SVG) with a
     per-row summary.
 
-    With several variants every file name gets the variant as a suffix.
+    The config and every variant are checked before the first run, so a
+    bad one leaves no files behind.  With several variants every file
+    name gets the variant as a suffix.
     """
     config = _study_config(args)
     variants = args.variants(args)
@@ -143,7 +156,14 @@ def cmd_train_toy(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The poselab parser, built once per process and reused by every main call.
+
+    The study runners, like everything the commands call, are looked up
+    in this module at call time, so rebinding one of those names in
+    poselab.cli takes effect even after the parser exists.
+    """
     parser = argparse.ArgumentParser(
         prog="poselab",
         description="Synthetic head-pose sensitivity studies, landmark-to-pose "
@@ -170,15 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonrigid-sigma", type=float,
                    help="extra mouth/jaw displacement sigma, model units")
 
-    p = study("study-jitter", "MAE vs uniform landmark jitter magnitude", run_jitter_study,
-              lambda args: args.subset or ["all-68"])
+    p = study("study-jitter", "MAE vs uniform landmark jitter magnitude",
+              lambda config, subset: run_jitter_study(config, subset), _jitter_subsets)
     p.add_argument("--sweep", dest="jitter_sweep",
                    help="comma-separated jitter magnitudes in pixels")
     p.add_argument("--subset", action="append",
                    help="subset to run (repeatable; default all-68); multiple "
                         "subsets write suffixed files")
 
-    p = study("study-stretch", "MAE vs solver-model stretch factor", run_stretch_study,
+    p = study("study-stretch", "MAE vs solver-model stretch factor",
+              lambda config, axis: run_stretch_study(config, axis),
               lambda args: ("width", "height") if args.axis == "both" else (args.axis,))
     p.add_argument("--sweep", dest="stretch_sweep", help="comma-separated scale factors")
     p.add_argument("--axis", choices=("width", "height", "both"), default="both")

@@ -114,8 +114,8 @@ class SyntheticScene:
     seed: int
 
 
-def builtin_mean_face() -> FaceModel:
-    """Deterministic, bilaterally symmetric 68-point face-like model."""
+def _procedural_mean_face() -> np.ndarray:
+    """The built-in face's (68, 3) points, recentered."""
     pts = np.zeros((68, 3))
 
     # jaw, ids 1-17: ear-to-ear arc through the chin (id 9 on the midline)
@@ -175,7 +175,20 @@ def builtin_mean_face() -> FaceModel:
     pts[66, 0] = 0.0
 
     pts -= pts.mean(axis=0)
-    return FaceModel(pts)
+    return pts
+
+
+_MEAN_FACE = _procedural_mean_face()
+_MEAN_FACE.flags.writeable = False
+
+
+def builtin_mean_face() -> FaceModel:
+    """Deterministic, bilaterally symmetric 68-point face-like model.
+
+    The points are computed once at import; each call returns a model
+    holding its own writable copy.
+    """
+    return FaceModel(_MEAN_FACE)
 
 
 def save_face_model(model: FaceModel, path) -> None:

@@ -28,6 +28,15 @@ class TestCameraIntrinsics:
             CameraIntrinsics(450.0, -1.0, 225.0, 225.0)
 
 
+    @pytest.mark.parametrize("values", [(np.inf, 1.0, np.nan, 0.0),
+                                        (450.0, np.inf, 225.0, 225.0),
+                                        (450.0, 450.0, np.inf, 225.0),
+                                        (450.0, 450.0, 225.0, np.nan)])
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            CameraIntrinsics(*values)
+
+
 class TestDefaultIntrinsics:
     def test_square_image(self):
         k = default_intrinsics(450, 450)
@@ -46,6 +55,13 @@ class TestDefaultIntrinsics:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             default_intrinsics(0, 450)
+
+
+    @pytest.mark.parametrize("dims", [(np.nan, 450), (450, np.nan), (np.inf, 450),
+                                      (450, np.inf)])
+    def test_rejects_non_finite_dims(self, dims):
+        with pytest.raises(ValueError, match="finite"):
+            default_intrinsics(*dims)
 
 
 class TestPose:

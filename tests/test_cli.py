@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,32 @@ class TestStudyJitter:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("subsets", [["rigid-6", "bogus"], ["rigid-6", "rigid-6"]])
+    def test_bad_or_repeated_subset_writes_nothing(self, tmp_path, capsys, subsets):
+        argv = ["study-jitter", "--trials", "1", "--sweep", "0"]
+        for name in subsets:
+            argv += ["--subset", name]
+        code = main([*argv, "--out", str(tmp_path / "j.csv")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_subset_does_not_carry_over(self, tmp_path, monkeypatch):
+        run = cli.run_jitter_study
+        seen = []
+
+        def recording(config, subset):
+            seen.append(subset)
+            return run(config, subset)
+
+        monkeypatch.setattr(cli, "run_jitter_study", recording)
+        argv = ["study-jitter", "--trials", "1", "--sweep", "0", "--out", str(tmp_path / "j.csv")]
+        assert main([*argv, "--subset", "rigid-6", "--subset", "core-12"]) == 0
+        assert main(argv) == 0
+        assert seen == ["rigid-6", "core-12", "all-68"]
+        assert (tmp_path / "j.csv").exists()
 
 
 class TestStudyStretch:
@@ -261,6 +289,45 @@ class TestSolvePnP:
         code = main(["solve-pnp", "--landmarks", str(tmp_path / "nope.txt")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [("--image-height", "nan"),
+                                               ("--image-height", "inf"),
+                                               ("--image-width", "inf")])
+    def test_non_finite_image_size_fails_cleanly(self, tmp_path, capsys, option, value):
+        lm = tmp_path / "landmarks.txt"
+        write_landmark_file(lm)
+        code = main(["solve-pnp", "--landmarks", str(lm), option, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+    def test_repeated_call_prints_same_bytes(self, tmp_path, capsys):
+        lm = tmp_path / "landmarks.txt"
+        write_landmark_file(lm)
+        printed = []
+        for _ in range(2):
+            assert main(["solve-pnp", "--landmarks", str(lm)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    def test_later_calls_build_no_parser(self, tmp_path, monkeypatch):
+        lm = tmp_path / "landmarks.txt"
+        write_landmark_file(lm)
+        argv = ["solve-pnp", "--landmarks", str(lm)]
+        assert main(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(argv) == 0
+        assert main(["study-jitter", "--trials", "1", "--sweep", "0",
+                     "--out", str(tmp_path / "j.csv")]) == 0
+        assert built == []
 
     def test_too_few_landmarks(self, tmp_path, capsys):
         lm = tmp_path / "landmarks.txt"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from poselab import facemodel
 from poselab.camera import default_intrinsics
 from poselab.facemodel import (
     MOUTH_JAW_IDS,
@@ -76,6 +77,12 @@ class TestBuiltinMeanFace:
             assert np.allclose(pts[a], pts[b] * np.array([-1.0, 1.0, 1.0]), atol=1e-12)
         for row in MIDLINE_ROWS:
             assert abs(pts[row, 0]) < 1e-12
+
+    def test_each_call_gets_a_fresh_copy(self):
+        builtin_mean_face().points[:] = 7.0
+        pts = builtin_mean_face().points
+        assert pts.flags.writeable
+        assert pts.tobytes() == facemodel._procedural_mean_face().tobytes()
 
     def test_chin_below_brows(self):
         # +y is down in image space, so the chin has larger y than the brows
