@@ -27,7 +27,6 @@ class TestCameraIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(450.0, -1.0, 225.0, 225.0)
 
-
     @pytest.mark.parametrize("values", [(np.inf, 1.0, np.nan, 0.0),
                                         (450.0, np.inf, 225.0, 225.0),
                                         (450.0, 450.0, np.inf, 225.0),
@@ -55,7 +54,6 @@ class TestDefaultIntrinsics:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             default_intrinsics(0, 450)
-
 
     @pytest.mark.parametrize("dims", [(np.nan, 450), (450, np.nan), (np.inf, 450),
                                       (450, np.inf)])

@@ -94,7 +94,6 @@ class TestStudyJitter:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-
     @pytest.mark.parametrize("subsets", [["rigid-6", "bogus"], ["rigid-6", "rigid-6"]])
     def test_bad_or_repeated_subset_writes_nothing(self, tmp_path, capsys, subsets):
         argv = ["study-jitter", "--trials", "1", "--sweep", "0"]
