@@ -97,10 +97,22 @@ def _project_rigid(points, rotation, translation, intrinsics: CameraIntrinsics) 
     cam = points @ rotation.T + translation
     z = cam[:, 2]
     if np.any(z <= MIN_DEPTH):
-        bad = int(np.argmin(z))
-        raise BehindCameraError(
-            f"point {bad} has camera depth {z[bad]:.6g} (must be > {MIN_DEPTH:g})"
-        )
-    u = intrinsics.fx * cam[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * cam[:, 1] / z + intrinsics.cy
-    return np.column_stack([u, v])
+        raise _behind_camera(z)
+    return _pinhole(cam, intrinsics)
+
+
+def _behind_camera(depths) -> BehindCameraError:
+    """The error for (N,) camera depths of which some are <= MIN_DEPTH; it names the shallowest."""
+    bad = int(np.argmin(depths))
+    return BehindCameraError(
+        f"point {bad} has camera depth {depths[bad]:.6g} (must be > {MIN_DEPTH:g})"
+    )
+
+
+def _pinhole(cam, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Pixel coordinates (..., 2) of camera-frame points (..., 3), depths unchecked."""
+    z = cam[..., 2]
+    pixels = np.empty(cam.shape[:-1] + (2,))
+    pixels[..., 0] = intrinsics.fx * cam[..., 0] / z + intrinsics.cx
+    pixels[..., 1] = intrinsics.fy * cam[..., 1] / z + intrinsics.cy
+    return pixels

@@ -9,7 +9,10 @@ parallel in principle while results stay order-deterministic.
 
 Two engines do the work.  _pnp_sweep runs the subset, jitter and stretch
 studies: each study only says how one trial turns a sampled pose into a
-landmark-to-pose problem per sweep label.  _trained_rows runs the
+landmark-to-pose problem per sweep label.  It builds every trial's
+problems first and then solves them all in stacked batches with one
+pnp.solve_pnp_batch call per study; each problem goes through the same
+iteration as a separate solve_pnp call.  _trained_rows runs the
 low-resolution study and the alpha ablation: it splits one scene dataset
 (built by _scene_dataset), trains one net per run and scores it on the
 held-out scenes.
@@ -39,7 +42,15 @@ from .multiloss import (
     predict_angles,
     train_toy,
 )
-from .pnp import DegenerateProblemError, PnPProblem, _viewing_distance, solve_pnp
+# The studies call solve_pnp_batch.  solve_pnp stays bound here because
+# perfbench's tracer tests look it up on this module.
+from .pnp import (  # noqa: F401
+    DegenerateProblemError,
+    PnPProblem,
+    _viewing_distance,
+    solve_pnp,
+    solve_pnp_batch,
+)
 from .raster import AUGMENT_SCHEMES, UnknownSchemeError, augment_factor, degrade_values, rasterize
 from .rotmath import EulerAngles, angle_error
 
@@ -91,6 +102,11 @@ class StudyConfig:
     alpha_sweep: tuple = (0.0, 0.01, 0.1, 1.0, 2.0, 4.0)
 
     def __post_init__(self):
+        for name in ("trials", "master_seed", "scenes", "epochs", "hidden_size", "batch_size",
+                     "raster_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.scenes < 2:
@@ -194,31 +210,41 @@ def _pnp_sweep(config: StudyConfig, study: str, labels, model, trial) -> StudyRe
 
     Trial i samples a pose from seed master_seed+i and calls
     trial(rng, pose, intrinsics), which makes the study's own draws from
-    rng and returns label -> (model_rows, image_rows).  Each label's
-    problem is solved and scored against the true rotation.  A trial
+    rng and returns label -> (model_rows, image_rows).  Every trial's
+    problems are built first and then solved by one solve_pnp_batch call;
+    each solution is scored against its trial's true rotation.  A trial
     whose projection raises BehindCameraError is excluded at every label;
-    a solve that raises excludes the trial at that label only.
+    a degenerate problem, or one that starts behind the camera, excludes
+    the trial at that label only.
     """
     sums = {label: np.zeros(3) for label in labels}
     counts = dict.fromkeys(labels, 0)
     excluded = dict.fromkeys(labels, 0)
+    problems, owners = [], []  # owners[k]: (label, true angles) of problems[k]
 
     for rng, pose, intrinsics in _scenes(config, model, config.trials):
         try:
-            problems = trial(rng, pose, intrinsics)
+            correspondences = trial(rng, pose, intrinsics)
         except BehindCameraError:
             for label in labels:
                 excluded[label] += 1
             continue
+        truth = pose.rotation.as_array()
         for label in labels:
-            model_rows, image_rows = problems[label]
+            model_rows, image_rows = correspondences[label]
             try:
-                solution = solve_pnp(PnPProblem(model_rows, image_rows, intrinsics))
-            except (BehindCameraError, DegenerateProblemError):
+                problems.append(PnPProblem(model_rows, image_rows, intrinsics))
+            except DegenerateProblemError:
                 excluded[label] += 1
                 continue
-            sums[label] += angle_error(solution.pose.rotation.as_array(), pose.rotation.as_array())
-            counts[label] += 1
+            owners.append((label, truth))
+
+    for (label, truth), solution in zip(owners, solve_pnp_batch(problems)):
+        if isinstance(solution, BehindCameraError):
+            excluded[label] += 1
+            continue
+        sums[label] += angle_error(solution.pose.rotation.as_array(), truth)
+        counts[label] += 1
 
     return StudyResult(study, tuple(_finish_row(label, sums[label], counts[label], excluded[label])
                                     for label in labels))

@@ -70,6 +70,14 @@ class TestStudyConfig:
             {"lowres_schemes": ("none", "none")},
             {"lowres_factors": (1, 5, 1)},
             {"alpha_sweep": (0.0, 1.0, 1.0)},
+            {"trials": 2.5},
+            {"master_seed": 0.5},
+            {"scenes": 100.5},
+            {"epochs": 2.5},
+            {"hidden_size": 16.5},
+            {"batch_size": 8.5},
+            {"raster_size": 32.5},
+            {"trials": 3.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -222,13 +230,31 @@ class TestPnPSweep:
             expected = tuple(StudyRow(*values, 12, 0) for values in self.PINNED[result.study])
             assert result.rows == expected
 
+    @pytest.mark.parametrize("cap", [1, 7 * 68])
+    def test_csv_bytes_independent_of_batch_cap(self, tmp_path, monkeypatch, cap):
+        # cap 1 solves one problem per stack, 7 * 68 points stack seven
+        # all-68 problems; the default cap is what test_pinned_rows runs.
+        from poselab import pnp
+
+        def csv_bytes(name):
+            out = []
+            for i, run in enumerate(self.STUDIES):
+                path = tmp_path / f"{name}-{i}.csv"
+                emit_csv(run(self.CONFIG), path)
+                out.append(path.read_bytes())
+            return out
+
+        default = csv_bytes("default")
+        monkeypatch.setattr(pnp, "BATCH_POINTS", cap)
+        assert csv_bytes("capped") == default
+
     def test_exclusions(self, monkeypatch):
-        # project raises on the first trial only; solve_pnp then raises for
-        # the second label of every remaining trial.
+        # project raises on the first trial only; building the problem then
+        # raises for the second label of every remaining trial.
         from poselab import harness
 
-        real_project, real_solve = harness.project, harness.solve_pnp
-        state = {"projections": 0, "solves": 0}
+        real_project, real_problem = harness.project, harness.PnPProblem
+        state = {"projections": 0, "problems": 0}
 
         def project(*args):
             state["projections"] += 1
@@ -236,18 +262,18 @@ class TestPnPSweep:
                 raise BehindCameraError("trial 0 behind the camera")
             return real_project(*args)
 
-        def solve_pnp(problem):
-            state["solves"] += 1
-            if state["solves"] % 2 == 0:
+        def problem(*args):
+            state["problems"] += 1
+            if state["problems"] % 2 == 0:
                 raise DegenerateProblemError("second label")
-            return real_solve(problem)
+            return real_problem(*args)
 
         monkeypatch.setattr("poselab.harness.project", project)
-        monkeypatch.setattr("poselab.harness.solve_pnp", solve_pnp)
+        monkeypatch.setattr("poselab.harness.PnPProblem", problem)
         config = StudyConfig(trials=3, subsets=("rigid-6", "all-68"),
                              jitter_sweep=(0.0, 2.0), stretch_sweep=(0.8, 1.0))
         for run in self.STUDIES:
-            state.update(projections=0, solves=0)
+            state.update(projections=0, problems=0)
             result = run(config)
             counts = [(r.trials, r.excluded) for r in result.rows]
             assert counts == [(2, 1), (0, 3)], result.study

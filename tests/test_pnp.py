@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from poselab import pnp
 from poselab.camera import BehindCameraError, Pose, default_intrinsics, project
-from poselab.facemodel import builtin_mean_face, subset_by_name
+from poselab.facemodel import builtin_mean_face, stretch_model, subset_by_name
 from poselab.pnp import (
     DegenerateProblemError,
     LMConfig,
     PnPProblem,
+    PnPSolution,
     default_init,
     jacobian,
     reprojection_residuals,
     solve_pnp,
+    solve_pnp_batch,
 )
 from poselab.rotmath import EulerAngles, angle_error
 
@@ -66,6 +69,10 @@ class TestLMConfig:
             LMConfig(max_iterations=0)
         with pytest.raises(ValueError):
             LMConfig(jacobian="symbolic")
+        with pytest.raises(ValueError):
+            LMConfig(max_iterations=2.5)
+        with pytest.raises(ValueError):
+            LMConfig(max_iterations=3.0)
 
 
 class TestResidualsAndJacobian:
@@ -210,3 +217,105 @@ class TestSolvePnP:
         sol = solve_pnp(noisy, config=LMConfig(max_iterations=1))
         assert sol.iterations <= 1
         assert not sol.converged
+
+
+def criterion_scenes(count, seed=7, jitter=0.0):
+    """All-68 and rigid-6 problems on acceptance criterion 2's scenes
+    (seed 7), optionally with uniform landmark jitter in pixels."""
+    model = builtin_mean_face()
+    tz_base = 2.0 * model.bounding_radius() / math.tan(math.radians(25.0))
+    rows6 = subset_by_name("rigid-6").rows()
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        angles = EulerAngles(rng.uniform(-75.0, 75.0), rng.uniform(-60.0, 60.0),
+                             rng.uniform(-50.0, 50.0))
+        t = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
+                      tz_base * rng.uniform(0.8, 1.3)])
+        image = project(model.points, Pose(angles, t), K)
+        image = image + rng.uniform(-jitter, jitter, image.shape)
+        for rows in (slice(None), rows6):
+            problems.append(PnPProblem(model.points[rows], image[rows], K))
+    return problems
+
+
+def same_solution(a: PnPSolution, b: PnPSolution) -> bool:
+    return (a.pose.rotation == b.pose.rotation
+            and np.array_equal(a.pose.translation, b.pose.translation)
+            and a.rmse == b.rmse and a.iterations == b.iterations
+            and a.converged == b.converged)
+
+
+class TestSolvePnPBatch:
+    def test_matches_solve_pnp_on_criterion_scenes(self):
+        problems = criterion_scenes(1000)
+        for problem, got in zip(problems, solve_pnp_batch(problems), strict=True):
+            want = solve_pnp(problem)
+            assert max(angle_error(got.pose.rotation.as_array(),
+                                   want.pose.rotation.as_array())) < 1e-9
+            assert got.converged == want.converged
+
+    @pytest.mark.parametrize("cap", [1, 7 * 6, 7 * 68])
+    def test_solution_independent_of_batch_cap_and_order(self, monkeypatch, cap):
+        # cap 1 solves one problem per stack; 7 * 6 and 7 * 68 points stack
+        # seven rigid-6 or seven all-68 problems.
+        problems = criterion_scenes(30, seed=5, jitter=3.0)
+        default = solve_pnp_batch(problems)
+        monkeypatch.setattr(pnp, "BATCH_POINTS", cap)
+        capped = solve_pnp_batch(problems)
+        order = np.random.default_rng(cap).permutation(len(problems))
+        shuffled = solve_pnp_batch([problems[i] for i in order])
+        for i, j in enumerate(order):
+            assert same_solution(capped[i], default[i])
+            assert same_solution(shuffled[i], default[j])
+
+    def test_mixed_point_counts_and_models_in_input_order(self):
+        model = builtin_mean_face()
+        truth = Pose(EulerAngles(25.0, -10.0, 5.0), np.array([0.05, -0.1, 5.0]))
+        image = project(model.points, truth, K)
+        problems = []
+        for scale in (1.0, 0.8, 1.2):
+            for name in ("rigid-6", "all-68", "core-12"):
+                rows = subset_by_name(name).rows()
+                stretched = stretch_model(model, scale, 1.0).points
+                problems.append(PnPProblem(stretched[rows], image[rows], K))
+        batch = solve_pnp_batch(problems)
+        assert len(batch) == len(problems)
+        for problem, got in zip(problems, batch):
+            want = solve_pnp(problem)
+            assert max(angle_error(got.pose.rotation.as_array(),
+                                   want.pose.rotation.as_array())) < 1e-9
+            assert got.converged == want.converged
+            assert got.rmse == pytest.approx(want.rmse, rel=1e-9, abs=1e-12)
+        assert max(angle_error(batch[1].pose.rotation.as_array(),
+                               truth.rotation.as_array())) < 1e-6
+
+    def test_behind_camera_start_reported_for_that_problem_only(self):
+        good, _ = make_problem((10.0, -5.0, 3.0), (0.0, 0.0, 5.0))
+        other, _ = make_problem((-20.0, 15.0, 0.0), (0.1, 0.0, 4.0))
+        # The default start keeps the model's own origin on the optical axis,
+        # so a model far behind its origin starts behind the camera.
+        behind = PnPProblem(good.model_points - np.array([0.0, 0.0, 100.0]),
+                            good.image_points, K)
+        with pytest.raises(BehindCameraError) as scalar_error:
+            solve_pnp(behind)
+        results = solve_pnp_batch([good, behind, other])
+        assert isinstance(results[1], BehindCameraError)
+        assert str(results[1]) == str(scalar_error.value)
+        for problem, got in ((good, results[0]), (other, results[2])):
+            assert got.converged
+            assert max(angle_error(got.pose.rotation.as_array(),
+                                   solve_pnp(problem).pose.rotation.as_array())) < 1e-9
+
+    def test_empty(self):
+        assert solve_pnp_batch([]) == []
+
+    def test_singular_system_gives_no_step_for_that_problem_only(self):
+        rng = np.random.default_rng(0)
+        systems = rng.standard_normal((3, 6, 6)) + 6.0 * np.eye(6)
+        systems[1] = 0.0
+        rhs = rng.standard_normal((3, 6))
+        steps = pnp._damped_steps(systems, rhs)
+        assert np.all(np.isnan(steps[1]))
+        for i in (0, 2):
+            assert np.array_equal(steps[i], np.linalg.solve(systems[i], rhs[i]))
