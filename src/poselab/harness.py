@@ -9,9 +9,9 @@ parallel in principle while results stay order-deterministic.
 
 Two engines do the work.  _pnp_sweep runs the subset, jitter and stretch
 studies: each study only says how one trial turns a sampled pose into a
-landmark-to-pose problem per sweep label.  It builds every trial's
-problems first and then solves them all in stacked batches with one
-pnp.solve_pnp_batch call per study; each problem goes through the same
+landmark-to-pose problem per sweep label.  It builds the problems of a
+block of trials and solves them in stacked batches with one
+pnp.solve_pnp_batch call per block; each problem goes through the same
 iteration as a separate solve_pnp call.  _trained_rows runs the
 low-resolution study and the alpha ablation: it splits one scene dataset
 (built by _scene_dataset), trains one net per run and scores it on the
@@ -21,6 +21,7 @@ held-out scenes.
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -42,8 +43,9 @@ from .multiloss import (
     predict_angles,
     train_toy,
 )
-# The studies call solve_pnp_batch.  solve_pnp stays bound here because
-# perfbench's tracer tests look it up on this module.
+# The studies call solve_pnp_batch, not solve_pnp.  solve_pnp stays bound
+# here until perfbench's tracer wraps solve_pnp_batch: its binding test
+# still looks solve_pnp up on this module.
 from .pnp import (  # noqa: F401
     DegenerateProblemError,
     PnPProblem,
@@ -72,6 +74,10 @@ __all__ = [
 ]
 
 CSV_HEADER = "sweep,yaw_mae,pitch_mae,roll_mae,mae,trials"
+# Trials whose problems a PnP study builds and solves together.  A block
+# keeps the batched solver's stacks full while bounding the problems held
+# in memory; the rows do not depend on it.
+TRIAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -210,41 +216,44 @@ def _pnp_sweep(config: StudyConfig, study: str, labels, model, trial) -> StudyRe
 
     Trial i samples a pose from seed master_seed+i and calls
     trial(rng, pose, intrinsics), which makes the study's own draws from
-    rng and returns label -> (model_rows, image_rows).  Every trial's
-    problems are built first and then solved by one solve_pnp_batch call;
-    each solution is scored against its trial's true rotation.  A trial
-    whose projection raises BehindCameraError is excluded at every label;
-    a degenerate problem, or one that starts behind the camera, excludes
-    the trial at that label only.
+    rng and returns label -> (model_rows, image_rows).  Trials run in
+    blocks of TRIAL_BLOCK: a block's problems are built, solved by one
+    solve_pnp_batch call and scored against their trials' true rotations
+    before the next block starts.  A trial whose projection raises
+    BehindCameraError is excluded at every label; a degenerate problem, or
+    one that starts behind the camera, excludes the trial at that label
+    only.
     """
     sums = {label: np.zeros(3) for label in labels}
     counts = dict.fromkeys(labels, 0)
     excluded = dict.fromkeys(labels, 0)
-    problems, owners = [], []  # owners[k]: (label, true angles) of problems[k]
+    scenes = _scenes(config, model, config.trials)
 
-    for rng, pose, intrinsics in _scenes(config, model, config.trials):
-        try:
-            correspondences = trial(rng, pose, intrinsics)
-        except BehindCameraError:
-            for label in labels:
-                excluded[label] += 1
-            continue
-        truth = pose.rotation.as_array()
-        for label in labels:
-            model_rows, image_rows = correspondences[label]
+    while block := list(islice(scenes, TRIAL_BLOCK)):
+        problems, owners = [], []  # owners[k]: (label, true angles) of problems[k]
+        for rng, pose, intrinsics in block:
             try:
-                problems.append(PnPProblem(model_rows, image_rows, intrinsics))
-            except DegenerateProblemError:
+                correspondences = trial(rng, pose, intrinsics)
+            except BehindCameraError:
+                for label in labels:
+                    excluded[label] += 1
+                continue
+            truth = pose.rotation.as_array()
+            for label in labels:
+                model_rows, image_rows = correspondences[label]
+                try:
+                    problems.append(PnPProblem(model_rows, image_rows, intrinsics))
+                except DegenerateProblemError:
+                    excluded[label] += 1
+                    continue
+                owners.append((label, truth))
+
+        for (label, truth), solution in zip(owners, solve_pnp_batch(problems)):
+            if isinstance(solution, BehindCameraError):
                 excluded[label] += 1
                 continue
-            owners.append((label, truth))
-
-    for (label, truth), solution in zip(owners, solve_pnp_batch(problems)):
-        if isinstance(solution, BehindCameraError):
-            excluded[label] += 1
-            continue
-        sums[label] += angle_error(solution.pose.rotation.as_array(), truth)
-        counts[label] += 1
+            sums[label] += angle_error(solution.pose.rotation.as_array(), truth)
+            counts[label] += 1
 
     return StudyResult(study, tuple(_finish_row(label, sums[label], counts[label], excluded[label])
                                     for label in labels))

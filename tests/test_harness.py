@@ -230,11 +230,14 @@ class TestPnPSweep:
             expected = tuple(StudyRow(*values, 12, 0) for values in self.PINNED[result.study])
             assert result.rows == expected
 
-    @pytest.mark.parametrize("cap", [1, 7 * 68])
-    def test_csv_bytes_independent_of_batch_cap(self, tmp_path, monkeypatch, cap):
+    @pytest.mark.parametrize("cap, block", [(1, 64), (7 * 68, 64), (3300, 1), (3300, 5)])
+    def test_csv_bytes_independent_of_batch_cap_and_trial_block(self, tmp_path, monkeypatch,
+                                                                cap, block):
         # cap 1 solves one problem per stack, 7 * 68 points stack seven
-        # all-68 problems; the default cap is what test_pinned_rows runs.
-        from poselab import pnp
+        # all-68 problems; block 1 solves each trial on its own and block 5
+        # splits the 12 trials 5 + 5 + 2.  The defaults (3300 points, 64
+        # trials) are what test_pinned_rows runs.
+        from poselab import harness, pnp
 
         def csv_bytes(name):
             out = []
@@ -244,8 +247,10 @@ class TestPnPSweep:
                 out.append(path.read_bytes())
             return out
 
+        assert (pnp.BATCH_POINTS, harness.TRIAL_BLOCK) == (3300, 64)
         default = csv_bytes("default")
         monkeypatch.setattr(pnp, "BATCH_POINTS", cap)
+        monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
         assert csv_bytes("capped") == default
 
     def test_exclusions(self, monkeypatch):
@@ -278,6 +283,31 @@ class TestPnPSweep:
             counts = [(r.trials, r.excluded) for r in result.rows]
             assert counts == [(2, 1), (0, 3)], result.study
             assert math.isfinite(result.rows[0].mae) and math.isnan(result.rows[1].mae)
+
+    def test_behind_camera_start_excludes_that_label_only(self, monkeypatch):
+        # The first problem of every solve_pnp_batch call starts behind the
+        # camera.  Blocks of two trials make two calls over three trials:
+        # trials 0 and 2 lose their first label, trial 1 keeps both.
+        from poselab import harness
+
+        real_batch = harness.solve_pnp_batch
+        calls = []
+
+        def batch(problems):
+            solutions = real_batch(problems)
+            calls.append(len(problems))
+            solutions[0] = BehindCameraError("start behind the camera")
+            return solutions
+
+        monkeypatch.setattr(harness, "solve_pnp_batch", batch)
+        monkeypatch.setattr(harness, "TRIAL_BLOCK", 2)
+        config = StudyConfig(trials=3, subsets=("rigid-6", "all-68"),
+                             jitter_sweep=(0.0, 2.0), stretch_sweep=(0.8, 1.0))
+        for run in self.STUDIES:
+            calls.clear()
+            result = run(config)
+            assert calls == [4, 2], result.study
+            assert [(r.trials, r.excluded) for r in result.rows] == [(1, 2), (3, 0)], result.study
 
 
 TINY_TRAIN = dict(scenes=60, epochs=2, hidden_size=16, batch_size=16)
