@@ -53,7 +53,7 @@ from .pnp import (  # noqa: F401
     solve_pnp,
     solve_pnp_batch,
 )
-from .raster import AUGMENT_SCHEMES, UnknownSchemeError, augment_factor, degrade_values, rasterize
+from .raster import AUGMENT_SCHEMES, UnknownSchemeError, augment_factor, degrade_stack, rasterize
 from .rotmath import EulerAngles, angle_error
 
 __all__ = [
@@ -115,6 +115,8 @@ class StudyConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.scenes < 2:
             raise ValueError("scenes must be >= 2")
         spec = BinSpec()
@@ -138,6 +140,8 @@ class StudyConfig:
             raise ValueError(f"jitter magnitudes must be finite and >= 0, got {self.jitter_sweep}")
         if self.epochs < 0 or self.hidden_size < 1 or self.batch_size < 1:
             raise ValueError("bad training dimensions")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.raster_size < 1:
@@ -380,13 +384,15 @@ def _landmark_features(image_points: np.ndarray) -> np.ndarray:
     return (centered / rms).ravel()
 
 
+def _degrade_rows(rows: np.ndarray, size: int, factors) -> np.ndarray:
+    """Row j of flat size x size rasters degraded by factors[j]."""
+    return degrade_stack(rows.reshape(-1, size, size), factors).reshape(rows.shape)
+
+
 def _make_raster_augment(scheme: str, size: int):
     def augment(batch, rng):
-        out = np.empty_like(batch)
-        for j, flat in enumerate(batch):
-            factor = augment_factor(scheme, rng)
-            out[j] = degrade_values(flat.reshape(size, size), factor).ravel()
-        return out
+        # Every sample draws its own factor, in sample order.
+        return _degrade_rows(batch, size, [augment_factor(scheme, rng) for _ in range(len(batch))])
     return augment
 
 
@@ -405,9 +411,7 @@ def run_lowres_study(config: StudyConfig | None = None) -> StudyResult:
         size * size)
 
     def degraded(factor):
-        return lambda held_out: np.stack([
-            degrade_values(flat.reshape(size, size), factor).ravel() for flat in held_out
-        ])
+        return lambda held_out: _degrade_rows(held_out, size, [factor] * len(held_out))
 
     views = [degraded(f) for f in config.lowres_factors]
     runs = [

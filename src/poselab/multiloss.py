@@ -8,6 +8,15 @@ computes it and its gradient for single samples and batches.  Also ships
 a small dense network with three angle heads, manual backprop, a
 bias-corrected Adam optimizer, and a text serialization format, so the
 loss can be exercised end to end without any ML framework.
+
+The network keeps its parameters in one flat float64 vector, and the four
+named arrays are views into it.  Private helpers do the maths once:
+_hidden_activations, _head_logits (the three heads as one matmul) and
+_backward_into (gradients written into given arrays).  toynet_forward and
+toynet_backward are thin checked wrappers over them; train_toy calls the
+helpers directly, so each step computes the hidden layer once, writes the
+gradients into one flat vector laid out like the parameters, and makes one
+adam_step on the pair {"flat": ...}.
 """
 
 import math
@@ -229,7 +238,14 @@ def _batch_loss_and_grad(logits, target_bins, target_angles, spec, alpha):
 
 @dataclass(eq=False)
 class ToyNet:
-    """One dense hidden layer feeding three independent linear angle heads."""
+    """One dense hidden layer feeding three independent linear angle heads.
+
+    The four parameter arrays are views into one float64 vector, the
+    attribute flat, laid out as w_hidden, b_hidden, w_heads, b_heads.  The
+    net copies the arrays it is built from into that vector, so update the
+    parameters in place; assigning a new array to one of them detaches it
+    from flat.
+    """
 
     w_hidden: np.ndarray  # (hidden, input_dim)
     b_hidden: np.ndarray  # (hidden,)
@@ -239,10 +255,10 @@ class ToyNet:
     activation: str = "tanh"
 
     def __post_init__(self):
-        self.w_hidden = np.array(self.w_hidden, dtype=float)
-        self.b_hidden = np.array(self.b_hidden, dtype=float)
-        self.w_heads = np.array(self.w_heads, dtype=float)
-        self.b_heads = np.array(self.b_heads, dtype=float)
+        self.w_hidden = np.asarray(self.w_hidden, dtype=float)
+        self.b_hidden = np.asarray(self.b_hidden, dtype=float)
+        self.w_heads = np.asarray(self.w_heads, dtype=float)
+        self.b_heads = np.asarray(self.b_heads, dtype=float)
         hidden, _ = self.w_hidden.shape
         if self.b_hidden.shape != (hidden,):
             raise ShapeMismatchError(f"b_hidden {self.b_hidden.shape} vs hidden size {hidden}")
@@ -256,6 +272,9 @@ class ToyNet:
             )
         if self.activation not in ("tanh", "relu"):
             raise ValueError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
+        self.flat = np.concatenate([p.ravel() for p in self.parameters().values()])
+        for name, view in self._views(self.flat).items():
+            setattr(self, name, view)
 
     @property
     def input_dim(self) -> int:
@@ -277,6 +296,14 @@ class ToyNet:
             "w_heads": self.w_heads,
             "b_heads": self.b_heads,
         }
+
+    def _views(self, flat: np.ndarray) -> dict:
+        """Parameter-shaped views into a vector laid out like self.flat."""
+        views, start = {}, 0
+        for name, p in self.parameters().items():
+            views[name] = flat[start:start + p.size].reshape(p.shape)
+            start += p.size
+        return views
 
 
 def toynet_init(input_dim: int, hidden_size: int, spec: BinSpec, seed=0, activation: str = "tanh") -> ToyNet:
@@ -301,11 +328,45 @@ def toynet_init(input_dim: int, hidden_size: int, spec: BinSpec, seed=0, activat
     )
 
 
+def _batch_input(net: ToyNet, inputs):
+    """The inputs as a float array and as a (B, input_dim) batch."""
+    x = np.asarray(inputs, dtype=float)
+    x2 = x[None, :] if x.ndim == 1 else x
+    if x2.ndim != 2 or x2.shape[1] != net.input_dim:
+        raise ShapeMismatchError(f"input shape {x.shape} vs network input_dim {net.input_dim}")
+    return x, x2
+
+
 def _hidden_activations(net: ToyNet, x2d: np.ndarray):
     pre = x2d @ net.w_hidden.T + net.b_hidden
     if net.activation == "tanh":
         return pre, np.tanh(pre)
     return pre, np.maximum(pre, 0.0)
+
+
+def _head_logits(net: ToyNet, h: np.ndarray) -> np.ndarray:
+    """(B, 3, num_bins) logits of the three heads as one matmul."""
+    logits = h @ net.w_heads.reshape(-1, net.hidden_size).T
+    logits += net.b_heads.reshape(-1)
+    return logits.reshape(len(h), 3, net.num_bins)
+
+
+def _backward_into(net: ToyNet, x2d, pre, h, dlogits, grads: dict) -> None:
+    """Write the batch-summed parameter gradients into the arrays of grads.
+
+    pre and h are _hidden_activations(net, x2d); dlogits is (B, 3, nb).
+    The grads arrays must be C-contiguous so the reshapes below are views.
+    """
+    g = dlogits.reshape(len(x2d), -1)
+    np.matmul(g.T, h, out=grads["w_heads"].reshape(g.shape[1], -1))
+    np.sum(g, axis=0, out=grads["b_heads"].reshape(-1))
+    dpre = g @ net.w_heads.reshape(g.shape[1], -1)
+    if net.activation == "tanh":
+        dpre *= 1.0 - h * h
+    else:
+        dpre *= pre > 0.0
+    np.matmul(dpre.T, x2d, out=grads["w_hidden"])
+    np.sum(dpre, axis=0, out=grads["b_hidden"])
 
 
 def toynet_forward(net: ToyNet, inputs):
@@ -314,14 +375,9 @@ def toynet_forward(net: ToyNet, inputs):
     A (D,) input yields an AngleHeadOutput; a (B, D) batch yields the
     raw (B, 3, num_bins) logit array.
     """
-    x = np.asarray(inputs, dtype=float)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    if x2.ndim != 2 or x2.shape[1] != net.input_dim:
-        raise ShapeMismatchError(f"input shape {x.shape} vs network input_dim {net.input_dim}")
-    _, h = _hidden_activations(net, x2)
-    logits = np.einsum("anh,bh->ban", net.w_heads, h) + net.b_heads
-    if single:
+    x, x2 = _batch_input(net, inputs)
+    logits = _head_logits(net, _hidden_activations(net, x2)[1])
+    if x.ndim == 1:
         return AngleHeadOutput(logits[0])
     return logits
 
@@ -332,29 +388,14 @@ def toynet_backward(net: ToyNet, inputs, dlogits) -> dict:
     Accepts a single sample ((D,) input with (3, num_bins) dlogits) or a
     batch ((B, D) with (B, 3, num_bins)).
     """
-    x = np.asarray(inputs, dtype=float)
+    x, x2 = _batch_input(net, inputs)
     g = dlogits.logits if isinstance(dlogits, AngleHeadOutput) else np.asarray(dlogits, dtype=float)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    g3 = g[None] if single else g
-    if x2.ndim != 2 or x2.shape[1] != net.input_dim:
-        raise ShapeMismatchError(f"input shape {x.shape} vs network input_dim {net.input_dim}")
+    g3 = g[None] if x.ndim == 1 else g
     if g3.shape != (len(x2), 3, net.num_bins):
         raise ShapeMismatchError(f"dlogits shape {g.shape} vs ({len(x2)}, 3, {net.num_bins})")
-    pre, h = _hidden_activations(net, x2)
-    d_w_heads = np.einsum("ban,bh->anh", g3, h)
-    d_b_heads = g3.sum(axis=0)
-    dh = np.einsum("ban,anh->bh", g3, net.w_heads)
-    if net.activation == "tanh":
-        dpre = dh * (1.0 - h * h)
-    else:
-        dpre = dh * (pre > 0.0)
-    return {
-        "w_hidden": dpre.T @ x2,
-        "b_hidden": dpre.sum(axis=0),
-        "w_heads": d_w_heads,
-        "b_heads": d_b_heads,
-    }
+    grads = net._views(np.empty_like(net.flat))
+    _backward_into(net, x2, *_hidden_activations(net, x2), g3, grads)
+    return grads
 
 
 def predict_angles(net: ToyNet, inputs):
@@ -366,7 +407,11 @@ def predict_angles(net: ToyNet, inputs):
 
 @dataclass(eq=False)
 class AdamState:
-    """Bias-corrected Adam accumulators, keyed like the parameter dict."""
+    """Bias-corrected Adam accumulators, keyed like the parameter dict.
+
+    scratch holds two parameter-sized work arrays per name, reused by
+    every step instead of allocating its temporaries afresh.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -375,10 +420,11 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    scratch: dict = field(default_factory=dict, repr=False)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
-    """One in-place Adam update of every parameter array."""
+    """One in-place Adam update of every parameter array; grads are only read."""
     if set(params) != set(grads):
         raise ShapeMismatchError("params and grads must have identical keys")
     state.step += 1
@@ -388,21 +434,32 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         g = np.asarray(grads[name], dtype=float)
         if g.shape != p.shape:
             raise ShapeMismatchError(f"{name}: gradient shape {g.shape} vs parameter {p.shape}")
-        # Moments are allocated once per name; setdefault would build (and
-        # discard) a zero array on every step.
+        # Moments and work arrays are allocated once per name; setdefault
+        # would build (and discard) new arrays on every step.
         for moments in (state.m, state.v):
             if name not in moments:
                 moments[name] = np.zeros_like(p)
+        if name not in state.scratch:
+            state.scratch[name] = (np.empty(p.shape), np.empty(p.shape))
         m, v = state.m[name], state.v[name]
+        a, b = state.scratch[name]
+        # The textbook update, operation for operation, with out= into a, b:
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        # p -= lr * (m/c1) / (sqrt(v/c2) + eps).
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(1.0 - state.beta1, g, out=a)
+        m += a
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        # Square root in place: one parameter-sized temporary fewer at peak.
-        denom = v / correction2
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        p -= state.lr * (m / correction1) / denom
+        np.multiply(g, g, out=a)
+        np.multiply(1.0 - state.beta2, a, out=a)
+        v += a
+        np.divide(v, correction2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        np.divide(m, correction1, out=a)
+        np.multiply(state.lr, a, out=a)
+        np.divide(a, b, out=a)
+        p -= a
 
 
 def train_toy(dataset, config: MultiLossConfig | None = None, spec: BinSpec | None = None,
@@ -429,6 +486,8 @@ def train_toy(dataset, config: MultiLossConfig | None = None, spec: BinSpec | No
         raise ValueError("epochs must be >= 0")
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError("val_fraction must be in [0, 1)")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
     inputs = np.array([np.asarray(x, dtype=float).ravel() for x, _ in pairs])
     targets = np.array([[t.yaw, t.pitch, t.roll] for _, t in pairs])
     target_bins = np.array([[bin_angle(v, spec) for v in row] for row in targets])
@@ -440,7 +499,10 @@ def train_toy(dataset, config: MultiLossConfig | None = None, spec: BinSpec | No
     val_idx, train_idx = order[:n_val], order[n_val:]
     net = toynet_init(inputs.shape[1], hidden_size, spec, seed=int(rng.integers(2 ** 63)),
                       activation=activation)
-    params = net.parameters()
+    # One gradient vector laid out like net.flat, so one Adam step covers
+    # every parameter.
+    grad_flat = np.empty_like(net.flat)
+    grads = net._views(grad_flat)
     state = AdamState(lr=lr)
 
     def mae_over(idx) -> float:
@@ -459,13 +521,14 @@ def train_toy(dataset, config: MultiLossConfig | None = None, spec: BinSpec | No
                 xb = np.asarray(augment(xb, rng), dtype=float)
                 if xb.shape != (len(batch), inputs.shape[1]):
                     raise ShapeMismatchError(f"augment returned shape {xb.shape}")
-            logits = toynet_forward(net, xb)
-            loss, dlogits = _batch_loss_and_grad(logits, target_bins[batch], targets[batch],
-                                                 spec, config.alpha)
+            pre, h = _hidden_activations(net, xb)
+            loss, dlogits = _batch_loss_and_grad(_head_logits(net, h), target_bins[batch],
+                                                 targets[batch], spec, config.alpha)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            adam_step(params, toynet_backward(net, xb, dlogits), state)
-        if not all(np.all(np.isfinite(p)) for p in params.values()):
+            _backward_into(net, xb, pre, h, dlogits, grads)
+            adam_step({"flat": net.flat}, {"flat": grad_flat}, state)
+        if not np.all(np.isfinite(net.flat)):
             raise TrainingDivergedError(f"non-finite parameters after epoch {epoch}")
         history.append({"epoch": epoch, "train_mae": mae_over(train_idx), "val_mae": mae_over(val_idx)})
     return net, history

@@ -17,6 +17,7 @@ __all__ = [
     "UnknownSchemeError",
     "augment_factor",
     "degrade",
+    "degrade_stack",
     "degrade_values",
     "rasterize",
     "write_pgm",
@@ -85,15 +86,30 @@ def _splat_profiles(centers: np.ndarray, size: int) -> np.ndarray:
 
 def degrade_values(values: np.ndarray, factor: int) -> np.ndarray:
     """degrade() on a bare 2-D array; returns a new array of equal shape."""
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"factor must be an integer >= 1, got {factor}")
-    factor = int(factor)
-    if factor == 1:
-        return np.array(values, dtype=float)
-    down = values[::factor, ::factor]
-    rows = np.arange(values.shape[0]) // factor
-    cols = np.arange(values.shape[1]) // factor
-    return down[rows[:, None], cols[None, :]]
+    return degrade_stack(np.asarray(values)[None], [factor])[0]
+
+
+def degrade_stack(stack, factors) -> np.ndarray:
+    """degrade_values() on every image of a (B, H, W) stack, image j by
+    factors[j]; returns a new array of equal shape.
+
+    Each output pixel is the top-left pixel of its factor-wide block, so
+    the whole stack is one gather, whatever mix of factors it holds.
+    """
+    stack = np.asarray(stack, dtype=float)
+    factors = np.asarray(factors)
+    if stack.ndim != 3 or factors.shape != stack.shape[:1]:
+        raise ValueError(f"expected a (B, H, W) stack and B factors, got shapes "
+                         f"{stack.shape} and {factors.shape}")
+    valid = np.isfinite(factors) & (factors >= 1) & (factors == np.floor(factors))
+    if not valid.all():
+        raise ValueError(f"factor must be an integer >= 1, got {factors[~valid][0]}")
+    count, height, width = stack.shape
+    f = factors.astype(int)[:, None]
+    rows = np.arange(height) // f * f
+    cols = np.arange(width) // f * f
+    index = (np.arange(count)[:, None, None] * height + rows[:, :, None]) * width + cols[:, None, :]
+    return np.take(stack, index)
 
 
 def degrade(r: Raster, factor: int) -> Raster:

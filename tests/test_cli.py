@@ -64,6 +64,15 @@ class TestStudySubset:
         assert not out.exists()
 
 
+    def test_negative_seed_names_field(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["study-subset", "--trials", "1", "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "master_seed" in err
+        assert not out.exists()
+
+
 class TestStudyJitter:
     def test_single_subset_single_file(self, tmp_path):
         out = tmp_path / "jitter.csv"

@@ -23,7 +23,9 @@ from poselab.harness import (
     run_stretch_study,
     run_subset_study,
 )
+from poselab.harness import _degrade_rows, _make_raster_augment
 from poselab.multiloss import TrainingDivergedError
+from poselab.raster import augment_factor, degrade_values
 from poselab.pnp import DegenerateProblemError
 
 SMALL_RIGID = StudyConfig(trials=6, nonrigid_sigma=0.0)
@@ -78,6 +80,11 @@ class TestStudyConfig:
             {"batch_size": 8.5},
             {"raster_size": 32.5},
             {"trials": 3.0},
+            {"master_seed": -1},
+            {"learning_rate": -1e-3},
+            {"learning_rate": 0.0},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
         ],
     )
     def test_validation(self, kwargs):
@@ -344,6 +351,28 @@ class TestLowresStudy:
             assert math.isnan(row.mae)
             assert row.trials == 0
             assert row.excluded > 0
+
+    @pytest.mark.parametrize("scheme", ["fixed10", "uniform1to10", "set5"])
+    def test_stacked_augment_matches_per_sample_loop(self, scheme):
+        size = 16
+        batch = np.random.default_rng(5).uniform(size=(40, size * size))
+        want = np.empty_like(batch)
+        want_rng = np.random.default_rng(11)
+        for j, flat in enumerate(batch):
+            factor = augment_factor(scheme, want_rng)
+            want[j] = degrade_values(flat.reshape(size, size), factor).ravel()
+        rng = np.random.default_rng(11)
+        got = _make_raster_augment(scheme, size)(batch, rng)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("factor", [1, 5, 10, 15])
+    def test_stacked_view_matches_per_row(self, factor):
+        size = 16
+        held_out = np.random.default_rng(6).uniform(size=(9, size * size))
+        want = np.stack([degrade_values(flat.reshape(size, size), factor).ravel()
+                         for flat in held_out])
+        assert np.array_equal(_degrade_rows(held_out, size, [factor] * len(held_out)), want)
 
     # (yaw, pitch, roll, mean) MAE per row, from the per-point splat loop
     # that rasterize() replaced; the separable splat must reproduce them.

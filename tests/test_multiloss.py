@@ -376,6 +376,51 @@ class TestToyNet:
         assert grads["w_hidden"].shape == net.w_hidden.shape
 
 
+    def test_parameters_are_views_of_flat(self):
+        net = toynet_init(5, 4, SMALL, seed=0)
+        assert net.flat.shape == (4 * 5 + 4 + 3 * 6 * 4 + 3 * 6,)
+        for p in net.parameters().values():
+            assert p.base is net.flat
+        net.flat[:] = np.arange(net.flat.size)
+        assert net.w_hidden[0, 1] == 1.0
+        assert net.b_heads[-1, -1] == net.flat.size - 1
+
+    def test_built_from_caller_arrays_without_aliasing(self):
+        rng = np.random.default_rng(1)
+        arrays = [rng.normal(size=(4, 5)), rng.normal(size=4),
+                  rng.normal(size=(3, 6, 4)), rng.normal(size=(3, 6))]
+        before = [a.copy() for a in arrays]
+        net = ToyNet(*arrays, SMALL)
+        for a, b, p in zip(arrays, before, net.parameters().values()):
+            assert not np.shares_memory(a, p)
+            assert np.array_equal(p, b)
+        net.flat += 1.0
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_matmul_heads_match_einsum_reference(self, activation):
+        rng = np.random.default_rng(8)
+        net = toynet_init(7, 5, SMALL, seed=2, activation=activation)
+        net.flat += rng.normal(scale=0.5, size=net.flat.shape)
+        x = rng.normal(size=(6, 7))
+        g = rng.normal(size=(6, 3, 6))
+
+        pre = x @ net.w_hidden.T + net.b_hidden
+        h = np.tanh(pre) if activation == "tanh" else np.maximum(pre, 0.0)
+        logits = np.einsum("anh,bh->ban", net.w_heads, h) + net.b_heads
+        dh = np.einsum("ban,anh->bh", g, net.w_heads)
+        dpre = dh * (1.0 - h * h) if activation == "tanh" else dh * (pre > 0.0)
+        want = {"w_hidden": dpre.T @ x, "b_hidden": dpre.sum(axis=0),
+                "w_heads": np.einsum("ban,bh->anh", g, h), "b_heads": g.sum(axis=0)}
+
+        assert np.max(np.abs(toynet_forward(net, x) - logits)) < 1e-12
+        grads = toynet_backward(net, x, g)
+        for name, value in want.items():
+            assert grads[name].shape == value.shape
+            assert np.max(np.abs(grads[name] - value)) < 1e-12
+
+
 class TestAdam:
     def test_zero_gradient_no_change(self):
         net = toynet_init(4, 3, SMALL, seed=0)
@@ -405,6 +450,19 @@ class TestAdam:
             adam_step(params, {"w": np.array([1.0])}, state)
         assert state.step == 5
         assert params["w"][0] == pytest.approx(-0.5, rel=1e-3)
+
+    def test_never_writes_to_grads(self):
+        rng = np.random.default_rng(9)
+        params = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
+        state = AdamState(lr=0.01)
+        for _ in range(3):
+            grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+            before = {k: g.copy() for k, g in grads.items()}
+            for g in grads.values():
+                g.flags.writeable = False
+            adam_step(params, grads, state)
+            for k, g in grads.items():
+                assert np.array_equal(g, before[k])
 
     def test_matches_textbook_update_in_place(self):
         rng = np.random.default_rng(3)
@@ -485,6 +543,11 @@ class TestTrainToy:
         data = [(np.zeros(4), EulerAngles(99.0, 0.0, 0.0))]
         with pytest.raises(AngleOutOfRangeError):
             train_toy(data, epochs=1)
+
+    @pytest.mark.parametrize("lr", [-1e-3, 0.0, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            train_toy(linear_dataset(40), epochs=1, seed=0, hidden_size=8, lr=lr)
 
     def test_augment_hook_changes_training(self):
         data = linear_dataset(120)

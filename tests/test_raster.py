@@ -13,6 +13,7 @@ from poselab.raster import (
     UnknownSchemeError,
     augment_factor,
     degrade,
+    degrade_stack,
     degrade_values,
     rasterize,
     write_pgm,
@@ -208,6 +209,23 @@ class TestDegrade:
                 dist[f] += float(np.linalg.norm(v - degrade_values(v, f)))
         assert dist[1] == 0.0
         assert dist[1] < dist[5] < dist[10] < dist[15]
+
+
+class TestDegradeStack:
+    def test_matches_per_image_loop(self):
+        rng = np.random.default_rng(7)
+        stack = rng.uniform(size=(12, 13, 9))
+        factors = [1, 2, 3, 5, 9, 14, 1, 3, 3, 7, 2, 20]
+        want = np.stack([degrade_values(image, f) for image, f in zip(stack, factors)])
+        got = degrade_stack(stack, factors)
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, stack)
+
+    @pytest.mark.parametrize("factors", [[1, 2], [1, 2, 3, 4], [1, 0, 2], [1, 2.5, 2],
+                                         [1, math.nan, 2], [1, math.inf, 2]])
+    def test_rejects_bad_factors(self, factors):
+        with pytest.raises(ValueError):
+            degrade_stack(np.zeros((3, 4, 4)), factors)
 
 
 class TestAugmentFactor:
