@@ -22,7 +22,7 @@ from .harness import (
 )
 from .camera import default_intrinsics
 from .multiloss import MultiLossConfig, save_toynet, train_toy
-from .pnp import LMConfig, PnPProblem, solve_pnp
+from .pnp import PnPProblem, solve_pnp
 from .rotmath import EulerAngles
 
 __all__ = ["main"]
@@ -126,7 +126,7 @@ def cmd_solve_pnp(args) -> int:
     ids, image_points = load_landmarks(args.landmarks)
     intrinsics = default_intrinsics(args.image_width, args.image_height)
     problem = PnPProblem(model.points[ids - 1], image_points, intrinsics)
-    solution = solve_pnp(problem, config=LMConfig(jacobian=args.jacobian))
+    solution = solve_pnp(problem)
     rot = solution.pose.rotation
     t = solution.pose.translation
     print(f"yaw   {rot.yaw:12.6f} deg")
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="face model file 'id x y z' (default: built-in)")
     p.add_argument("--image-width", dest="image_width", type=float, default=450.0)
     p.add_argument("--image-height", dest="image_height", type=float, default=450.0)
-    p.add_argument("--jacobian", choices=("analytic", "numeric"), default="analytic")
     p.set_defaults(func=cmd_solve_pnp)
 
     p = sub.add_parser("train-toy", help="train a small net on synthetic landmark scenes")

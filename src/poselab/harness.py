@@ -16,6 +16,10 @@ iteration as a separate solve_pnp call.  _trained_rows runs the
 low-resolution study and the alpha ablation: it splits one scene dataset
 (built by _scene_dataset), trains one net per run and scores it on the
 held-out scenes.
+
+StudyConfig holds what a caller sets: trial and scene counts, seeds,
+sweeps and training sizes.  The scene pose ranges, the camera size and
+the raster size are module constants.
 """
 
 import math
@@ -74,6 +78,16 @@ __all__ = [
 ]
 
 CSV_HEADER = "sweep,yaw_mae,pitch_mae,roll_mae,mae,trials"
+# Every scene draws yaw, pitch and roll uniformly within +-these bounds
+# (degrees), inside BinSpec's range, and is imaged by a default camera of
+# this size (pixels).
+YAW_RANGE = 75.0
+PITCH_RANGE = 60.0
+ROLL_RANGE = 50.0
+IMAGE_WIDTH = 450
+IMAGE_HEIGHT = 450
+# Side (pixels) of the low-resolution study's landmark rasters.
+RASTER_SIZE = 32
 # Trials whose problems a PnP study builds and solves together.  A block
 # keeps the batched solver's stacks full while bounding the problems held
 # in memory; the rows do not depend on it.
@@ -86,11 +100,6 @@ class StudyConfig:
 
     trials: int = 500
     master_seed: int = 0
-    yaw_range: float = 75.0
-    pitch_range: float = 60.0
-    roll_range: float = 50.0
-    image_width: int = 450
-    image_height: int = 450
     subsets: tuple = ("rigid-6", "core-12", "no-mouth-48", "all-68")
     rigid_sigma: float = 0.0
     nonrigid_sigma: float = 0.3
@@ -102,14 +111,12 @@ class StudyConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     val_fraction: float = 0.2
-    raster_size: int = 32
     lowres_schemes: tuple = ("none", "fixed10", "uniform1to10", "set5")
     lowres_factors: tuple = (1, 5, 10, 15)
     alpha_sweep: tuple = (0.0, 0.01, 0.1, 1.0, 2.0, 4.0)
 
     def __post_init__(self):
-        for name in ("trials", "master_seed", "scenes", "epochs", "hidden_size", "batch_size",
-                     "raster_size"):
+        for name in ("trials", "master_seed", "scenes", "epochs", "hidden_size", "batch_size"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -119,12 +126,6 @@ class StudyConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.scenes < 2:
             raise ValueError("scenes must be >= 2")
-        spec = BinSpec()
-        for name, value in (("yaw_range", self.yaw_range),
-                            ("pitch_range", self.pitch_range),
-                            ("roll_range", self.roll_range)):
-            if not 0.0 < value < spec.max_angle:
-                raise ValueError(f"{name} must be in (0, {spec.max_angle}), got {value}")
         for name, value in (("rigid_sigma", self.rigid_sigma),
                             ("nonrigid_sigma", self.nonrigid_sigma)):
             if not (math.isfinite(value) and value >= 0):
@@ -144,8 +145,6 @@ class StudyConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
-        if self.raster_size < 1:
-            raise ValueError("raster_size must be >= 1")
         for scheme in self.lowres_schemes:
             if scheme not in ("none", *AUGMENT_SCHEMES):
                 raise UnknownSchemeError(f"unknown augmentation scheme {scheme!r}; "
@@ -187,13 +186,13 @@ def _scenes(config: StudyConfig, model, count: int):
     seed master_seed+i; the caller makes its own draws from rng after
     that.  The fixed draw order keeps streams reproducible.
     """
-    intrinsics = default_intrinsics(config.image_width, config.image_height)
+    intrinsics = default_intrinsics(IMAGE_WIDTH, IMAGE_HEIGHT)
     tz_base = _viewing_distance(model.bounding_radius())
     for i in range(count):
         rng = np.random.default_rng(config.master_seed + i)
-        yaw = rng.uniform(-config.yaw_range, config.yaw_range)
-        pitch = rng.uniform(-config.pitch_range, config.pitch_range)
-        roll = rng.uniform(-config.roll_range, config.roll_range)
+        yaw = rng.uniform(-YAW_RANGE, YAW_RANGE)
+        pitch = rng.uniform(-PITCH_RANGE, PITCH_RANGE)
+        roll = rng.uniform(-ROLL_RANGE, ROLL_RANGE)
         tx = rng.uniform(-0.3, 0.3)
         ty = rng.uniform(-0.3, 0.3)
         tz = tz_base * rng.uniform(0.8, 1.3)
@@ -404,8 +403,8 @@ def run_lowres_study(config: StudyConfig | None = None) -> StudyResult:
     yields NaN rows with trials=0 for all its factors.
     """
     config = config or StudyConfig()
-    size = config.raster_size
-    scale = np.array([size / config.image_width, size / config.image_height])
+    size = RASTER_SIZE
+    scale = np.array([size / IMAGE_WIDTH, size / IMAGE_HEIGHT])
     inputs, targets = _scene_dataset(
         config, lambda landmarks: rasterize(landmarks * scale, size, size).values.ravel(),
         size * size)

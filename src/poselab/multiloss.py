@@ -16,7 +16,8 @@ _backward_into (gradients written into given arrays).  toynet_forward and
 toynet_backward are thin checked wrappers over them; train_toy calls the
 helpers directly, so each step computes the hidden layer once, writes the
 gradients into one flat vector laid out like the parameters, and makes one
-adam_step on the pair {"flat": ...}.
+adam_step on the pair {"flat": ...}.  train_toy's history holds only the
+held-out MAE per epoch.
 """
 
 import math
@@ -468,12 +469,13 @@ def train_toy(dataset, config: MultiLossConfig | None = None, spec: BinSpec | No
               augment=None):
     """Train a ToyNet on (input vector, EulerAngles) pairs.
 
-    Returns (net, history); history rows are dicts with keys epoch,
-    train_mae, val_mae, starting with an epoch-0 row for the untrained
-    network.  MAE is decoded-vs-target degrees averaged over samples and
-    angles.  augment, when given, is called as augment(batch, rng) on
-    every training mini-batch and must return an equally-shaped array.
-    Fully deterministic for a fixed seed.
+    Returns (net, history); history rows are dicts with keys epoch and
+    val_mae, starting with an epoch-0 row for the untrained network.
+    val_mae is decoded-vs-target degrees averaged over the held-out
+    samples and angles, NaN when val_fraction is 0.  augment, when
+    given, is called as augment(batch, rng) on every training mini-batch
+    and must return an equally-shaped array.  Fully deterministic for a
+    fixed seed.
     """
     if config is None:
         config = MultiLossConfig()
@@ -505,13 +507,13 @@ def train_toy(dataset, config: MultiLossConfig | None = None, spec: BinSpec | No
     grads = net._views(grad_flat)
     state = AdamState(lr=lr)
 
-    def mae_over(idx) -> float:
-        if len(idx) == 0:
+    def val_mae() -> float:
+        if n_val == 0:
             return math.nan
-        decoded = predict_angles(net, inputs[idx])
-        return float(np.mean(np.abs(decoded - targets[idx])))
+        decoded = predict_angles(net, inputs[val_idx])
+        return float(np.mean(np.abs(decoded - targets[val_idx])))
 
-    history = [{"epoch": 0, "train_mae": mae_over(train_idx), "val_mae": mae_over(val_idx)}]
+    history = [{"epoch": 0, "val_mae": val_mae()}]
     for epoch in range(1, epochs + 1):
         shuffled = rng.permutation(train_idx)
         for start in range(0, len(shuffled), batch_size):
@@ -530,7 +532,7 @@ def train_toy(dataset, config: MultiLossConfig | None = None, spec: BinSpec | No
             adam_step({"flat": net.flat}, {"flat": grad_flat}, state)
         if not np.all(np.isfinite(net.flat)):
             raise TrainingDivergedError(f"non-finite parameters after epoch {epoch}")
-        history.append({"epoch": epoch, "train_mae": mae_over(train_idx), "val_mae": mae_over(val_idx)})
+        history.append({"epoch": epoch, "val_mae": val_mae()})
     return net, history
 
 

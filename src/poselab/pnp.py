@@ -6,11 +6,12 @@ optimization state is 6 numbers: an axis-angle rotation vector and a
 translation vector.  Damping follows the classic Marquardt schedule
 (scale the normal-equation diagonal, x10 on a rejected step, x0.1 on an
 accepted one), so accepted steps never increase the squared residual.
+Every solve uses the analytic Jacobian; the iteration cap and the
+damping schedule are module constants.
 solve_pnp_batch runs the same iteration on many problems at once.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .rotmath import (
 
 __all__ = [
     "DegenerateProblemError",
-    "LMConfig",
     "PnPProblem",
     "PnPSolution",
     "default_init",
@@ -45,6 +45,8 @@ __all__ = [
     "solve_pnp_batch",
 ]
 
+# Iterations (accepted steps, or one exhausted damping climb) per solve.
+MAX_ITERATIONS = 100
 # Starting damping, and its factors after a rejected and an accepted step.
 INITIAL_DAMPING = 1e-3
 DAMPING_UP = 10.0
@@ -100,20 +102,6 @@ class PnPProblem:
         object.__setattr__(self, "image_points", ip.copy())
 
 
-@dataclass(frozen=True)
-class LMConfig:
-    """Caller-set solver knobs: the iteration cap and an 'analytic' or 'numeric' jacobian."""
-
-    max_iterations: int = 100
-    jacobian: str = "analytic"
-
-    def __post_init__(self):
-        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        if self.jacobian not in ("analytic", "numeric"):
-            raise ValueError(f"jacobian must be 'analytic' or 'numeric', got {self.jacobian!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class PnPSolution:
     pose: Pose
@@ -128,9 +116,18 @@ def default_init(problem: PnPProblem) -> Pose:
     The depth is chosen so the model's bounding radius spans roughly a
     50-degree cone as seen from the camera.
     """
-    pts = problem.model_points
-    radius = float(np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
-    return Pose(EulerAngles(0.0, 0.0, 0.0), np.array([0.0, 0.0, _viewing_distance(radius)]))
+    x = _start_params(problem.model_points[None])[0]
+    return Pose(EulerAngles(0.0, 0.0, 0.0), x[3:])
+
+
+def _start_params(model) -> np.ndarray:
+    """The LM start (B, 6) of stacked models (B, N, 3): identity rotation,
+    translated along the optical axis to the viewing distance of each
+    model's bounding radius."""
+    x = np.zeros((len(model), 6))
+    radius = np.linalg.norm(model - model.mean(axis=1, keepdims=True), axis=2).max(axis=1)
+    x[:, 5] = _viewing_distance(radius)
+    return x
 
 
 def _viewing_distance(radius: float) -> float:
@@ -220,7 +217,11 @@ def _jacobian_numeric(problem: PnPProblem, x: np.ndarray) -> np.ndarray:
 
 
 def jacobian(problem: PnPProblem, pose: Pose, mode: str = "analytic") -> np.ndarray:
-    """(2N, 6) residual derivative w.r.t. (rvec, tvec) evaluated at pose."""
+    """(2N, 6) residual derivative w.r.t. (rvec, tvec) evaluated at pose.
+
+    "analytic" is the Jacobian the solvers use; "numeric" is the central
+    difference reference it is checked against.
+    """
     x = _params_from_pose(pose)
     if mode == "analytic":
         return _jacobian_analytic(problem, x)
@@ -229,30 +230,24 @@ def jacobian(problem: PnPProblem, pose: Pose, mode: str = "analytic") -> np.ndar
     raise ValueError(f"unknown jacobian mode {mode!r}")
 
 
-def solve_pnp(problem: PnPProblem, init: Pose | None = None, config: LMConfig | None = None) -> PnPSolution:
-    """Minimize the squared reprojection error from init (or a default pose).
+def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
+    """Minimize the squared reprojection error from init (or default_init's pose).
 
     Returns the best iterate found.  converged is True when the step norm
     or the RMS residual dropped below its tolerance; it is False when
-    the iteration budget ran out or damping grew past 1e14 without
+    MAX_ITERATIONS ran out or damping grew past MAX_DAMPING without
     producing an acceptable step.
     """
-    if config is None:
-        config = LMConfig()
-    if init is None:
-        init = default_init(problem)
-    compute_jacobian = _jacobian_analytic if config.jacobian == "analytic" else _jacobian_numeric
-
     n_points = len(problem.model_points)
-    x = _params_from_pose(init)
+    x = _start_params(problem.model_points[None])[0] if init is None else _params_from_pose(init)
     residual = _residuals_at(problem, x)
     cost = float(residual @ residual)
     lam = INITIAL_DAMPING
     iterations = 0
     converged = math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE
 
-    while not converged and iterations < config.max_iterations:
-        jac = compute_jacobian(problem, x)
+    while not converged and iterations < MAX_ITERATIONS:
+        jac = _jacobian_analytic(problem, x)
         normal = jac.T @ jac
         gradient = jac.T @ residual
         damping_diag = np.diag(np.maximum(np.diag(normal), DIAG_FLOOR))
@@ -284,8 +279,7 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None, config: LMConfig | 
                 or math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE):
             converged = True
 
-    rmse = math.sqrt(cost / n_points)
-    return PnPSolution(_pose_from_params(x), rmse, iterations, converged)
+    return _stack_solution(x, cost, n_points, iterations, converged)
 
 
 def solve_pnp_batch(problems) -> list:
@@ -293,7 +287,7 @@ def solve_pnp_batch(problems) -> list:
 
     Each result is the PnPSolution that solve_pnp(problem) returns, up to
     rounding: the iteration, damping schedule, acceptance test and stopping
-    rules are solve_pnp's with the default LMConfig, applied per problem.
+    rules are solve_pnp's from its default start, applied per problem.
     Problems with the same point count and intrinsics are stacked and
     iterated together, at most BATCH_POINTS points per stack.  A problem
     whose starting pose puts a point on or behind the camera gets, in its
@@ -328,12 +322,8 @@ def _solve_stack(model, image, intrinsics) -> list:
     of its iterations, and the next round starts from a fresh Jacobian.
     """
     count, n_points = model.shape[:2]
-    max_iterations = LMConfig().max_iterations
     results = [None] * count
-    # default_init: identity rotation, pushed back to the viewing distance.
-    x = np.zeros((count, 6))
-    radius = np.linalg.norm(model - model.mean(axis=1, keepdims=True), axis=2).max(axis=1)
-    x[:, 5] = _viewing_distance(radius)
+    x = _start_params(model)
     # Both branches of the Rodrigues series are evaluated, and a trial step
     # may be non-finite or put points behind the camera; such values are
     # never used, so their floating-point warnings are suppressed.
@@ -380,7 +370,7 @@ def _solve_stack(model, image, intrinsics) -> list:
             converged = accepted & ((np.sqrt(_row_dots(step)) <= STEP_TOLERANCE)
                                     | (np.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE))
             fresh = accepted
-            finished = converged | exhausted | (iterations >= max_iterations)
+            finished = converged | exhausted | (iterations >= MAX_ITERATIONS)
             if finished.any():
                 for j in np.flatnonzero(finished):
                     results[live[j]] = _stack_solution(x[j], cost[j], n_points, iterations[j],

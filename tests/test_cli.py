@@ -288,8 +288,7 @@ class TestSolvePnP:
         save_face_model(builtin_mean_face(), model_path)
         lm = tmp_path / "landmarks.txt"
         write_landmark_file(lm)
-        code = main(["solve-pnp", "--landmarks", str(lm), "--model", str(model_path),
-                     "--jacobian", "numeric"])
+        code = main(["solve-pnp", "--landmarks", str(lm), "--model", str(model_path)])
         assert code == 0
         assert "yaw" in capsys.readouterr().out
 

@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from poselab import harness
 from poselab.camera import BehindCameraError
 from poselab.facemodel import DuplicateIdError, ParseError
 from poselab.harness import (
@@ -24,7 +25,7 @@ from poselab.harness import (
     run_subset_study,
 )
 from poselab.harness import _degrade_rows, _make_raster_augment
-from poselab.multiloss import TrainingDivergedError
+from poselab.multiloss import BinSpec, TrainingDivergedError
 from poselab.raster import augment_factor, degrade_values
 from poselab.pnp import DegenerateProblemError
 
@@ -43,14 +44,14 @@ class TestStudyConfig:
         "kwargs",
         [
             {"trials": 0},
-            {"yaw_range": 0.0},
-            {"pitch_range": 99.0},
+            {"epochs": -1},
+            {"batch_size": 0},
             {"rigid_sigma": -0.1},
             {"jitter_sweep": ()},
             {"jitter_sweep": (-1.0,)},
             {"scenes": 1},
             {"val_fraction": 1.0},
-            {"raster_size": 0},
+            {"val_fraction": 0.0},
             {"hidden_size": 0},
             {"lowres_schemes": ("none", "blur")},
             {"lowres_factors": (2.5,)},
@@ -78,7 +79,7 @@ class TestStudyConfig:
             {"epochs": 2.5},
             {"hidden_size": 16.5},
             {"batch_size": 8.5},
-            {"raster_size": 32.5},
+            {"stretch_sweep": ()},
             {"trials": 3.0},
             {"master_seed": -1},
             {"learning_rate": -1e-3},
@@ -90,6 +91,11 @@ class TestStudyConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             StudyConfig(**kwargs)
+
+    def test_scene_constants_in_range(self):
+        for bound in (harness.YAW_RANGE, harness.PITCH_RANGE, harness.ROLL_RANGE):
+            assert 0.0 < bound < BinSpec().max_angle
+        assert harness.RASTER_SIZE >= 1
 
 
 class TestSubsetStudy:
@@ -244,7 +250,7 @@ class TestPnPSweep:
         # all-68 problems; block 1 solves each trial on its own and block 5
         # splits the 12 trials 5 + 5 + 2.  The defaults (3300 points, 64
         # trials) are what test_pinned_rows runs.
-        from poselab import harness, pnp
+        from poselab import pnp
 
         def csv_bytes(name):
             out = []
@@ -263,8 +269,6 @@ class TestPnPSweep:
     def test_exclusions(self, monkeypatch):
         # project raises on the first trial only; building the problem then
         # raises for the second label of every remaining trial.
-        from poselab import harness
-
         real_project, real_problem = harness.project, harness.PnPProblem
         state = {"projections": 0, "problems": 0}
 
@@ -419,9 +423,9 @@ class TestLandmarkDataset:
         inputs, targets = landmark_dataset(cfg)
         assert inputs.shape == (12, 136)
         assert targets.shape == (12, 3)
-        assert np.max(np.abs(targets[:, 0])) <= cfg.yaw_range
-        assert np.max(np.abs(targets[:, 1])) <= cfg.pitch_range
-        assert np.max(np.abs(targets[:, 2])) <= cfg.roll_range
+        assert np.max(np.abs(targets[:, 0])) <= harness.YAW_RANGE
+        assert np.max(np.abs(targets[:, 1])) <= harness.PITCH_RANGE
+        assert np.max(np.abs(targets[:, 2])) <= harness.ROLL_RANGE
 
     def test_features_normalized(self):
         inputs, _ = landmark_dataset(StudyConfig(scenes=5))

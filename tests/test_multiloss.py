@@ -520,8 +520,8 @@ class TestTrainToy:
         # untrained network decodes 0 for every angle, so the MAE is the
         # mean absolute target
         targets = np.array([[t.yaw, t.pitch, t.roll] for _, t in linear_dataset(100)])
-        assert len(history) == 1
-        assert history[0]["train_mae"] == pytest.approx(np.mean(np.abs(targets)), rel=0.3)
+        assert len(history) == 1 and set(history[0]) == {"epoch", "val_mae"}
+        assert history[0]["val_mae"] == pytest.approx(np.mean(np.abs(targets)), rel=0.3)
 
     def test_deterministic(self):
         _, h1 = train_toy(linear_dataset(120), epochs=2, seed=7, hidden_size=8)
@@ -532,8 +532,8 @@ class TestTrainToy:
 
     def test_no_validation_split(self):
         _, history = train_toy(linear_dataset(50), epochs=1, seed=0, hidden_size=8, val_fraction=0.0)
-        assert math.isnan(history[0]["val_mae"])
-        assert math.isfinite(history[0]["train_mae"])
+        assert [row["epoch"] for row in history] == [0, 1]
+        assert all(math.isnan(row["val_mae"]) for row in history)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from poselab.camera import BehindCameraError, Pose, default_intrinsics, project
 from poselab.facemodel import builtin_mean_face, stretch_model, subset_by_name
 from poselab.pnp import (
     DegenerateProblemError,
-    LMConfig,
     PnPProblem,
     PnPSolution,
     default_init,
@@ -56,23 +55,6 @@ class TestPnPProblem:
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
         uv = np.array([[225.0, 225], [300, 225], [225, 300], [300, 300]])
         PnPProblem(pts, uv, K)
-
-
-class TestLMConfig:
-    def test_defaults(self):
-        cfg = LMConfig()
-        assert cfg.max_iterations == 100
-        assert cfg.jacobian == "analytic"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LMConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            LMConfig(jacobian="symbolic")
-        with pytest.raises(ValueError):
-            LMConfig(max_iterations=2.5)
-        with pytest.raises(ValueError):
-            LMConfig(max_iterations=3.0)
 
 
 class TestResidualsAndJacobian:
@@ -163,13 +145,6 @@ class TestSolvePnP:
         ):
             assert angle_error(a, b) < 1e-6
 
-    def test_numeric_jacobian_agrees(self):
-        problem, truth = make_problem((25.0, 10.0, -5.0), (0.0, 0.0, 5.0))
-        sol = solve_pnp(problem, config=LMConfig(jacobian="numeric"))
-        assert sol.converged
-        for got, want in zip(sol.pose.rotation.as_array(), truth.rotation.as_array()):
-            assert angle_error(got, want) < 1e-6
-
     def test_rmse_matches_residuals(self):
         problem, _ = make_problem((15.0, 5.0, 0.0), (0.0, 0.0, 5.0))
         rng = np.random.default_rng(3)
@@ -184,7 +159,7 @@ class TestSolvePnP:
         assert sol.rmse == pytest.approx(math.sqrt(float(r @ r) / n), rel=1e-9)
         assert sol.rmse > 1e-3
 
-    def test_cost_nonincreasing_in_iteration_budget(self):
+    def test_cost_nonincreasing_in_iteration_budget(self, monkeypatch):
         problem, _ = make_problem((30.0, -20.0, 10.0), (0.1, 0.1, 5.0))
         rng = np.random.default_rng(11)
         noisy = PnPProblem(
@@ -194,7 +169,8 @@ class TestSolvePnP:
         )
         prev = math.inf
         for k in range(1, 16):
-            sol = solve_pnp(noisy, config=LMConfig(max_iterations=k))
+            monkeypatch.setattr(pnp, "MAX_ITERATIONS", k)
+            sol = solve_pnp(noisy)
             assert sol.rmse <= prev * (1.0 + 1e-12)
             prev = sol.rmse
 
@@ -206,7 +182,7 @@ class TestSolvePnP:
         assert np.array_equal(a.pose.translation, b.pose.translation)
         assert a.rmse == b.rmse and a.iterations == b.iterations
 
-    def test_iteration_cap_reported(self):
+    def test_iteration_cap_reported(self, monkeypatch):
         problem, _ = make_problem((30.0, -20.0, 10.0), (0.0, 0.0, 5.0))
         rng = np.random.default_rng(5)
         noisy = PnPProblem(
@@ -214,7 +190,8 @@ class TestSolvePnP:
             problem.image_points + rng.uniform(-5.0, 5.0, problem.image_points.shape),
             K,
         )
-        sol = solve_pnp(noisy, config=LMConfig(max_iterations=1))
+        monkeypatch.setattr(pnp, "MAX_ITERATIONS", 1)
+        sol = solve_pnp(noisy)
         assert sol.iterations <= 1
         assert not sol.converged
 
@@ -268,6 +245,15 @@ class TestSolvePnPBatch:
         for i, j in enumerate(order):
             assert same_solution(capped[i], default[i])
             assert same_solution(shuffled[i], default[j])
+
+    @pytest.mark.parametrize("max_iterations", [1, 3, 7])
+    def test_iteration_cap_shared_with_solve_pnp(self, monkeypatch, max_iterations):
+        monkeypatch.setattr(pnp, "MAX_ITERATIONS", max_iterations)
+        problems = criterion_scenes(20, seed=3, jitter=3.0)
+        batch = solve_pnp_batch(problems)
+        assert any(got.iterations == max_iterations and not got.converged for got in batch)
+        for problem, got in zip(problems, batch, strict=True):
+            assert same_solution(got, solve_pnp(problem))
 
     def test_mixed_point_counts_and_models_in_input_order(self):
         model = builtin_mean_face()
