@@ -134,7 +134,8 @@ def cmd_solve_pnp(args) -> int:
     print(f"roll  {rot.roll:12.6f} deg")
     print(f"translation {t[0]:.6f} {t[1]:.6f} {t[2]:.6f}")
     print(f"rmse {solution.rmse:.6g} px over {len(ids)} landmarks, "
-          f"{solution.iterations} iterations, converged {solution.converged}")
+          f"{solution.iterations} iterations, converged {solution.converged} "
+          f"({solution.termination})")
     return 0
 
 

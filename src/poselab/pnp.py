@@ -6,8 +6,27 @@ optimization state is 6 numbers: an axis-angle rotation vector and a
 translation vector.  Damping follows the classic Marquardt schedule
 (scale the normal-equation diagonal, x10 on a rejected step, x0.1 on an
 accepted one), so accepted steps never increase the squared residual.
-Every solve uses the analytic Jacobian; the iteration cap and the
-damping schedule are module constants.
+Every solve uses the analytic Jacobian.
+
+A solve stops for the first of these reasons, recorded in
+PnPSolution.termination; the step and cost tests are those of Madsen,
+Nielsen & Tingleff, Methods for Non-Linear Least Squares Problems (2004):
+
+- "step": a computed step, accepted or rejected, is short relative to
+  the iterate, |h| <= STEP_TOLERANCE * (|x| + STEP_TOLERANCE);
+- "cost": an accepted step lowered the cost by at most COST_TOLERANCE of it;
+- "residual": the RMS reprojection error is at most RESIDUAL_TOLERANCE;
+- "max_iterations": MAX_ITERATIONS iterations ran;
+- "damping_exhausted": the damping grew past MAX_DAMPING without a step
+  that lowered the cost.
+
+The first three are convergence (PnPSolution.converged).  A damping climb
+leaves the iterate where it is while its steps shrink, so at the noise
+floor the step test ends the climb after a rejection or two.  There is
+no gradient test: an absolute gradient bound large enough to fire before
+these (1e-8 or more) also stops noiseless solves early, at pose errors of
+1e-12 degrees and more where they now reach 1e-13.  The iteration cap,
+the damping schedule and the tolerances are module constants.
 solve_pnp_batch runs the same iteration on many problems at once.
 """
 
@@ -45,20 +64,27 @@ __all__ = [
     "solve_pnp_batch",
 ]
 
-# Iterations (accepted steps, or one exhausted damping climb) per solve.
+# Iterations (accepted steps, or one damping climb ended by a test) per solve.
 MAX_ITERATIONS = 100
-# Starting damping, and its factors after a rejected and an accepted step.
+# Starting damping, its factors after a rejected and an accepted step, and
+# the least it falls to.
 INITIAL_DAMPING = 1e-3
 DAMPING_UP = 10.0
 DAMPING_DOWN = 0.1
+MIN_DAMPING = 1e-12
 # Give up and return the best iterate once damping grows past this.
 MAX_DAMPING = 1e14
 # Keep the damping matrix positive even for exactly-zero diagonal entries.
 DIAG_FLOOR = 1e-12
-# Converged when the step norm or the RMS reprojection error (pixels)
-# drops below its tolerance.
+# Stopping tests, in the order they are checked (see the module docstring):
+# step relative to the iterate, cost decrease relative to the cost, and
+# RMS reprojection error in pixels.
 STEP_TOLERANCE = 1e-10
+COST_TOLERANCE = 1e-15
 RESIDUAL_TOLERANCE = 1e-12
+# Reasons a solve stops; the first three mean it converged.
+TERMINATIONS = ("step", "cost", "residual", "max_iterations", "damping_exhausted")
+CONVERGED = frozenset(TERMINATIONS[:3])
 # Most points solve_pnp_batch stacks into one loop; larger groups are
 # split.  The stacked Jacobians and their temporaries grow with it, so it
 # bounds the solver's memory (48 problems of 68 points per stack).
@@ -104,10 +130,16 @@ class PnPProblem:
 
 @dataclass(frozen=True, eq=False)
 class PnPSolution:
+    """The best iterate of a solve and why the solve stopped (one of TERMINATIONS)."""
+
     pose: Pose
     rmse: float
     iterations: int
-    converged: bool
+    termination: str
+
+    @property
+    def converged(self) -> bool:
+        return self.termination in CONVERGED
 
 
 def default_init(problem: PnPProblem) -> Pose:
@@ -173,35 +205,44 @@ def _right_jacobian(rvec: np.ndarray) -> np.ndarray:
 def _jacobian_analytic(problem: PnPProblem, x: np.ndarray) -> np.ndarray:
     rvec, t = x[:3], x[3:]
     rot = axis_angle_to_rotation(rvec)
-    jr = _right_jacobian(rvec)
-    pts = problem.model_points
-    n = len(pts)
-    cam = pts @ rot.T + t
-    z = cam[:, 2]
-    iz = 1.0 / z
-    k = problem.intrinsics
-
-    # d(pixel)/d(camera point): (N, 2, 3)
-    d_cam = np.zeros((n, 2, 3))
-    d_cam[:, 0, 0] = k.fx * iz
-    d_cam[:, 0, 2] = -k.fx * cam[:, 0] * iz * iz
-    d_cam[:, 1, 1] = k.fy * iz
-    d_cam[:, 1, 2] = -k.fy * cam[:, 1] * iz * iz
-
-    # d(camera point)/d(rvec) = -R [p]x J_r(rvec): (N, 3, 3)
-    s = np.zeros((n, 3, 3))
-    s[:, 0, 1] = -pts[:, 2]
-    s[:, 0, 2] = pts[:, 1]
-    s[:, 1, 0] = pts[:, 2]
-    s[:, 1, 2] = -pts[:, 0]
-    s[:, 2, 0] = -pts[:, 1]
-    s[:, 2, 1] = pts[:, 0]
-    d_rot = -(rot[None] @ s @ jr)
-
-    full = np.empty((n, 2, 6))
-    full[:, :, :3] = d_cam @ d_rot
-    full[:, :, 3:] = d_cam
+    q = problem.model_points @ rot.T
+    lever, full = _pinhole_jacobian(q, q + t, problem.intrinsics)
+    n = len(q)
+    np.matmul(lever.reshape(2 * n, 3), rot @ _right_jacobian(rvec),
+              out=full.reshape(2 * n, 6)[:, :3])
     return full.reshape(2 * n, 6)
+
+
+def _pinhole_jacobian(q, cam, intrinsics):
+    """The parts of the residual Jacobian at rotated points q = R p (..., N, 3)
+    and camera points cam = q + t, for the Jacobians (..., 2N, 6).
+
+    With P the pinhole derivative d(pixel)/d(camera point), a (2, 3) block
+    per point, the derivative by the translation is P, and by the rotation
+    vector it is -P R [p]x J_r = -P [q]x (R J_r).  Returns lever, the
+    (..., N, 2, 3) blocks -P [q]x, and full (..., N, 2, 6) with P in its
+    translation columns; the rotation columns are lever @ (R J_r), one
+    (2N, 3) @ (3, 3) product per problem, left to the caller.
+    """
+    iz = 1.0 / cam[..., 2]
+    a = intrinsics.fx * iz
+    b = intrinsics.fy * iz
+    c = -intrinsics.fx * cam[..., 0] * iz * iz
+    d = -intrinsics.fy * cam[..., 1] * iz * iz
+    q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
+    lever = np.empty(q.shape[:-1] + (2, 3))
+    lever[..., 0, 0] = c * q2
+    lever[..., 0, 1] = a * q3 - c * q1
+    lever[..., 0, 2] = -a * q2
+    lever[..., 1, 0] = d * q2 - b * q3
+    lever[..., 1, 1] = -d * q1
+    lever[..., 1, 2] = b * q1
+    full = np.zeros(q.shape[:-1] + (2, 6))
+    full[..., 0, 3] = a
+    full[..., 0, 5] = c
+    full[..., 1, 4] = b
+    full[..., 1, 5] = d
+    return lever, full
 
 
 def _jacobian_numeric(problem: PnPProblem, x: np.ndarray) -> np.ndarray:
@@ -233,10 +274,9 @@ def jacobian(problem: PnPProblem, pose: Pose, mode: str = "analytic") -> np.ndar
 def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
     """Minimize the squared reprojection error from init (or default_init's pose).
 
-    Returns the best iterate found.  converged is True when the step norm
-    or the RMS residual dropped below its tolerance; it is False when
-    MAX_ITERATIONS ran out or damping grew past MAX_DAMPING without
-    producing an acceptable step.
+    Returns the best iterate found and the stopping test that ended the
+    solve (see the module docstring); converged is True for step, cost
+    and residual.
     """
     n_points = len(problem.model_points)
     x = _start_params(problem.model_points[None])[0] if init is None else _params_from_pose(init)
@@ -244,42 +284,58 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
     cost = float(residual @ residual)
     lam = INITIAL_DAMPING
     iterations = 0
-    converged = math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE
+    termination = "residual" if math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE else None
 
-    while not converged and iterations < MAX_ITERATIONS:
+    while termination is None and iterations < MAX_ITERATIONS:
         jac = _jacobian_analytic(problem, x)
         normal = jac.T @ jac
         gradient = jac.T @ residual
         damping_diag = np.diag(np.maximum(np.diag(normal), DIAG_FLOOR))
-        accepted = False
-        step = None
-        while lam <= MAX_DAMPING:
+        step_limit = STEP_TOLERANCE * (math.sqrt(float(x @ x)) + STEP_TOLERANCE)
+        short = slow = tiny = exhausted = False
+        while not (short or exhausted):
             try:
                 step = np.linalg.solve(normal + lam * damping_diag, -gradient)
             except np.linalg.LinAlgError:
                 step = None
+            trial_cost = math.inf
             if step is not None and np.all(np.isfinite(step)):
+                short = math.sqrt(float(step @ step)) <= step_limit
                 try:
                     trial_residual = _residuals_at(problem, x + step)
                     trial_cost = float(trial_residual @ trial_residual)
                 except BehindCameraError:
-                    trial_cost = math.inf
-                if trial_cost < cost:
-                    x = x + step
-                    residual = trial_residual
-                    cost = trial_cost
-                    lam = max(lam * DAMPING_DOWN, 1e-12)
-                    accepted = True
-                    break
+                    pass
+            if trial_cost < cost:
+                slow = cost - trial_cost <= COST_TOLERANCE * cost
+                x, residual, cost = x + step, trial_residual, trial_cost
+                tiny = math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE
+                lam = max(lam * DAMPING_DOWN, MIN_DAMPING)
+                break
             lam *= DAMPING_UP
+            exhausted = lam > MAX_DAMPING
         iterations += 1
-        if not accepted:
-            break
-        if (float(np.linalg.norm(step)) <= STEP_TOLERANCE
-                or math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE):
-            converged = True
+        termination = _termination(short, slow, tiny, exhausted)
 
-    return _stack_solution(x, cost, n_points, iterations, converged)
+    return _stack_solution(x, cost, n_points, iterations, termination or "max_iterations")
+
+
+def _termination(short, slow, tiny, exhausted) -> str | None:
+    """The test that ends the solve after an iteration, or None to go on.
+
+    short: the last step was short (accepted or not); slow and tiny: an
+    accepted step barely lowered the cost or left a negligible residual;
+    exhausted: damping passed MAX_DAMPING.
+    """
+    if short:
+        return "step"
+    if slow:
+        return "cost"
+    if tiny:
+        return "residual"
+    if exhausted:
+        return "damping_exhausted"
+    return None
 
 
 def solve_pnp_batch(problems) -> list:
@@ -320,6 +376,7 @@ def _solve_stack(model, image, intrinsics) -> list:
     rejected step raises that problem's damping and the next round
     solves its cached normal equations again; an accepted step ends one
     of its iterations, and the next round starts from a fresh Jacobian.
+    The stopping tests are solve_pnp's, with the same operations.
     """
     count, n_points = model.shape[:2]
     results = [None] * count
@@ -335,57 +392,59 @@ def _solve_stack(model, image, intrinsics) -> list:
             results[j] = _behind_camera(depth[j])
         done = behind | (np.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE)
         for j in np.flatnonzero(done & ~behind):
-            results[j] = _stack_solution(x[j], cost[j], n_points, 0, True)
+            results[j] = _stack_solution(x[j], cost[j], n_points, 0, "residual")
 
         keep = ~done
         live = np.flatnonzero(keep)  # stack positions still iterating
-        x, residual, cost, model, image = (a[keep] for a in (x, residual, cost, model, image))
-        lam = np.full(len(live), INITIAL_DAMPING)
-        iterations = np.zeros(len(live), dtype=int)
-        fresh = np.ones(len(live), dtype=bool)
-        normal = np.empty((len(live), 6, 6))
-        gradient = np.empty((len(live), 6))
-        damping = np.empty((len(live), 6))
-        while len(live):
+        size = len(live)
+        state = [live, *(a[keep] for a in (x, residual, cost, model, image)),
+                 np.full(size, INITIAL_DAMPING), np.zeros(size, dtype=int),
+                 np.ones(size, dtype=bool), np.empty((size, 6, 6)), np.empty((size, 6)),
+                 np.empty((size, 6)), np.empty(size)]
+        while len(state[0]):
+            # Each round updates these arrays in place; finished rows are dropped.
+            (live, x, residual, cost, model, image, lam, iterations, fresh, normal, gradient,
+             damping, step_limit) = state
             if fresh.any():
                 jac = _stack_jacobian(model[fresh], x[fresh], intrinsics)
                 jac_t = jac.transpose(0, 2, 1)
                 normal[fresh] = jac_t @ jac
                 gradient[fresh] = (jac_t @ residual[fresh, :, None])[..., 0]
                 damping[fresh] = np.maximum(normal[fresh][:, _DIAGONAL, _DIAGONAL], DIAG_FLOOR)
+                step_limit[fresh] = STEP_TOLERANCE * (np.sqrt(_row_dots(x[fresh]))
+                                                      + STEP_TOLERANCE)
             systems = normal.copy()
             systems[:, _DIAGONAL, _DIAGONAL] += lam[:, None] * damping
             step = _damped_steps(systems, -gradient)
             trial_x = x + step
             trial_residual, depth = _stack_residuals(model, image, trial_x, intrinsics)
             trial_cost = _row_dots(trial_residual)
-            accepted = (np.all(np.isfinite(step), axis=1) & ~np.any(depth <= MIN_DEPTH, axis=1)
-                        & (trial_cost < cost))
+            finite = np.all(np.isfinite(step), axis=1)
+            short = finite & (np.sqrt(_row_dots(step)) <= step_limit)
+            accepted = finite & ~np.any(depth <= MIN_DEPTH, axis=1) & (trial_cost < cost)
+            slow = accepted & (cost - trial_cost <= COST_TOLERANCE * cost)
             x[accepted] = trial_x[accepted]
             residual[accepted] = trial_residual[accepted]
             cost[accepted] = trial_cost[accepted]
-            lam = np.where(accepted, np.maximum(lam * DAMPING_DOWN, 1e-12), lam * DAMPING_UP)
+            tiny = accepted & (np.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE)
+            lam[:] = np.where(accepted, np.maximum(lam * DAMPING_DOWN, MIN_DAMPING),
+                              lam * DAMPING_UP)
             exhausted = ~accepted & (lam > MAX_DAMPING)
-            iterations += accepted | exhausted
-            converged = accepted & ((np.sqrt(_row_dots(step)) <= STEP_TOLERANCE)
-                                    | (np.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE))
-            fresh = accepted
-            finished = converged | exhausted | (iterations >= MAX_ITERATIONS)
+            iterations += accepted | short | exhausted
+            fresh[:] = accepted
+            finished = short | slow | tiny | exhausted | (iterations >= MAX_ITERATIONS)
             if finished.any():
                 for j in np.flatnonzero(finished):
+                    termination = _termination(short[j], slow[j], tiny[j], exhausted[j])
                     results[live[j]] = _stack_solution(x[j], cost[j], n_points, iterations[j],
-                                                       converged[j])
-                keep = ~finished
-                (live, x, residual, cost, model, image, lam, iterations, fresh, normal,
-                 gradient, damping) = (a[keep] for a in (
-                     live, x, residual, cost, model, image, lam, iterations, fresh, normal,
-                     gradient, damping))
+                                                       termination or "max_iterations")
+                state = [a[~finished] for a in state]
     return results
 
 
-def _stack_solution(x, cost, n_points: int, iterations, converged) -> PnPSolution:
+def _stack_solution(x, cost, n_points: int, iterations, termination: str) -> PnPSolution:
     return PnPSolution(_pose_from_params(x), math.sqrt(float(cost) / n_points), int(iterations),
-                       bool(converged))
+                       termination)
 
 
 def _row_dots(a) -> np.ndarray:
@@ -445,32 +504,11 @@ def _stack_residuals(model, image, x, intrinsics):
 
 def _stack_jacobian(model, x, intrinsics) -> np.ndarray:
     """_jacobian_analytic of stacked problems: (B, 2N, 6) at parameters x (B, 6)."""
-    rvecs, t = x[:, :3], x[:, None, 3:]
+    rvecs = x[:, :3]
     rot = _rodrigues_stack(rvecs)
-    jr = _right_jacobian_stack(rvecs)
+    q = model @ rot.transpose(0, 2, 1)
+    lever, full = _pinhole_jacobian(q, q + x[:, None, 3:], intrinsics)
     count, n = model.shape[:2]
-    cam = model @ rot.transpose(0, 2, 1) + t
-    z = cam[..., 2]
-    iz = 1.0 / z
-    k = intrinsics
-
-    s = np.zeros((count, n, 3, 3))
-    s[..., 0, 1] = -model[..., 2]
-    s[..., 0, 2] = model[..., 1]
-    s[..., 1, 0] = model[..., 2]
-    s[..., 1, 2] = -model[..., 0]
-    s[..., 2, 0] = -model[..., 1]
-    s[..., 2, 1] = model[..., 0]
-    d_rot = rot[:, None] @ s @ jr[:, None]
-    np.negative(d_rot, out=d_rot)
-
-    d_cam = np.zeros((count, n, 2, 3))
-    d_cam[..., 0, 0] = k.fx * iz
-    d_cam[..., 0, 2] = -k.fx * cam[..., 0] * iz * iz
-    d_cam[..., 1, 1] = k.fy * iz
-    d_cam[..., 1, 2] = -k.fy * cam[..., 1] * iz * iz
-
-    full = np.empty((count, n, 2, 6))
-    np.matmul(d_cam, d_rot, out=full[..., :3])
-    full[..., 3:] = d_cam
+    np.matmul(lever.reshape(count, 2 * n, 3), rot @ _right_jacobian_stack(rvecs),
+              out=full.reshape(count, 2 * n, 6)[..., :3])
     return full.reshape(count, 2 * n, 6)

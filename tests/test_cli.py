@@ -3,7 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
-from poselab import cli
+from poselab import cli, pnp
 from poselab.camera import Pose, default_intrinsics, project
 from poselab.cli import main
 from poselab.facemodel import builtin_mean_face, save_face_model
@@ -282,6 +282,8 @@ class TestSolvePnP:
         yaw = float(lines["yaw"].split()[1])
         assert angle_error(yaw, truth.rotation.yaw) < 1e-5
         assert "converged True" in lines["rmse"]
+        reason = lines["rmse"].rsplit("(", 1)[1].rstrip(")")
+        assert reason in pnp.CONVERGED
 
     def test_explicit_model_file(self, tmp_path, capsys):
         model_path = tmp_path / "face.txt"

@@ -194,6 +194,21 @@ class TestSolvePnP:
         sol = solve_pnp(noisy)
         assert sol.iterations <= 1
         assert not sol.converged
+        assert sol.termination == "max_iterations"
+
+    def test_restart_at_noise_floor_stops_on_step(self):
+        # From its own solution a noisy problem has no step that lowers the
+        # cost by more than rounding: the first step, accepted or rejected,
+        # is short, so one iteration ends the solve where it started.
+        problem, _ = make_problem((25.0, -10.0, 5.0), (0.05, 0.0, 5.0))
+        rng = np.random.default_rng(9)
+        noisy = PnPProblem(problem.model_points,
+                           problem.image_points + rng.uniform(-5.0, 5.0, (68, 2)), K)
+        first = solve_pnp(noisy)
+        again = solve_pnp(noisy, init=first.pose)
+        assert again.termination in ("step", "cost")
+        assert again.converged and again.iterations == 1
+        assert again.rmse == pytest.approx(first.rmse, rel=1e-12)
 
 
 def criterion_scenes(count, seed=7, jitter=0.0):
@@ -220,17 +235,54 @@ def same_solution(a: PnPSolution, b: PnPSolution) -> bool:
     return (a.pose.rotation == b.pose.rotation
             and np.array_equal(a.pose.translation, b.pose.translation)
             and a.rmse == b.rmse and a.iterations == b.iterations
-            and a.converged == b.converged)
+            and a.termination == b.termination)
 
 
 class TestSolvePnPBatch:
     def test_matches_solve_pnp_on_criterion_scenes(self):
-        problems = criterion_scenes(1000)
-        for problem, got in zip(problems, solve_pnp_batch(problems), strict=True):
-            want = solve_pnp(problem)
-            assert max(angle_error(got.pose.rotation.as_array(),
-                                   want.pose.rotation.as_array())) < 1e-9
-            assert got.converged == want.converged
+        for jitter in (0.0, 5.0):
+            problems = criterion_scenes(1000, jitter=jitter)
+            for problem, got in zip(problems, solve_pnp_batch(problems), strict=True):
+                want = solve_pnp(problem)
+                assert max(angle_error(got.pose.rotation.as_array(),
+                                       want.pose.rotation.as_array())) < 1e-9
+                assert got.converged == want.converged
+                assert got.termination == want.termination
+
+    def test_noise_floor_solves_converge(self):
+        # At 5 px every all-68 solve reaches the noise floor, where no step
+        # lowers the cost; a damping climb there must end on the step test,
+        # not run to MAX_DAMPING and report a good pose as unconverged.
+        problems = criterion_scenes(500, seed=0, jitter=5.0)[::2]
+        assert all(len(p.model_points) == 68 for p in problems)
+        batch = solve_pnp_batch(problems)
+        assert sum(not got.converged for got in batch) == 0
+        for problem, got in zip(problems, batch, strict=True):
+            assert got.termination != "damping_exhausted"
+            assert got.termination == solve_pnp(problem).termination
+
+    def test_without_step_and_cost_tests_climbs_exhaust_damping(self, monkeypatch):
+        # The climbs the step test ends: with it and the cost test off, the
+        # noise floor is left only by damping passing MAX_DAMPING.
+        monkeypatch.setattr(pnp, "STEP_TOLERANCE", 0.0)
+        monkeypatch.setattr(pnp, "COST_TOLERANCE", 0.0)
+        problems = criterion_scenes(10, seed=0, jitter=5.0)
+        batch = solve_pnp_batch(problems)
+        assert any(got.termination == "damping_exhausted" and not got.converged
+                   for got in batch)
+        for problem, got in zip(problems, batch, strict=True):
+            assert same_solution(got, solve_pnp(problem))
+
+    def test_stack_jacobian_matches_jacobian_analytic(self):
+        problems = criterion_scenes(40, seed=2, jitter=3.0)
+        rng = np.random.default_rng(4)
+        for n_points in (68, 6):
+            group = [p for p in problems if len(p.model_points) == n_points]
+            x = pnp._start_params(np.stack([p.model_points for p in group]))
+            x += rng.uniform(-0.5, 0.5, x.shape)
+            stacked = pnp._stack_jacobian(np.stack([p.model_points for p in group]), x, K)
+            for problem, xi, got in zip(group, x, stacked, strict=True):
+                assert np.array_equal(got, pnp._jacobian_analytic(problem, xi))
 
     @pytest.mark.parametrize("cap", [1, 7 * 6, 7 * 68])
     def test_solution_independent_of_batch_cap_and_order(self, monkeypatch, cap):
