@@ -24,9 +24,10 @@ The first three are convergence (PnPSolution.converged).  A damping climb
 leaves the iterate where it is while its steps shrink, so at the noise
 floor the step test ends the climb after a rejection or two.  There is
 no gradient test: an absolute gradient bound large enough to fire before
-these (1e-8 or more) also stops noiseless solves early, at pose errors of
-1e-12 degrees and more where they now reach 1e-13.  The iteration cap,
-the damping schedule and the tolerances are module constants.
+these (1e-8 or more) also stops noiseless solves early, raising their
+mean pose error from about 5e-14 degrees to 6e-13 at 1e-8 and 2e-10 at
+1e-6.  The iteration cap, the damping schedule and the tolerances are
+module constants.
 solve_pnp_batch runs the same iteration on many problems at once.
 """
 
