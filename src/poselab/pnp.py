@@ -283,10 +283,17 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
     x = _start_params(problem.model_points[None])[0] if init is None else _params_from_pose(init)
     residual = _residuals_at(problem, x)
     cost = float(residual @ residual)
-    lam = INITIAL_DAMPING
-    iterations = 0
-    termination = "residual" if math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE else None
+    if math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE:
+        return _stack_solution(x, cost, n_points, 0, "residual")
+    return _iterate(problem, x, residual, cost, INITIAL_DAMPING, 0)
 
+
+def _iterate(problem: PnPProblem, x, residual, cost: float, lam: float,
+             iterations: int) -> PnPSolution:
+    """solve_pnp's iterations from parameters x, with their residual and cost,
+    damping lam and the iterations already run, until a stopping test ends them."""
+    n_points = len(problem.model_points)
+    termination = None
     while termination is None and iterations < MAX_ITERATIONS:
         jac = _jacobian_analytic(problem, x)
         normal = jac.T @ jac
@@ -360,9 +367,7 @@ def solve_pnp_batch(problems) -> list:
         size = max(1, BATCH_POINTS // n_points)
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
-            model = np.stack([problems[i].model_points for i in chunk])
-            image = np.stack([problems[i].image_points for i in chunk])
-            for i, result in zip(chunk, _solve_stack(model, image, intrinsics)):
+            for i, result in zip(chunk, _solve_stack([problems[i] for i in chunk])):
                 results[i] = result
     return results
 
@@ -370,15 +375,23 @@ def solve_pnp_batch(problems) -> list:
 _DIAGONAL = np.arange(6)
 
 
-def _solve_stack(model, image, intrinsics) -> list:
-    """solve_pnp's loop run on B stacked problems, model (B, N, 3) and image (B, N, 2).
+def _solve_stack(problems) -> list:
+    """solve_pnp's loop run on B stacked problems with the same point count and intrinsics.
 
     Each round makes one damping attempt per unfinished problem: a
     rejected step raises that problem's damping and the next round
     solves its cached normal equations again; an accepted step ends one
     of its iterations, and the next round starts from a fresh Jacobian.
-    The stopping tests are solve_pnp's, with the same operations.
+    The stopping tests are solve_pnp's, with the same operations.  The
+    last unfinished problem goes on in solve_pnp's own loop from its
+    iterate, damping and iteration count: a round for one problem costs
+    two to two and a half times a scalar attempt, and the longest solves
+    (up to MAX_ITERATIONS) would otherwise end alone in the stack, so
+    the run time would follow how many of them a batch holds.
     """
+    model = np.stack([problem.model_points for problem in problems])
+    image = np.stack([problem.image_points for problem in problems])
+    intrinsics = problems[0].intrinsics
     count, n_points = model.shape[:2]
     results = [None] * count
     x = _start_params(model)
@@ -406,6 +419,10 @@ def _solve_stack(model, image, intrinsics) -> list:
             # Each round updates these arrays in place; finished rows are dropped.
             (live, x, residual, cost, model, image, lam, iterations, fresh, normal, gradient,
              damping, step_limit) = state
+            if len(live) == 1:
+                results[live[0]] = _iterate(problems[live[0]], x[0], residual[0], float(cost[0]),
+                                            float(lam[0]), int(iterations[0]))
+                break
             if fresh.any():
                 jac = _stack_jacobian(model[fresh], x[fresh], intrinsics)
                 jac_t = jac.transpose(0, 2, 1)

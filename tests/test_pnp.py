@@ -273,6 +273,31 @@ class TestSolvePnPBatch:
         for problem, got in zip(problems, batch, strict=True):
             assert same_solution(got, solve_pnp(problem))
 
+    def test_last_problem_of_a_stack_goes_on_in_solve_pnp_loop(self, monkeypatch):
+        # A stack never runs a round for one problem: its last unfinished
+        # problem is picked up by solve_pnp's loop mid-solve, with the result
+        # solve_pnp reaches on its own.
+        rounds, handed = [], []
+        damped_steps, iterate = pnp._damped_steps, pnp._iterate
+
+        def counted_steps(systems, rhs):
+            rounds.append(len(systems))
+            return damped_steps(systems, rhs)
+
+        def counted_iterate(problem, x, residual, cost, lam, iterations):
+            handed.append(iterations)
+            return iterate(problem, x, residual, cost, lam, iterations)
+
+        monkeypatch.setattr(pnp, "_damped_steps", counted_steps)
+        monkeypatch.setattr(pnp, "_iterate", counted_iterate)
+        problems = criterion_scenes(20, seed=3, jitter=5.0)
+        batch = solve_pnp_batch(problems)
+        assert min(rounds) >= 2
+        assert 1 <= len(handed) <= 2  # at most one per stack: all-68 and rigid-6
+        assert max(handed) > 0
+        for problem, got in zip(problems, batch, strict=True):
+            assert same_solution(got, solve_pnp(problem))
+
     def test_stack_jacobian_matches_jacobian_analytic(self):
         problems = criterion_scenes(40, seed=2, jitter=3.0)
         rng = np.random.default_rng(4)
