@@ -8,11 +8,12 @@ master_seed+i, so every study is bitwise reproducible and embarrassingly
 parallel in principle while results stay order-deterministic.
 
 Two engines do the work.  _pnp_sweep runs the subset, jitter and stretch
-studies: each study only says how one trial turns a sampled pose into a
-landmark-to-pose problem per sweep label.  It builds the problems of a
-block of trials and solves them in stacked batches with one
-pnp.solve_pnp_batch call per block; each problem goes through the same
-iteration as a separate solve_pnp call.  _trained_rows runs the
+studies: each study gives the model rows of every sweep label, fixed for
+the study, and says how one trial turns a sampled pose into image rows
+per label.  It stacks the image rows of a block of trials into arrays and
+solves them with one call of pnp's array path per block; each problem
+goes through the same iteration as a separate solve_pnp call, and no
+PnPProblem or PnPSolution is built per problem.  _trained_rows runs the
 low-resolution study and the alpha ablation: it splits one scene dataset
 (built by _scene_dataset), trains one net per run and scores it on the
 held-out scenes.
@@ -47,16 +48,17 @@ from .multiloss import (
     predict_angles,
     train_toy,
 )
-# The studies call solve_pnp_batch, not solve_pnp.  solve_pnp stays bound
-# here until perfbench's tracer wraps solve_pnp_batch: its binding test
-# still looks solve_pnp up on this module.
-from .pnp import (  # noqa: F401
+from .pnp import (
     DegenerateProblemError,
     PnPProblem,
+    _euler_rows,
+    _solve_arrays,
+    _stacked_images,
     _viewing_distance,
-    solve_pnp,
-    solve_pnp_batch,
 )
+# The studies never call solve_pnp.  It stays bound here only because
+# perfbench's test_tracer_restores_every_binding looks it up on this module.
+from .pnp import solve_pnp  # noqa: F401
 from .raster import AUGMENT_SCHEMES, UnknownSchemeError, augment_factor, degrade_stack, rasterize
 from .rotmath import EulerAngles, angle_error
 
@@ -214,49 +216,68 @@ def _finish_row(label, error_sum: np.ndarray, count: int, excluded: int) -> Stud
     return StudyRow(_sweep_label(label), math.nan, math.nan, math.nan, math.nan, 0, excluded)
 
 
-def _pnp_sweep(config: StudyConfig, study: str, labels, model, trial) -> StudyResult:
+def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyResult:
     """The trial loop shared by the PnP studies.
 
-    Trial i samples a pose from seed master_seed+i and calls
-    trial(rng, pose, intrinsics), which makes the study's own draws from
-    rng and returns label -> (model_rows, image_rows).  Trials run in
-    blocks of TRIAL_BLOCK: a block's problems are built, solved by one
-    solve_pnp_batch call and scored against their trials' true rotations
-    before the next block starts.  A trial whose projection raises
-    BehindCameraError is excluded at every label; a degenerate problem, or
-    one that starts behind the camera, excludes the trial at that label
-    only.
+    models maps each sweep label, in row order, to the model rows (N, 3)
+    it is solved against in every trial.  Trial i samples a pose of face
+    from seed master_seed+i and calls trial(rng, pose, intrinsics), which
+    makes the study's own draws from rng and returns label -> image rows
+    (N, 2).  A label's first kept trial is built as a PnPProblem, which
+    checks the model once for the study.  Trials run in blocks of
+    TRIAL_BLOCK: a block's image rows are stacked and checked per label,
+    solved by one _solve_arrays call, converted to Euler angles and scored
+    against their trials' true angles before the next block starts.  A
+    trial whose projection raises BehindCameraError is excluded at every
+    label; a degenerate model excludes its label from every trial, and a
+    solve that starts behind the camera excludes that trial at that label.
     """
+    labels = tuple(models)
     sums = {label: np.zeros(3) for label in labels}
     counts = dict.fromkeys(labels, 0)
     excluded = dict.fromkeys(labels, 0)
-    scenes = _scenes(config, model, config.trials)
+    checked, degenerate = set(), set()
+    scenes = _scenes(config, face, config.trials)
 
     while block := list(islice(scenes, TRIAL_BLOCK)):
-        problems, owners = [], []  # owners[k]: (label, true angles) of problems[k]
+        images = {label: [] for label in labels}
+        truths = []
         for rng, pose, intrinsics in block:
             try:
-                correspondences = trial(rng, pose, intrinsics)
+                image_rows = trial(rng, pose, intrinsics)
             except BehindCameraError:
                 for label in labels:
                     excluded[label] += 1
                 continue
-            truth = pose.rotation.as_array()
+            truths.append(pose.rotation.as_array())
             for label in labels:
-                model_rows, image_rows = correspondences[label]
-                try:
-                    problems.append(PnPProblem(model_rows, image_rows, intrinsics))
-                except DegenerateProblemError:
+                if label not in checked:
+                    checked.add(label)
+                    try:
+                        PnPProblem(models[label], image_rows[label], intrinsics)
+                    except DegenerateProblemError:
+                        degenerate.add(label)
+                if label in degenerate:
                     excluded[label] += 1
-                    continue
-                owners.append((label, truth))
+                else:
+                    images[label].append(image_rows[label])
+        solved = [label for label in labels if images[label]]
+        if not solved:
+            continue
 
-        for (label, truth), solution in zip(owners, solve_pnp_batch(problems)):
-            if isinstance(solution, BehindCameraError):
-                excluded[label] += 1
-                continue
-            sums[label] += angle_error(solution.pose.rotation.as_array(), truth)
-            counts[label] += 1
+        # Every scene has the same camera (see _scenes).
+        x, _, _, _, behind = _solve_arrays(
+            [(models[label], _stacked_images(images[label], len(models[label])))
+             for label in solved], intrinsics)
+        truths = np.array(truths)
+        for k, label in enumerate(solved):
+            part = slice(k * len(truths), (k + 1) * len(truths))
+            kept = ~behind[part]
+            errors = angle_error(_euler_rows(x[part][kept]), truths[kept])
+            for error in errors:  # in trial order, as the rows were pinned
+                sums[label] += error
+            counts[label] += len(errors)
+            excluded[label] += len(truths) - len(errors)
 
     return StudyResult(study, tuple(_finish_row(label, sums[label], counts[label], excluded[label])
                                     for label in labels))
@@ -273,9 +294,10 @@ def run_subset_study(config: StudyConfig | None = None) -> StudyResult:
         deform_seed = int(rng.integers(2 ** 63))
         subject = deform_subject(model, config.rigid_sigma, config.nonrigid_sigma, deform_seed)
         image = project(subject.points, pose, intrinsics)
-        return {name: (model.points[r], image[r]) for name, r in rows.items()}
+        return {name: image[r] for name, r in rows.items()}
 
-    return _pnp_sweep(config, "subset", config.subsets, model, trial)
+    models = {name: model.points[r] for name, r in rows.items()}
+    return _pnp_sweep(config, "subset", model, models, trial)
 
 
 def run_jitter_study(config: StudyConfig | None = None, subset_name: str = "all-68") -> StudyResult:
@@ -289,15 +311,15 @@ def run_jitter_study(config: StudyConfig | None = None, subset_name: str = "all-
     model = builtin_mean_face()
     subset = subset_by_name(subset_name)
     rows = subset.rows()
-    model_rows = model.points[rows]
     magnitudes = [float(m) for m in config.jitter_sweep]
 
     def trial(rng, pose, intrinsics):
         jitter_seed = int(rng.integers(2 ** 63))
         clean = project(model.points, pose, intrinsics)[rows]
-        return {m: (model_rows, jitter_landmarks(clean, m, jitter_seed)) for m in magnitudes}
+        return {m: jitter_landmarks(clean, m, jitter_seed) for m in magnitudes}
 
-    return _pnp_sweep(config, f"jitter-{subset.name}", magnitudes, model, trial)
+    models = dict.fromkeys(magnitudes, model.points[rows])
+    return _pnp_sweep(config, f"jitter-{subset.name}", model, models, trial)
 
 
 def run_stretch_study(config: StudyConfig | None = None, axis: str = "width") -> StudyResult:
@@ -308,16 +330,16 @@ def run_stretch_study(config: StudyConfig | None = None, axis: str = "width") ->
         raise ValueError(f"axis must be 'width' or 'height', got {axis!r}")
     model = builtin_mean_face()
     scales = [float(s) for s in config.stretch_sweep]
-    stretched = {
-        s: stretch_model(model, s, 1.0) if axis == "width" else stretch_model(model, 1.0, s)
+    models = {
+        s: (stretch_model(model, s, 1.0) if axis == "width" else stretch_model(model, 1.0, s)).points
         for s in scales
     }
 
     def trial(rng, pose, intrinsics):
         image = project(model.points, pose, intrinsics)
-        return {s: (stretched[s].points, image) for s in scales}
+        return dict.fromkeys(scales, image)
 
-    return _pnp_sweep(config, f"stretch-{axis}", scales, model, trial)
+    return _pnp_sweep(config, f"stretch-{axis}", model, models, trial)
 
 
 def _scene_dataset(config: StudyConfig, features, width: int):

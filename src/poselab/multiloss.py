@@ -11,7 +11,7 @@ loss can be exercised end to end without any ML framework.
 
 The network keeps its parameters in one flat float64 vector, and the four
 named arrays are views into it.  Private helpers do the maths once:
-_hidden_activations, _head_logits (the three heads as one matmul) and
+_hidden_activations, _head_logits (one matmul per head) and
 _backward_into (gradients written into given arrays).  toynet_forward and
 toynet_backward are thin checked wrappers over them; train_toy calls the
 helpers directly, so each step computes the hidden layer once, writes the
@@ -346,10 +346,18 @@ def _hidden_activations(net: ToyNet, x2d: np.ndarray):
 
 
 def _head_logits(net: ToyNet, h: np.ndarray) -> np.ndarray:
-    """(B, 3, num_bins) logits of the three heads as one matmul."""
-    logits = h @ net.w_heads.reshape(-1, net.hidden_size).T
-    logits += net.b_heads.reshape(-1)
-    return logits.reshape(len(h), 3, net.num_bins)
+    """(B, 3, num_bins) logits of the three heads, one matmul per head.
+
+    One (B, hidden) @ (hidden, 3 * num_bins) product would do the same
+    work, but OpenBLAS splits that shape differently with 1 and 2 threads
+    and its last bits change with the thread count; the per-head shape
+    does not, so trained rows stay byte-identical across thread counts.
+    """
+    logits = np.empty((len(h), 3, net.num_bins))
+    for k in range(3):
+        np.matmul(h, net.w_heads[k].T, out=logits[:, k])
+    logits += net.b_heads
+    return logits
 
 
 def _backward_into(net: ToyNet, x2d, pre, h, dlogits, grads: dict) -> None:

@@ -28,7 +28,15 @@ these (1e-8 or more) also stops noiseless solves early, raising their
 mean pose error from about 5e-14 degrees to 6e-13 at 1e-8 and 2e-10 at
 1e-6.  The iteration cap, the damping schedule and the tolerances are
 module constants.
-solve_pnp_batch runs the same iteration on many problems at once.
+
+solve_pnp_batch runs the same iteration on many problems at once.  Under
+it, _solve_arrays is the array path the PnP studies call directly: models
+and images in as (B, N, 3) and (B, N, 2) arrays, and the best iterates,
+RMS errors, iteration counts, termination codes and behind-camera rows
+out as arrays, with no PnPProblem or PnPSolution per problem.  Both loops
+keep the rotation each residual evaluation builds with the iterate it
+belongs to: an accepted step's Jacobian reuses its trial's rotation, so
+Rodrigues runs once per residual evaluation and never for a Jacobian.
 """
 
 import math
@@ -47,7 +55,9 @@ from .camera import (
     project,
 )
 from .rotmath import (
+    _IDENTITY,
     EulerAngles,
+    _euler_from_rotation,
     axis_angle_to_rotation,
     rotation_to_axis_angle,
     rotation_to_euler,
@@ -114,19 +124,38 @@ class PnPProblem:
         ip = np.asarray(self.image_points, dtype=float)
         if mp.ndim != 2 or mp.shape[1] != 3:
             raise ValueError(f"model_points must be (N, 3), got {mp.shape}")
-        if ip.ndim != 2 or ip.shape[1] != 2:
-            raise ValueError(f"image_points must be (N, 2), got {ip.shape}")
-        if len(mp) != len(ip):
-            raise ValueError(f"{len(mp)} model points vs {len(ip)} image points")
+        _check_image_shape(ip.shape, len(mp))
         if len(mp) < 4:
             raise ValueError(f"need at least 4 correspondences, got {len(mp)}")
         if not (np.all(np.isfinite(mp)) and np.all(np.isfinite(ip))):
-            raise ValueError("correspondences contain non-finite values")
+            raise ValueError(_NON_FINITE)
         singulars = np.linalg.svd(mp - mp.mean(axis=0), compute_uv=False)
         if int(np.sum(singulars > 1e-9 * max(1.0, singulars[0]))) < 2:
             raise DegenerateProblemError("model points are coincident or collinear")
         object.__setattr__(self, "model_points", mp.copy())
         object.__setattr__(self, "image_points", ip.copy())
+
+
+_NON_FINITE = "correspondences contain non-finite values"
+
+
+def _check_image_shape(shape, n_points: int) -> None:
+    """PnPProblem's check of one problem's image points against its n_points model points."""
+    if len(shape) != 2 or shape[1] != 2:
+        raise ValueError(f"image_points must be (N, 2), got {shape}")
+    if shape[0] != n_points:
+        raise ValueError(f"{n_points} model points vs {shape[0]} image points")
+
+
+def _stacked_images(rows, n_points: int) -> np.ndarray:
+    """Image points of several problems on one model of n_points points as a
+    (B, N, 2) array, with PnPProblem's shape and finiteness checks."""
+    for image in rows:
+        _check_image_shape(np.shape(image), n_points)
+    stacked = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(stacked)):
+        raise ValueError(_NON_FINITE)
+    return stacked
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,10 +213,18 @@ def _pose_from_params(x: np.ndarray) -> Pose:
     return Pose(angles, x[3:].copy())
 
 
-def _residuals_at(problem: PnPProblem, x: np.ndarray) -> np.ndarray:
-    predicted = _project_rigid(problem.model_points, axis_angle_to_rotation(x[:3]), x[3:],
-                               problem.intrinsics)
-    return (predicted - problem.image_points).ravel()
+def _euler_rows(x) -> np.ndarray:
+    """(B, 3) yaw, pitch and roll in degrees of parameter rows x (B, 6): the
+    angles _pose_from_params gives, without its rotation check and Pose."""
+    angles = [_euler_from_rotation(rot) for rot in _rodrigues_stack(x[:, :3])]
+    return np.array(angles, dtype=float).reshape(-1, 3)
+
+
+def _residuals_at(model, image, x, intrinsics):
+    """The residual vector (2N,) at parameters x and the rotation it was built
+    with; raises BehindCameraError as project does."""
+    rot = axis_angle_to_rotation(x[:3])
+    return (_project_rigid(model, rot, x[3:], intrinsics) - image).ravel(), rot
 
 
 def _right_jacobian(rvec: np.ndarray) -> np.ndarray:
@@ -200,16 +237,15 @@ def _right_jacobian(rvec: np.ndarray) -> np.ndarray:
     else:
         a = (1.0 - math.cos(theta)) / (theta * theta)
         b = (theta - math.sin(theta)) / (theta ** 3)
-    return np.eye(3) - a * k + b * (k @ k)
+    return _IDENTITY - a * k + b * (k @ k)
 
 
-def _jacobian_analytic(problem: PnPProblem, x: np.ndarray) -> np.ndarray:
-    rvec, t = x[:3], x[3:]
-    rot = axis_angle_to_rotation(rvec)
-    q = problem.model_points @ rot.T
-    lever, full = _pinhole_jacobian(q, q + t, problem.intrinsics)
+def _jacobian_analytic(model, x, rot, intrinsics) -> np.ndarray:
+    """The (2N, 6) Jacobian at parameters x, whose rotation rot the caller has."""
+    q = model @ rot.T
+    lever, full = _pinhole_jacobian(q, q + x[3:], intrinsics)
     n = len(q)
-    np.matmul(lever.reshape(2 * n, 3), rot @ _right_jacobian(rvec),
+    np.matmul(lever.reshape(2 * n, 3), rot @ _right_jacobian(x[:3]),
               out=full.reshape(2 * n, 6)[:, :3])
     return full.reshape(2 * n, 6)
 
@@ -247,6 +283,9 @@ def _pinhole_jacobian(q, cam, intrinsics):
 
 
 def _jacobian_numeric(problem: PnPProblem, x: np.ndarray) -> np.ndarray:
+    def residuals(at):
+        return _residuals_at(problem.model_points, problem.image_points, at, problem.intrinsics)[0]
+
     out = np.empty((2 * len(problem.model_points), 6))
     for i in range(6):
         h = 1e-6 * max(1.0, abs(float(x[i])))
@@ -254,7 +293,7 @@ def _jacobian_numeric(problem: PnPProblem, x: np.ndarray) -> np.ndarray:
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        out[:, i] = (_residuals_at(problem, xp) - _residuals_at(problem, xm)) / (2.0 * h)
+        out[:, i] = (residuals(xp) - residuals(xm)) / (2.0 * h)
     return out
 
 
@@ -266,7 +305,8 @@ def jacobian(problem: PnPProblem, pose: Pose, mode: str = "analytic") -> np.ndar
     """
     x = _params_from_pose(pose)
     if mode == "analytic":
-        return _jacobian_analytic(problem, x)
+        return _jacobian_analytic(problem.model_points, x, axis_angle_to_rotation(x[:3]),
+                                  problem.intrinsics)
     if mode == "numeric":
         return _jacobian_numeric(problem, x)
     raise ValueError(f"unknown jacobian mode {mode!r}")
@@ -279,23 +319,30 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
     solve (see the module docstring); converged is True for step, cost
     and residual.
     """
-    n_points = len(problem.model_points)
-    x = _start_params(problem.model_points[None])[0] if init is None else _params_from_pose(init)
-    residual = _residuals_at(problem, x)
+    model, image, intrinsics = problem.model_points, problem.image_points, problem.intrinsics
+    n_points = len(model)
+    x = _start_params(model[None])[0] if init is None else _params_from_pose(init)
+    residual, rot = _residuals_at(model, image, x, intrinsics)
     cost = float(residual @ residual)
     if math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE:
-        return _stack_solution(x, cost, n_points, 0, "residual")
-    return _iterate(problem, x, residual, cost, INITIAL_DAMPING, 0)
+        return _solution(n_points, x, cost, 0, "residual")
+    return _solution(n_points, *_iterate(model, image, intrinsics, x, rot, residual, cost,
+                                         INITIAL_DAMPING, 0))
 
 
-def _iterate(problem: PnPProblem, x, residual, cost: float, lam: float,
-             iterations: int) -> PnPSolution:
-    """solve_pnp's iterations from parameters x, with their residual and cost,
-    damping lam and the iterations already run, until a stopping test ends them."""
-    n_points = len(problem.model_points)
+def _iterate(model, image, intrinsics, x, rot, residual, cost: float, lam: float,
+             iterations: int) -> tuple:
+    """solve_pnp's iterations on one problem, model (N, 3) and image (N, 2)
+    points, from parameters x with their rotation, residual and cost, damping
+    lam and the iterations already run, until a stopping test ends them.
+
+    Returns the best iterate x, its cost, the iterations run and the
+    termination.
+    """
+    n_points = len(model)
     termination = None
     while termination is None and iterations < MAX_ITERATIONS:
-        jac = _jacobian_analytic(problem, x)
+        jac = _jacobian_analytic(model, x, rot, intrinsics)
         normal = jac.T @ jac
         gradient = jac.T @ residual
         damping_diag = np.diag(np.maximum(np.diag(normal), DIAG_FLOOR))
@@ -309,14 +356,15 @@ def _iterate(problem: PnPProblem, x, residual, cost: float, lam: float,
             trial_cost = math.inf
             if step is not None and np.all(np.isfinite(step)):
                 short = math.sqrt(float(step @ step)) <= step_limit
+                trial_x = x + step
                 try:
-                    trial_residual = _residuals_at(problem, x + step)
+                    trial_residual, trial_rot = _residuals_at(model, image, trial_x, intrinsics)
                     trial_cost = float(trial_residual @ trial_residual)
                 except BehindCameraError:
                     pass
             if trial_cost < cost:
                 slow = cost - trial_cost <= COST_TOLERANCE * cost
-                x, residual, cost = x + step, trial_residual, trial_cost
+                x, rot, residual, cost = trial_x, trial_rot, trial_residual, trial_cost
                 tiny = math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE
                 lam = max(lam * DAMPING_DOWN, MIN_DAMPING)
                 break
@@ -325,7 +373,7 @@ def _iterate(problem: PnPProblem, x, residual, cost: float, lam: float,
         iterations += 1
         termination = _termination(short, slow, tiny, exhausted)
 
-    return _stack_solution(x, cost, n_points, iterations, termination or "max_iterations")
+    return x, cost, iterations, termination or "max_iterations"
 
 
 def _termination(short, slow, tiny, exhausted) -> str | None:
@@ -346,6 +394,10 @@ def _termination(short, slow, tiny, exhausted) -> str | None:
     return None
 
 
+def _solution(n_points: int, x, cost: float, iterations: int, termination: str) -> PnPSolution:
+    return PnPSolution(_pose_from_params(x), math.sqrt(cost / n_points), iterations, termination)
+
+
 def solve_pnp_batch(problems) -> list:
     """Solve every problem from its default_init pose; one result per problem, in input order.
 
@@ -360,71 +412,114 @@ def solve_pnp_batch(problems) -> list:
     """
     problems = list(problems)
     results = [None] * len(problems)
-    groups = {}
+    cameras = {}
     for i, problem in enumerate(problems):
-        groups.setdefault((len(problem.model_points), problem.intrinsics), []).append(i)
-    for (n_points, intrinsics), members in groups.items():
-        size = max(1, BATCH_POINTS // n_points)
-        for start in range(0, len(members), size):
-            chunk = members[start:start + size]
-            for i, result in zip(chunk, _solve_stack([problems[i] for i in chunk])):
-                results[i] = result
+        cameras.setdefault(problem.intrinsics, []).append(i)
+    for intrinsics, members in cameras.items():
+        x, rmse, iterations, codes, behind = _solve_arrays(
+            [(problems[i].model_points, problems[i].image_points[None]) for i in members],
+            intrinsics)
+        for k, i in enumerate(members):
+            if behind[k]:
+                # solve_pnp's error: the depths _project_rigid finds at the start x.
+                rot = axis_angle_to_rotation(x[k, :3])
+                results[i] = _behind_camera((problems[i].model_points @ rot.T + x[k, 3:])[:, 2])
+            else:
+                results[i] = PnPSolution(_pose_from_params(x[k]), float(rmse[k]),
+                                         int(iterations[k]), TERMINATIONS[codes[k]])
     return results
+
+
+def _solve_arrays(groups, intrinsics) -> tuple:
+    """solve_pnp_batch on arrays: every problem of every group, solved from its default start.
+
+    groups is a sequence of (model, images) pairs: images (B, N, 2) and the
+    model points (B, N, 3) of each problem, or (N, 3) shared by the group,
+    checked as PnPProblem checks them and all imaged by intrinsics.  The
+    problems of all groups with the same point count are stacked in group
+    order, at most BATCH_POINTS points per stack.  Returns arrays with one
+    row per problem in group order: the best iterates x (P, 6), their RMS
+    reprojection errors, iteration counts and termination codes (indices
+    into TERMINATIONS), and behind, True where the start puts a point on
+    or behind the camera (x is then that start, and the rest means nothing).
+    """
+    offsets = np.cumsum([0, *(len(images) for _, images in groups)])
+    total = int(offsets[-1])
+    x, rmse = np.empty((total, 6)), np.empty(total)
+    iterations, codes = np.empty(total, dtype=int), np.empty(total, dtype=int)
+    behind = np.empty(total, dtype=bool)
+    pools = {}
+    for g, (_, images) in enumerate(groups):
+        pools.setdefault(images.shape[1], []).append(g)
+    for n_points, members in pools.items():
+        rows = np.concatenate([np.arange(offsets[g], offsets[g + 1]) for g in members])
+        model = np.concatenate([np.broadcast_to(groups[g][0], groups[g][1].shape[:2] + (3,))
+                                for g in members])
+        image = np.concatenate([groups[g][1] for g in members])
+        size = max(1, BATCH_POINTS // n_points)
+        for start in range(0, len(rows), size):
+            chunk, stack = rows[start:start + size], slice(start, start + size)
+            x[chunk], cost, iterations[chunk], codes[chunk], behind[chunk] = _solve_stack(
+                model[stack], image[stack], intrinsics)
+            rmse[chunk] = np.sqrt(cost / n_points)
+    return x, rmse, iterations, codes, behind
 
 
 _DIAGONAL = np.arange(6)
 
 
-def _solve_stack(problems) -> list:
-    """solve_pnp's loop run on B stacked problems with the same point count and intrinsics.
+def _solve_stack(model, image, intrinsics) -> tuple:
+    """solve_pnp's loop run on B stacked problems: models (B, N, 3) and images (B, N, 2).
 
     Each round makes one damping attempt per unfinished problem: a
     rejected step raises that problem's damping and the next round
     solves its cached normal equations again; an accepted step ends one
-    of its iterations, and the next round starts from a fresh Jacobian.
+    of its iterations, and the next round starts from a fresh Jacobian,
+    built with the rotation the accepted trial's residuals were.
     The stopping tests are solve_pnp's, with the same operations.  The
     last unfinished problem goes on in solve_pnp's own loop from its
     iterate, damping and iteration count: a round for one problem costs
     two to two and a half times a scalar attempt, and the longest solves
     (up to MAX_ITERATIONS) would otherwise end alone in the stack, so
     the run time would follow how many of them a batch holds.
+
+    Returns the best iterates x (B, 6), their costs, iterations and
+    termination codes, and the rows whose start is behind the camera.
     """
-    model = np.stack([problem.model_points for problem in problems])
-    image = np.stack([problem.image_points for problem in problems])
-    intrinsics = problems[0].intrinsics
     count, n_points = model.shape[:2]
-    results = [None] * count
     x = _start_params(model)
+    iterations_out = np.zeros(count, dtype=int)
+    codes = np.full(count, TERMINATIONS.index("residual"))
     # Both branches of the Rodrigues series are evaluated, and a trial step
     # may be non-finite or put points behind the camera; such values are
     # never used, so their floating-point warnings are suppressed.
     with np.errstate(all="ignore"):
-        residual, depth = _stack_residuals(model, image, x, intrinsics)
+        residual, depth, rot = _stack_residuals(model, image, x, intrinsics)
         cost = _row_dots(residual)
         behind = np.any(depth <= MIN_DEPTH, axis=1)
-        for j in np.flatnonzero(behind):
-            results[j] = _behind_camera(depth[j])
         done = behind | (np.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE)
-        for j in np.flatnonzero(done & ~behind):
-            results[j] = _stack_solution(x[j], cost[j], n_points, 0, "residual")
+        x_out, cost_out = x.copy(), cost.copy()  # final for the rows done at the start
 
         keep = ~done
         live = np.flatnonzero(keep)  # stack positions still iterating
         size = len(live)
-        state = [live, *(a[keep] for a in (x, residual, cost, model, image)),
+        state = [live, *(a[keep] for a in (x, rot, residual, cost, model, image)),
                  np.full(size, INITIAL_DAMPING), np.zeros(size, dtype=int),
                  np.ones(size, dtype=bool), np.empty((size, 6, 6)), np.empty((size, 6)),
                  np.empty((size, 6)), np.empty(size)]
         while len(state[0]):
             # Each round updates these arrays in place; finished rows are dropped.
-            (live, x, residual, cost, model, image, lam, iterations, fresh, normal, gradient,
+            (live, x, rot, residual, cost, model, image, lam, iterations, fresh, normal, gradient,
              damping, step_limit) = state
             if len(live) == 1:
-                results[live[0]] = _iterate(problems[live[0]], x[0], residual[0], float(cost[0]),
-                                            float(lam[0]), int(iterations[0]))
+                j = live[0]
+                x_out[j], cost_out[j], iterations_out[j], termination = _iterate(
+                    model[0], image[0], intrinsics, x[0], rot[0], residual[0], float(cost[0]),
+                    float(lam[0]), int(iterations[0]))
+                codes[j] = TERMINATIONS.index(termination)
                 break
             if fresh.any():
-                jac = _stack_jacobian(model[fresh], x[fresh], intrinsics)
+                jac = _stack_jacobian(model[fresh], x[fresh], rot[fresh], intrinsics)
                 jac_t = jac.transpose(0, 2, 1)
                 normal[fresh] = jac_t @ jac
                 gradient[fresh] = (jac_t @ residual[fresh, :, None])[..., 0]
@@ -435,13 +530,14 @@ def _solve_stack(problems) -> list:
             systems[:, _DIAGONAL, _DIAGONAL] += lam[:, None] * damping
             step = _damped_steps(systems, -gradient)
             trial_x = x + step
-            trial_residual, depth = _stack_residuals(model, image, trial_x, intrinsics)
+            trial_residual, depth, trial_rot = _stack_residuals(model, image, trial_x, intrinsics)
             trial_cost = _row_dots(trial_residual)
             finite = np.all(np.isfinite(step), axis=1)
             short = finite & (np.sqrt(_row_dots(step)) <= step_limit)
             accepted = finite & ~np.any(depth <= MIN_DEPTH, axis=1) & (trial_cost < cost)
             slow = accepted & (cost - trial_cost <= COST_TOLERANCE * cost)
             x[accepted] = trial_x[accepted]
+            rot[accepted] = trial_rot[accepted]
             residual[accepted] = trial_residual[accepted]
             cost[accepted] = trial_cost[accepted]
             tiny = accepted & (np.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE)
@@ -452,17 +548,14 @@ def _solve_stack(problems) -> list:
             fresh[:] = accepted
             finished = short | slow | tiny | exhausted | (iterations >= MAX_ITERATIONS)
             if finished.any():
+                ended = live[finished]
+                x_out[ended], cost_out[ended] = x[finished], cost[finished]
+                iterations_out[ended] = iterations[finished]
                 for j in np.flatnonzero(finished):
                     termination = _termination(short[j], slow[j], tiny[j], exhausted[j])
-                    results[live[j]] = _stack_solution(x[j], cost[j], n_points, iterations[j],
-                                                       termination or "max_iterations")
+                    codes[live[j]] = TERMINATIONS.index(termination or "max_iterations")
                 state = [a[~finished] for a in state]
-    return results
-
-
-def _stack_solution(x, cost, n_points: int, iterations, termination: str) -> PnPSolution:
-    return PnPSolution(_pose_from_params(x), math.sqrt(float(cost) / n_points), int(iterations),
-                       termination)
+    return x_out, cost_out, iterations_out, codes, behind
 
 
 def _row_dots(a) -> np.ndarray:
@@ -499,7 +592,7 @@ def _rodrigues_stack(rvecs) -> np.ndarray:
     b = np.where(small, 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0)),
                  (1.0 - np.cos(theta)) / theta2)
     k = _skew_stack(rvecs)
-    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
+    return _IDENTITY + a[:, None, None] * k + b[:, None, None] * (k @ k)
 
 
 def _right_jacobian_stack(rvecs) -> np.ndarray:
@@ -511,22 +604,23 @@ def _right_jacobian_stack(rvecs) -> np.ndarray:
     cube = np.array([t ** 3 for t in theta.tolist()])
     b = np.where(small, (1.0 - theta * theta / 20.0) / 6.0, (theta - np.sin(theta)) / cube)
     k = _skew_stack(rvecs)
-    return np.eye(3) - a[:, None, None] * k + b[:, None, None] * (k @ k)
+    return _IDENTITY - a[:, None, None] * k + b[:, None, None] * (k @ k)
 
 
 def _stack_residuals(model, image, x, intrinsics):
-    """Residuals (B, 2N) and camera depths (B, N) of stacked problems at parameters x (B, 6)."""
-    cam = model @ _rodrigues_stack(x[:, :3]).transpose(0, 2, 1) + x[:, None, 3:]
-    return (_pinhole(cam, intrinsics) - image).reshape(len(x), -1), cam[..., 2]
+    """Residuals (B, 2N), camera depths (B, N) and rotations (B, 3, 3) of
+    stacked problems at parameters x (B, 6)."""
+    rot = _rodrigues_stack(x[:, :3])
+    cam = model @ rot.transpose(0, 2, 1) + x[:, None, 3:]
+    return (_pinhole(cam, intrinsics) - image).reshape(len(x), -1), cam[..., 2], rot
 
 
-def _stack_jacobian(model, x, intrinsics) -> np.ndarray:
-    """_jacobian_analytic of stacked problems: (B, 2N, 6) at parameters x (B, 6)."""
-    rvecs = x[:, :3]
-    rot = _rodrigues_stack(rvecs)
+def _stack_jacobian(model, x, rot, intrinsics) -> np.ndarray:
+    """_jacobian_analytic of stacked problems: (B, 2N, 6) at parameters x (B, 6)
+    with rotations rot (B, 3, 3)."""
     q = model @ rot.transpose(0, 2, 1)
     lever, full = _pinhole_jacobian(q, q + x[:, None, 3:], intrinsics)
     count, n = model.shape[:2]
-    np.matmul(lever.reshape(count, 2 * n, 3), rot @ _right_jacobian_stack(rvecs),
+    np.matmul(lever.reshape(count, 2 * n, 3), rot @ _right_jacobian_stack(x[:, :3]),
               out=full.reshape(count, 2 * n, 6)[..., :3])
     return full.reshape(count, 2 * n, 6)

@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+# The 3x3 identity, built once: the Rodrigues formulas add to it on every
+# LM residual and Jacobian.  Read-only, because every caller shares it.
+_IDENTITY = np.eye(3)
+_IDENTITY.setflags(write=False)
+
+
 class GimbalLockWarning(UserWarning):
     """Pitch is at +/-90 degrees; yaw and roll are no longer separable."""
 
@@ -80,7 +86,7 @@ def check_rotation(m, tol: float = 1e-9) -> np.ndarray:
         raise ValueError(f"rotation matrix must be 3x3, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("rotation matrix has non-finite entries")
-    err = np.abs(m.T @ m - np.eye(3)).max()
+    err = np.abs(m.T @ m - _IDENTITY).max()
     if err > tol:
         raise ValueError(f"matrix is not orthogonal (|M'M - I| = {err:.3e})")
     det = float(np.linalg.det(m))
@@ -114,23 +120,27 @@ def rotation_to_euler(m, lock_tolerance_deg: float = 1e-6) -> EulerAngles:
     degenerate: roll is fixed to 0, yaw absorbs the whole in-plane angle,
     and a GimbalLockWarning is emitted.
     """
-    m = check_rotation(m)
+    return EulerAngles(*_euler_from_rotation(check_rotation(m), lock_tolerance_deg))
+
+
+def _euler_from_rotation(m, lock_tolerance_deg: float = 1e-6) -> tuple:
+    """rotation_to_euler's (yaw, pitch, roll) of a matrix already known to be a rotation."""
     sp = min(1.0, max(-1.0, -float(m[1, 2])))
     pitch = math.degrees(math.asin(sp))
     if 90.0 - abs(pitch) < lock_tolerance_deg:
         warnings.warn(
             "pitch at +/-90 degrees; fixing roll = 0",
             GimbalLockWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         if sp > 0.0:
             yaw = math.degrees(math.atan2(m[0, 1], m[0, 0]))
         else:
             yaw = math.degrees(math.atan2(-m[0, 1], m[0, 0]))
-        return EulerAngles(wrap_degrees(yaw), pitch, 0.0)
+        return wrap_degrees(yaw), pitch, 0.0
     yaw = math.degrees(math.atan2(m[0, 2], m[2, 2]))
     roll = math.degrees(math.atan2(m[1, 0], m[1, 1]))
-    return EulerAngles(wrap_degrees(yaw), pitch, wrap_degrees(roll))
+    return wrap_degrees(yaw), pitch, wrap_degrees(roll)
 
 
 def skew(v) -> np.ndarray:
@@ -154,7 +164,7 @@ def axis_angle_to_rotation(rvec) -> np.ndarray:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
     k = skew(r)
-    return np.eye(3) + a * k + b * (k @ k)
+    return _IDENTITY + a * k + b * (k @ k)
 
 
 def rotation_to_axis_angle(m) -> np.ndarray:
@@ -171,7 +181,7 @@ def rotation_to_axis_angle(m) -> np.ndarray:
     if math.pi - theta < 1e-4:
         # Off-diagonal differences vanish near pi; recover the axis from
         # (M + I)/2 ~ axis axis^T using its largest diagonal entry.
-        a = (m + np.eye(3)) / 2.0
+        a = (m + _IDENTITY) / 2.0
         i = int(np.argmax(np.diag(a)))
         axis = a[:, i] / math.sqrt(a[i, i])
         axis = axis / np.linalg.norm(axis)

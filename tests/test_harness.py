@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poselab import harness
-from poselab.camera import BehindCameraError
-from poselab.facemodel import DuplicateIdError, ParseError
+from poselab.camera import BehindCameraError, Pose, project
+from poselab.facemodel import DuplicateIdError, ParseError, builtin_mean_face
 from poselab.harness import (
     CSV_HEADER,
     StudyConfig,
@@ -28,6 +32,7 @@ from poselab.harness import _degrade_rows, _make_raster_augment
 from poselab.multiloss import BinSpec, TrainingDivergedError
 from poselab.raster import augment_factor, degrade_values
 from poselab.pnp import DegenerateProblemError
+from poselab.rotmath import EulerAngles, GimbalLockWarning
 
 SMALL_RIGID = StudyConfig(trials=6, nonrigid_sigma=0.0)
 
@@ -292,21 +297,21 @@ class TestPnPSweep:
             assert math.isfinite(result.rows[0].mae) and math.isnan(result.rows[1].mae)
 
     def test_behind_camera_start_excludes_that_label_only(self, monkeypatch):
-        # The first problem of every solve_pnp_batch call starts behind the
+        # The first problem of every _solve_arrays call starts behind the
         # camera.  Blocks of two trials make two calls over three trials:
         # trials 0 and 2 lose their first label, trial 1 keeps both.
         from poselab import harness
 
-        real_batch = harness.solve_pnp_batch
+        real_solve = harness._solve_arrays
         calls = []
 
-        def batch(problems):
-            solutions = real_batch(problems)
-            calls.append(len(problems))
-            solutions[0] = BehindCameraError("start behind the camera")
-            return solutions
+        def solve(groups, intrinsics):
+            x, rmse, iterations, codes, behind = real_solve(groups, intrinsics)
+            calls.append(len(x))
+            behind[0] = True
+            return x, rmse, iterations, codes, behind
 
-        monkeypatch.setattr(harness, "solve_pnp_batch", batch)
+        monkeypatch.setattr(harness, "_solve_arrays", solve)
         monkeypatch.setattr(harness, "TRIAL_BLOCK", 2)
         config = StudyConfig(trials=3, subsets=("rigid-6", "all-68"),
                              jitter_sweep=(0.0, 2.0), stretch_sweep=(0.8, 1.0))
@@ -315,6 +320,20 @@ class TestPnPSweep:
             result = run(config)
             assert calls == [4, 2], result.study
             assert [(r.trials, r.excluded) for r in result.rows] == [(1, 2), (3, 0)], result.study
+
+    def test_gimbal_lock_warns_through_study_path(self):
+        # Every trial's landmarks come from a pose at pitch +90 degrees, so
+        # each solution sits at the lock and its Euler conversion warns.
+        face = builtin_mean_face()
+
+        def trial(rng, pose, intrinsics):
+            locked = Pose(EulerAngles(20.0, 90.0, 0.0), pose.translation)
+            return {"all-68": project(face.points, locked, intrinsics)}
+
+        with pytest.warns(GimbalLockWarning):
+            result = harness._pnp_sweep(StudyConfig(trials=2), "lock", face,
+                                        {"all-68": face.points}, trial)
+        assert (result.rows[0].trials, result.rows[0].excluded) == (2, 0)
 
 
 TINY_TRAIN = dict(scenes=60, epochs=2, hidden_size=16, batch_size=16)
@@ -400,6 +419,30 @@ class TestLowresStudy:
             got = (row.yaw_mae, row.pitch_mae, row.roll_mae, row.mae)
             assert got == pytest.approx(self.PINNED_ROWS[row.sweep], abs=1e-9, rel=0)
             assert (row.trials, row.excluded) == (12, 0)
+
+
+def test_trained_csv_bytes_independent_of_blas_threads(tmp_path):
+    # The same trained rows with one and with two BLAS threads; only these
+    # two counts are run, on purpose.
+    script = (
+        "import sys\n"
+        "from poselab.harness import StudyConfig, emit_csv, run_alpha_ablation, run_lowres_study\n"
+        "config = StudyConfig(scenes=300, epochs=3, master_seed=0,\n"
+        "                     lowres_schemes=('none', 'uniform1to10'), lowres_factors=(1, 10, 15),\n"
+        "                     alpha_sweep=(0.0, 2.0))\n"
+        "emit_csv(run_lowres_study(config), sys.argv[1] + '/lowres.csv')\n"
+        "emit_csv(run_alpha_ablation(config), sys.argv[1] + '/alpha.csv')\n"
+    )
+    src = Path(harness.__file__).resolve().parents[1]
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=300)
+        csvs.append([(out / name).read_bytes() for name in ("lowres.csv", "alpha.csv")])
+    assert csvs[0] == csvs[1]
 
 
 class TestAlphaAblation:

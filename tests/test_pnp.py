@@ -284,9 +284,9 @@ class TestSolvePnPBatch:
             rounds.append(len(systems))
             return damped_steps(systems, rhs)
 
-        def counted_iterate(problem, x, residual, cost, lam, iterations):
-            handed.append(iterations)
-            return iterate(problem, x, residual, cost, lam, iterations)
+        def counted_iterate(*args):
+            handed.append(args[-1])  # the iterations already run
+            return iterate(*args)
 
         monkeypatch.setattr(pnp, "_damped_steps", counted_steps)
         monkeypatch.setattr(pnp, "_iterate", counted_iterate)
@@ -305,9 +305,12 @@ class TestSolvePnPBatch:
             group = [p for p in problems if len(p.model_points) == n_points]
             x = pnp._start_params(np.stack([p.model_points for p in group]))
             x += rng.uniform(-0.5, 0.5, x.shape)
-            stacked = pnp._stack_jacobian(np.stack([p.model_points for p in group]), x, K)
+            rot = pnp._rodrigues_stack(x[:, :3])
+            stacked = pnp._stack_jacobian(np.stack([p.model_points for p in group]), x, rot, K)
             for problem, xi, got in zip(group, x, stacked, strict=True):
-                assert np.array_equal(got, pnp._jacobian_analytic(problem, xi))
+                scalar_rot = pnp.axis_angle_to_rotation(xi[:3])
+                assert np.array_equal(got, pnp._jacobian_analytic(problem.model_points, xi,
+                                                                  scalar_rot, K))
 
     @pytest.mark.parametrize("cap", [1, 7 * 6, 7 * 68])
     def test_solution_independent_of_batch_cap_and_order(self, monkeypatch, cap):
@@ -382,3 +385,69 @@ class TestSolvePnPBatch:
         assert np.all(np.isnan(steps[1]))
         for i in (0, 2):
             assert np.array_equal(steps[i], np.linalg.solve(systems[i], rhs[i]))
+
+
+class TestSolveArrays:
+    """pnp._solve_arrays, the array path under solve_pnp_batch that the PnP studies call."""
+
+    @staticmethod
+    def assert_matches_solve_pnp(problems, solved):
+        x, rmse, iterations, codes, behind = solved
+        angles = pnp._euler_rows(x)
+        assert not behind.any()
+        for k, problem in enumerate(problems):
+            want = solve_pnp(problem)
+            assert np.array_equal(angles[k], want.pose.rotation.as_array())
+            assert np.array_equal(x[k, 3:], want.pose.translation)
+            assert rmse[k] == want.rmse
+            assert iterations[k] == want.iterations
+            assert pnp.TERMINATIONS[codes[k]] == want.termination
+
+    @pytest.mark.parametrize("jitter", [0.0, 5.0])
+    def test_shared_models_match_solve_pnp(self, jitter):
+        # The all-68 and rigid-6 problems of criterion 2's scenes, each point
+        # count one group with its model given once as (N, 3).
+        problems = criterion_scenes(60, jitter=jitter)
+        groups = [problems[0::2], problems[1::2]]
+        solved = pnp._solve_arrays(
+            [(group[0].model_points, np.stack([p.image_points for p in group]))
+             for group in groups], K)
+        self.assert_matches_solve_pnp(groups[0] + groups[1], solved)
+
+    @pytest.mark.parametrize("jitter", [0.0, 5.0])
+    def test_per_problem_models_match_solve_pnp(self, jitter):
+        # Every all-68 problem solved against its own stretched model (B, N, 3).
+        rng = np.random.default_rng(11)
+        problems = [PnPProblem(stretch_model(builtin_mean_face(), *rng.uniform(0.6, 1.4, 2)).points,
+                               p.image_points, K)
+                    for p in criterion_scenes(40, jitter=jitter)[0::2]]
+        solved = pnp._solve_arrays(
+            [(np.stack([p.model_points for p in problems]),
+              np.stack([p.image_points for p in problems]))], K)
+        self.assert_matches_solve_pnp(problems, solved)
+
+    def test_rotation_built_once_per_residual_evaluation(self, monkeypatch):
+        # Each accepted step's Jacobian reuses the rotation its trial residuals
+        # built, in the stacked loop and in solve_pnp's loop it hands off to.
+        counts = dict.fromkeys(("rodrigues_stack", "stack_residuals", "stack_jacobian",
+                                "rodrigues", "residuals", "jacobian"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name, attr in (("rodrigues_stack", "_rodrigues_stack"),
+                           ("stack_residuals", "_stack_residuals"),
+                           ("stack_jacobian", "_stack_jacobian"),
+                           ("rodrigues", "axis_angle_to_rotation"),
+                           ("residuals", "_residuals_at"),
+                           ("jacobian", "_jacobian_analytic")):
+            monkeypatch.setattr(pnp, attr, counted(name, getattr(pnp, attr)))
+        problems = criterion_scenes(20, seed=3, jitter=5.0)[0::2]
+        pnp._solve_arrays([(problems[0].model_points,
+                            np.stack([p.image_points for p in problems]))], K)
+        assert counts["stack_jacobian"] > 0 and counts["jacobian"] > 0
+        assert counts["rodrigues_stack"] == counts["stack_residuals"]
+        assert counts["rodrigues"] == counts["residuals"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poselab import pnp, rotmath
 from poselab.rotmath import (
     EulerAngles,
     GimbalLockWarning,
@@ -203,3 +204,15 @@ class TestAxisAngle:
         e = EulerAngles(33.0, -12.0, 71.0)
         m = euler_to_rotation(e)
         assert np.allclose(axis_angle_to_rotation(rotation_to_axis_angle(m)), m, atol=1e-12)
+
+
+def test_shared_identity_is_read_only():
+    # Every Rodrigues and right-Jacobian evaluation adds to this one array,
+    # in both modules; a write through any of them must fail, not leak.
+    assert pnp._IDENTITY is rotmath._IDENTITY
+    assert np.array_equal(rotmath._IDENTITY, np.eye(3))
+    with pytest.raises(ValueError):
+        rotmath._IDENTITY[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        rotmath._IDENTITY += 1.0
+    assert np.array_equal(rotmath._IDENTITY, np.eye(3))
