@@ -414,6 +414,12 @@ def predict_angles(net: ToyNet, inputs):
     return softmax(z) @ net.spec.centers
 
 
+# Adam's moment decay rates and the denominator's guard, as Kingma & Ba set them.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(eq=False)
 class AdamState:
     """Bias-corrected Adam accumulators, keyed like the parameter dict.
@@ -423,9 +429,6 @@ class AdamState:
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -437,8 +440,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     if set(params) != set(grads):
         raise ShapeMismatchError("params and grads must have identical keys")
     state.step += 1
-    correction1 = 1.0 - state.beta1 ** state.step
-    correction2 = 1.0 - state.beta2 ** state.step
+    correction1 = 1.0 - ADAM_BETA1 ** state.step
+    correction2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=float)
         if g.shape != p.shape:
@@ -455,16 +458,16 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         # The textbook update, operation for operation, with out= into a, b:
         # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
         # p -= lr * (m/c1) / (sqrt(v/c2) + eps).
-        m *= state.beta1
-        np.multiply(1.0 - state.beta1, g, out=a)
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=a)
         m += a
-        v *= state.beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=a)
-        np.multiply(1.0 - state.beta2, a, out=a)
+        np.multiply(1.0 - ADAM_BETA2, a, out=a)
         v += a
         np.divide(v, correction2, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += ADAM_EPS
         np.divide(m, correction1, out=a)
         np.multiply(state.lr, a, out=a)
         np.divide(a, b, out=a)

@@ -471,17 +471,19 @@ _DIAGONAL = np.arange(6)
 def _solve_stack(model, image, intrinsics) -> tuple:
     """solve_pnp's loop run on B stacked problems: models (B, N, 3) and images (B, N, 2).
 
-    Each round makes one damping attempt per unfinished problem: a
-    rejected step raises that problem's damping and the next round
-    solves its cached normal equations again; an accepted step ends one
-    of its iterations, and the next round starts from a fresh Jacobian,
-    built with the rotation the accepted trial's residuals were.
-    The stopping tests are solve_pnp's, with the same operations.  The
-    last unfinished problem goes on in solve_pnp's own loop from its
-    iterate, damping and iteration count: a round for one problem costs
-    two to two and a half times a scalar attempt, and the longest solves
-    (up to MAX_ITERATIONS) would otherwise end alone in the stack, so
-    the run time would follow how many of them a batch holds.
+    Each round makes one damping attempt per unfinished problem.  Between
+    rounds a problem keeps only its iterate (with that iterate's rotation,
+    residuals and cost), its damping and its iteration count, and each
+    round builds its Jacobian and normal equations from them.  A rejected
+    step leaves the iterate where it was, so the next round rebuilds the
+    same normal equations and solves them with the raised damping; an
+    accepted step ends one of its iterations.  The stopping tests are
+    solve_pnp's, with the same operations.  The last unfinished problem
+    goes on in solve_pnp's own loop from its iterate, damping and
+    iteration count: a round for one problem costs two to two and a half
+    times a scalar attempt, and the longest solves (up to MAX_ITERATIONS)
+    would otherwise end alone in the stack, so the run time would follow
+    how many of them a batch holds.
 
     Returns the best iterates x (B, 6), their costs, iterations and
     termination codes, and the rows whose start is behind the camera.
@@ -502,15 +504,11 @@ def _solve_stack(model, image, intrinsics) -> tuple:
 
         keep = ~done
         live = np.flatnonzero(keep)  # stack positions still iterating
-        size = len(live)
         state = [live, *(a[keep] for a in (x, rot, residual, cost, model, image)),
-                 np.full(size, INITIAL_DAMPING), np.zeros(size, dtype=int),
-                 np.ones(size, dtype=bool), np.empty((size, 6, 6)), np.empty((size, 6)),
-                 np.empty((size, 6)), np.empty(size)]
+                 np.full(len(live), INITIAL_DAMPING), np.zeros(len(live), dtype=int)]
         while len(state[0]):
             # Each round updates these arrays in place; finished rows are dropped.
-            (live, x, rot, residual, cost, model, image, lam, iterations, fresh, normal, gradient,
-             damping, step_limit) = state
+            live, x, rot, residual, cost, model, image, lam, iterations = state
             if len(live) == 1:
                 j = live[0]
                 x_out[j], cost_out[j], iterations_out[j], termination = _iterate(
@@ -518,15 +516,12 @@ def _solve_stack(model, image, intrinsics) -> tuple:
                     float(lam[0]), int(iterations[0]))
                 codes[j] = TERMINATIONS.index(termination)
                 break
-            if fresh.any():
-                jac = _stack_jacobian(model[fresh], x[fresh], rot[fresh], intrinsics)
-                jac_t = jac.transpose(0, 2, 1)
-                normal[fresh] = jac_t @ jac
-                gradient[fresh] = (jac_t @ residual[fresh, :, None])[..., 0]
-                damping[fresh] = np.maximum(normal[fresh][:, _DIAGONAL, _DIAGONAL], DIAG_FLOOR)
-                step_limit[fresh] = STEP_TOLERANCE * (np.sqrt(_row_dots(x[fresh]))
-                                                      + STEP_TOLERANCE)
-            systems = normal.copy()
+            jac = _stack_jacobian(model, x, rot, intrinsics)
+            jac_t = jac.transpose(0, 2, 1)
+            systems = jac_t @ jac
+            gradient = (jac_t @ residual[:, :, None])[..., 0]
+            damping = np.maximum(systems[:, _DIAGONAL, _DIAGONAL], DIAG_FLOOR)
+            step_limit = STEP_TOLERANCE * (np.sqrt(_row_dots(x)) + STEP_TOLERANCE)
             systems[:, _DIAGONAL, _DIAGONAL] += lam[:, None] * damping
             step = _damped_steps(systems, -gradient)
             trial_x = x + step
@@ -545,7 +540,6 @@ def _solve_stack(model, image, intrinsics) -> tuple:
                               lam * DAMPING_UP)
             exhausted = ~accepted & (lam > MAX_DAMPING)
             iterations += accepted | short | exhausted
-            fresh[:] = accepted
             finished = short | slow | tiny | exhausted | (iterations >= MAX_ITERATIONS)
             if finished.any():
                 ended = live[finished]

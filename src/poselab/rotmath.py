@@ -40,6 +40,11 @@ __all__ = [
 _IDENTITY = np.eye(3)
 _IDENTITY.setflags(write=False)
 
+# check_rotation's bound on |M'M - I| and on |det M - 1|.
+ROTATION_TOLERANCE = 1e-9
+# rotation_to_euler treats a pitch this close to +/-90 degrees as gimbal lock.
+GIMBAL_LOCK_TOLERANCE_DEG = 1e-6
+
 
 class GimbalLockWarning(UserWarning):
     """Pitch is at +/-90 degrees; yaw and roll are no longer separable."""
@@ -75,11 +80,11 @@ def angle_error(a, b):
     return err if err.ndim else float(err)
 
 
-def check_rotation(m, tol: float = 1e-9) -> np.ndarray:
+def check_rotation(m) -> np.ndarray:
     """Validate that ``m`` is a proper rotation matrix and return it as float64.
 
     Raises ValueError when the matrix is not 3x3, not orthogonal to within
-    ``tol``, or has determinant different from 1 by more than ``tol``.
+    ROTATION_TOLERANCE, or has determinant different from 1 by more than it.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
@@ -87,10 +92,10 @@ def check_rotation(m, tol: float = 1e-9) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("rotation matrix has non-finite entries")
     err = np.abs(m.T @ m - _IDENTITY).max()
-    if err > tol:
+    if err > ROTATION_TOLERANCE:
         raise ValueError(f"matrix is not orthogonal (|M'M - I| = {err:.3e})")
     det = float(np.linalg.det(m))
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > ROTATION_TOLERANCE:
         raise ValueError(f"matrix determinant is {det!r}, expected 1")
     return m
 
@@ -113,21 +118,21 @@ def euler_to_rotation(e: EulerAngles) -> np.ndarray:
     )
 
 
-def rotation_to_euler(m, lock_tolerance_deg: float = 1e-6) -> EulerAngles:
+def rotation_to_euler(m) -> EulerAngles:
     """Recover canonical-range Euler angles from a rotation matrix.
 
-    Within ``lock_tolerance_deg`` of pitch = +/-90 the yaw/roll split is
+    Within GIMBAL_LOCK_TOLERANCE_DEG of pitch = +/-90 the yaw/roll split is
     degenerate: roll is fixed to 0, yaw absorbs the whole in-plane angle,
     and a GimbalLockWarning is emitted.
     """
-    return EulerAngles(*_euler_from_rotation(check_rotation(m), lock_tolerance_deg))
+    return EulerAngles(*_euler_from_rotation(check_rotation(m)))
 
 
-def _euler_from_rotation(m, lock_tolerance_deg: float = 1e-6) -> tuple:
+def _euler_from_rotation(m) -> tuple:
     """rotation_to_euler's (yaw, pitch, roll) of a matrix already known to be a rotation."""
     sp = min(1.0, max(-1.0, -float(m[1, 2])))
     pitch = math.degrees(math.asin(sp))
-    if 90.0 - abs(pitch) < lock_tolerance_deg:
+    if 90.0 - abs(pitch) < GIMBAL_LOCK_TOLERANCE_DEG:
         warnings.warn(
             "pitch at +/-90 degrees; fixing roll = 0",
             GimbalLockWarning,
@@ -150,7 +155,11 @@ def skew(v) -> np.ndarray:
 
 
 def axis_angle_to_rotation(rvec) -> np.ndarray:
-    """Rodrigues map from a rotation vector (radians) to a rotation matrix."""
+    """Rodrigues map from a rotation vector (radians) to a rotation matrix.
+
+    The matrix is all NaN where rvec @ rvec is not finite: it overflows,
+    or rvec holds NaN.
+    """
     r = np.asarray(rvec, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"rotation vector must have shape (3,), got {r.shape}")
@@ -160,9 +169,12 @@ def axis_angle_to_rotation(rvec) -> np.ndarray:
         # Series for sin(t)/t and (1-cos t)/t^2; exact through O(t^4).
         a = 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0)
         b = 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0))
-    else:
+    elif theta < math.inf:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
+    else:
+        # As in pnp._rodrigues_stack, so an LM trial step here is rejected.
+        return np.full((3, 3), math.nan)
     k = skew(r)
     return _IDENTITY + a * k + b * (k @ k)
 

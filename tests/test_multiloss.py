@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from poselab.multiloss import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     AngleHeadOutput,
     AngleOutOfRangeError,
@@ -468,7 +471,7 @@ class TestAdam:
         rng = np.random.default_rng(3)
         params = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
         state = AdamState(lr=0.01)
-        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
         ref_p = {k: v.copy() for k, v in params.items()}
         ref_m = {k: np.zeros_like(v) for k, v in params.items()}
         ref_v = {k: np.zeros_like(v) for k, v in params.items()}

@@ -50,6 +50,50 @@ def unused_imports(source: str) -> list:
     return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
 
 
+def dead_private_names(sources: dict) -> list:
+    """Module-level private names (one leading underscore; dunders excluded) that
+    no module of sources, a dict of module name to source, reads or imports.
+
+    A function, class or assigned constant counts; a name read as an
+    attribute (module._name) or imported in any module counts as read.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(f"{module}: {name}" for module, name in defined if name not in read)
+
+
+def test_no_dead_private_names():
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "poselab").glob("*.py")}
+    assert {"pnp", "rotmath"} <= set(sources)
+    assert dead_private_names(sources) == []
+
+
+def test_dead_private_name_check_flags_and_exempts():
+    a = ("_READ = 1\n_DEAD = 2\n__version__ = '1'\n_attr: int = 3\n_annotated_dead: int = 4\n"
+         "def _imported(): pass\ndef _dead(): return _READ\nclass _Dead: pass\n")
+    b = "from a import _imported\nimport a\nprint(a._attr)\n"
+    assert dead_private_names({"a": a, "b": b}) == [
+        "a: _DEAD", "a: _Dead", "a: _annotated_dead", "a: _dead"]
+
+
 def test_no_unused_imports():
     assert len(SOURCES) > 10
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in SOURCES}

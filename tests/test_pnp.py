@@ -298,6 +298,44 @@ class TestSolvePnPBatch:
         for problem, got in zip(problems, batch, strict=True):
             assert same_solution(got, solve_pnp(problem))
 
+    def test_one_damping_attempt_per_live_problem_per_round(self, monkeypatch):
+        # Every row of a stacked round and every scalar attempt of the hand-off
+        # is one damping attempt of solve_pnp's loop: the totals agree.
+        problems = criterion_scenes(20, seed=3, jitter=5.0)
+        counts = {"rows": 0, "scalar": 0}
+        damped_steps, solve = pnp._damped_steps, np.linalg.solve
+
+        def counted_steps(systems, rhs):
+            counts["rows"] += len(systems)
+            return damped_steps(systems, rhs)
+
+        def counted_solve(a, b):
+            counts["scalar"] += np.ndim(a) == 2
+            return solve(a, b)
+
+        monkeypatch.setattr(pnp, "_damped_steps", counted_steps)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        solve_pnp_batch(problems)
+        stacked = counts["rows"] + counts["scalar"]
+        counts["scalar"] = 0
+        for problem in problems:
+            solve_pnp(problem)
+        assert stacked == counts["scalar"] == 473
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_trial_rotation_overflow_rejected_in_both_loops(self, scale):
+        # Image points this far out make the first step's rotation vector too
+        # long to square.  Both loops reject that trial and end on exhausted
+        # damping; the stacked loop hands the last problem to solve_pnp's loop.
+        rng = np.random.default_rng(0)
+        wild = PnPProblem(builtin_mean_face().points, rng.uniform(-scale, scale, (68, 2)), K)
+        problems = [wild, criterion_scenes(1)[0]]
+        batch = solve_pnp_batch(problems)
+        assert batch[0].termination == "damping_exhausted"
+        for problem, got in zip(problems, batch, strict=True):
+            assert same_solution(got, solve_pnp(problem))
+
     def test_stack_jacobian_matches_jacobian_analytic(self):
         problems = criterion_scenes(40, seed=2, jitter=3.0)
         rng = np.random.default_rng(4)

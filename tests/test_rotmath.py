@@ -155,7 +155,8 @@ class TestCheckRotation:
         m[0, 1] = 1e-6
         with pytest.raises(ValueError):
             check_rotation(m)
-        check_rotation(m, tol=1e-2)
+        m[0, 1] = 0.1 * rotmath.ROTATION_TOLERANCE
+        check_rotation(m)
 
 
 class TestSkew:
@@ -204,6 +205,15 @@ class TestAxisAngle:
         e = EulerAngles(33.0, -12.0, 71.0)
         m = euler_to_rotation(e)
         assert np.allclose(axis_angle_to_rotation(rotation_to_axis_angle(m)), m, atol=1e-12)
+
+    def test_angle_too_long_to_square_is_nan_as_stacked(self):
+        r = np.array([1e200, -2e200, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = pnp._rodrigues_stack(r[None])[0]
+            assert np.all(np.isnan(axis_angle_to_rotation(r)))
+        assert np.all(np.isnan(stacked))
+        with pytest.raises(ValueError, match=r"rotation vector must have shape \(3,\), got \(4,\)"):
+            axis_angle_to_rotation(np.zeros(4))
 
 
 def test_shared_identity_is_read_only():
