@@ -28,7 +28,6 @@ import numbers
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -59,7 +58,13 @@ from .pnp import (
 # The studies never call solve_pnp.  It stays bound here only because
 # perfbench's test_tracer_restores_every_binding looks it up on this module.
 from .pnp import solve_pnp  # noqa: F401
-from .raster import AUGMENT_SCHEMES, UnknownSchemeError, augment_factor, degrade_stack, rasterize
+from .raster import (
+    AUGMENT_SCHEMES,
+    UnknownSchemeError,
+    augment_factor,
+    degrade_stack,
+    rasterize_stack,
+)
 from .rotmath import EulerAngles, angle_error
 
 __all__ = [
@@ -342,18 +347,19 @@ def run_stretch_study(config: StudyConfig | None = None, axis: str = "width") ->
     return _pnp_sweep(config, f"stretch-{axis}", model, models, trial)
 
 
-def _scene_dataset(config: StudyConfig, features, width: int):
-    """(inputs, targets) for config.scenes scenes: row i is
-    features(landmarks), a length-width vector of the mean face
-    projected at the pose drawn from seed master_seed+i, next to that
-    pose's true (yaw, pitch, roll)."""
+def _scene_dataset(config: StudyConfig, features):
+    """(inputs, targets) for config.scenes scenes: row i of inputs is row i
+    of features(landmarks), where landmarks (scenes, N, 2) stacks the mean
+    face projected at the pose drawn from seed master_seed+i, and row i of
+    targets is that pose's true (yaw, pitch, roll).  features maps the
+    whole stack at once."""
     model = builtin_mean_face()
-    inputs = np.empty((config.scenes, width))
+    landmarks = np.empty((config.scenes, len(model.points), 2))
     targets = np.empty((config.scenes, 3))
     for i, (_, pose, intrinsics) in enumerate(_scenes(config, model, config.scenes)):
-        inputs[i] = features(project(model.points, pose, intrinsics))
+        landmarks[i] = project(model.points, pose, intrinsics)
         targets[i] = pose.rotation.as_array()
-    return inputs, targets
+    return features(landmarks), targets
 
 
 def _train_val_split(config: StudyConfig, n: int):
@@ -399,10 +405,11 @@ def _trained_rows(config: StudyConfig, inputs, targets, views, runs) -> tuple:
 
 
 def _landmark_features(image_points: np.ndarray) -> np.ndarray:
-    """Translation- and scale-normalized flat landmark vector."""
-    centered = image_points - image_points.mean(axis=0)
-    rms = math.sqrt(float(np.mean(np.sum(centered ** 2, axis=1))))
-    return (centered / rms).ravel()
+    """Translation- and scale-normalized flat landmark vectors (B, 2N) of a
+    (B, N, 2) stack."""
+    centered = image_points - image_points.mean(axis=1, keepdims=True)
+    rms = np.sqrt(np.mean(np.sum(centered ** 2, axis=2), axis=1))
+    return (centered / rms[:, None, None]).reshape(len(image_points), -1)
 
 
 def _degrade_rows(rows: np.ndarray, size: int, factors) -> np.ndarray:
@@ -428,8 +435,8 @@ def run_lowres_study(config: StudyConfig | None = None) -> StudyResult:
     size = RASTER_SIZE
     scale = np.array([size / IMAGE_WIDTH, size / IMAGE_HEIGHT])
     inputs, targets = _scene_dataset(
-        config, lambda landmarks: rasterize(landmarks * scale, size, size).values.ravel(),
-        size * size)
+        config, lambda landmarks: rasterize_stack(landmarks * scale, size, size).reshape(
+            len(landmarks), -1))
 
     def degraded(factor):
         return lambda held_out: _degrade_rows(held_out, size, [factor] * len(held_out))
@@ -446,7 +453,7 @@ def run_lowres_study(config: StudyConfig | None = None) -> StudyResult:
 def landmark_dataset(config: StudyConfig | None = None):
     """(inputs, targets) for config.scenes synthetic scenes: normalized
     flat landmark vectors (N, 136) and true angle rows (N, 3)."""
-    return _scene_dataset(config or StudyConfig(), _landmark_features, 136)
+    return _scene_dataset(config or StudyConfig(), _landmark_features)
 
 
 def run_alpha_ablation(config: StudyConfig | None = None) -> StudyResult:
@@ -496,6 +503,12 @@ def read_study_csv(path) -> StudyResult:
     return StudyResult(Path(path).stem, tuple(rows))
 
 
+def _escape(text: str) -> str:
+    """text with &, < and > as XML entities, as xml.sax.saxutils.escape
+    writes them; importing that module would load urllib, http and ssl."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def emit_svg(result: StudyResult, path) -> None:
     """Line chart of per-angle MAE over the sweep, one polyline per angle."""
     width, height = 640, 400
@@ -523,7 +536,7 @@ def emit_svg(result: StudyResult, path) -> None:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{left}" y="{top - 16}" font-size="14">{escape(result.study)} MAE (deg)</text>',
+        f'<text x="{left}" y="{top - 16}" font-size="14">{_escape(result.study)} MAE (deg)</text>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" stroke="black"/>',
         f'<text x="{left - 8}" y="{top + 4}" font-size="10" text-anchor="end">{vmax:.3g}</text>',
@@ -531,7 +544,7 @@ def emit_svg(result: StudyResult, path) -> None:
     ]
     for i, r in enumerate(rows):
         parts.append(f'<text x="{x_at(i):.2f}" y="{top + plot_h + 16}" font-size="10" '
-                     f'text-anchor="middle">{escape(r.sweep)}</text>')
+                     f'text-anchor="middle">{_escape(r.sweep)}</text>')
     for rank, (name, color, vals) in enumerate(series):
         points = " ".join(f"{x_at(i):.2f},{y_at(v):.2f}" for i, v in enumerate(vals)
                           if math.isfinite(v))

@@ -418,14 +418,20 @@ def predict_angles(net: ToyNet, inputs):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# adam_step updates a parameter in slices of at most this many elements
+# (whole rows along its first axis, at least one), so the arrays each of
+# its passes reads and writes stay in cache rather than streaming the
+# whole parameter thirteen times.
+ADAM_BLOCK = 32768
 
 
 @dataclass(eq=False)
 class AdamState:
     """Bias-corrected Adam accumulators, keyed like the parameter dict.
 
-    scratch holds two parameter-sized work arrays per name, reused by
-    every step instead of allocating its temporaries afresh.
+    scratch holds two block-sized work arrays per name (see ADAM_BLOCK),
+    reused by every step and every block instead of allocating the
+    temporaries afresh.
     """
 
     lr: float = 1e-3
@@ -436,7 +442,13 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
-    """One in-place Adam update of every parameter array; grads are only read."""
+    """One in-place Adam update of every parameter array; grads are only read.
+
+    Each parameter is updated one block of rows at a time (at most
+    ADAM_BLOCK elements, or one row if a row is longer); every element
+    sees the textbook operations in the textbook order, so the result is
+    the unblocked update's, bit for bit.
+    """
     if set(params) != set(grads):
         raise ShapeMismatchError("params and grads must have identical keys")
     state.step += 1
@@ -451,27 +463,34 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         for moments in (state.m, state.v):
             if name not in moments:
                 moments[name] = np.zeros_like(p)
+        # A slice along the first axis is a view whatever the layout, so
+        # every block is updated in place; a 0-d parameter is one block.
+        p, g, m, v = (np.atleast_1d(a) for a in (p, g, state.m[name], state.v[name]))
+        rows = max(1, min(len(p), ADAM_BLOCK // max(math.prod(p.shape[1:]), 1)))
         if name not in state.scratch:
-            state.scratch[name] = (np.empty(p.shape), np.empty(p.shape))
-        m, v = state.m[name], state.v[name]
-        a, b = state.scratch[name]
-        # The textbook update, operation for operation, with out= into a, b:
-        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-        # p -= lr * (m/c1) / (sqrt(v/c2) + eps).
-        m *= ADAM_BETA1
-        np.multiply(1.0 - ADAM_BETA1, g, out=a)
-        m += a
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=a)
-        np.multiply(1.0 - ADAM_BETA2, a, out=a)
-        v += a
-        np.divide(v, correction2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        np.divide(m, correction1, out=a)
-        np.multiply(state.lr, a, out=a)
-        np.divide(a, b, out=a)
-        p -= a
+            state.scratch[name] = (np.empty((rows, *p.shape[1:])), np.empty((rows, *p.shape[1:])))
+        work_a, work_b = state.scratch[name]
+        for start in range(0, len(p), rows):
+            block = slice(start, start + rows)
+            pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+            a, b = work_a[:len(pb)], work_b[:len(pb)]
+            # The textbook update, operation for operation, with out= into a, b:
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # p -= lr * (m/c1) / (sqrt(v/c2) + eps).
+            mb *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, gb, out=a)
+            mb += a
+            vb *= ADAM_BETA2
+            np.multiply(gb, gb, out=a)
+            np.multiply(1.0 - ADAM_BETA2, a, out=a)
+            vb += a
+            np.divide(vb, correction2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            np.divide(mb, correction1, out=a)
+            np.multiply(state.lr, a, out=a)
+            np.divide(a, b, out=a)
+            pb -= a
 
 
 def train_toy(dataset, config: MultiLossConfig | None = None, spec: BinSpec | None = None,

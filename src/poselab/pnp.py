@@ -216,7 +216,11 @@ def _pose_from_params(x: np.ndarray) -> Pose:
 def _euler_rows(x) -> np.ndarray:
     """(B, 3) yaw, pitch and roll in degrees of parameter rows x (B, 6): the
     angles _pose_from_params gives, without its rotation check and Pose."""
-    angles = [_euler_from_rotation(rot) for rot in _rodrigues_stack(x[:, :3])]
+    # Both branches of the Rodrigues series are evaluated (a zero rotation
+    # vector divides 0 by 0 in the unused one), as in _solve_stack.
+    with np.errstate(all="ignore"):
+        rotations = _rodrigues_stack(x[:, :3])
+    angles = [_euler_from_rotation(rot) for rot in rotations]
     return np.array(angles, dtype=float).reshape(-1, 3)
 
 
@@ -322,12 +326,16 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
     model, image, intrinsics = problem.model_points, problem.image_points, problem.intrinsics
     n_points = len(model)
     x = _start_params(model[None])[0] if init is None else _params_from_pose(init)
-    residual, rot = _residuals_at(model, image, x, intrinsics)
-    cost = float(residual @ residual)
-    if math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE:
-        return _solution(n_points, x, cost, 0, "residual")
-    return _solution(n_points, *_iterate(model, image, intrinsics, x, rot, residual, cost,
-                                         INITIAL_DAMPING, 0))
+    # As in _solve_stack: a cost that overflows to inf is compared, not
+    # used, so the floating-point warnings on the way are suppressed.
+    with np.errstate(all="ignore"):
+        residual, rot = _residuals_at(model, image, x, intrinsics)
+        cost = float(residual @ residual)
+        if math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE:
+            result = x, cost, 0, "residual"
+        else:
+            result = _iterate(model, image, intrinsics, x, rot, residual, cost, INITIAL_DAMPING, 0)
+    return _solution(n_points, *result)
 
 
 def _iterate(model, image, intrinsics, x, rot, residual, cost: float, lam: float,

@@ -345,6 +345,15 @@ class TestSolvePnP:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_landmarks_print_no_warning(self, tmp_path, capsys):
+        lm = tmp_path / "landmarks.txt"
+        lm.write_text("".join(f"{i} 1e200 2e200\n" for i in range(1, 69)))
+        assert main(["solve-pnp", "--landmarks", str(lm)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "rmse inf px" in out and out.rstrip().endswith("(damping_exhausted)")
+
 
 class TestTrainToy:
     def test_writes_loadable_model(self, tmp_path, capsys):

@@ -30,7 +30,7 @@ from poselab.harness import (
 )
 from poselab.harness import _degrade_rows, _make_raster_augment
 from poselab.multiloss import BinSpec, TrainingDivergedError
-from poselab.raster import augment_factor, degrade_values
+from poselab.raster import SPLAT_BLOCK, augment_factor, degrade_values, rasterize
 from poselab.pnp import DegenerateProblemError
 from poselab.rotmath import EulerAngles, GimbalLockWarning
 
@@ -137,6 +137,13 @@ class TestJitterStudy:
     def test_unknown_subset(self):
         with pytest.raises(ValueError, match="bogus"):
             run_jitter_study(StudyConfig(trials=2), subset_name="bogus")
+
+    @pytest.mark.filterwarnings("error")
+    def test_solve_left_at_zero_rotation_raises_no_warning(self):
+        # At 1e300 px of jitter the solve never leaves the identity start,
+        # whose zero rotation vector the Euler conversion then meets.
+        result = run_jitter_study(StudyConfig(trials=1, jitter_sweep=(1e300,)), "rigid-6")
+        assert result.rows[0].trials == 1 and math.isfinite(result.rows[0].mae)
 
 
 class TestStretchStudy:
@@ -474,6 +481,46 @@ class TestLandmarkDataset:
         assert rms == pytest.approx(1.0)
 
 
+def per_scene_dataset(config, features):
+    """(inputs, targets) built one scene at a time: project, then features."""
+    model = builtin_mean_face()
+    inputs, targets = [], []
+    for _, pose, intrinsics in harness._scenes(config, model, config.scenes):
+        inputs.append(features(project(model.points, pose, intrinsics)))
+        targets.append(pose.rotation.as_array())
+    return np.array(inputs), np.array(targets)
+
+
+def normalized_landmarks(points):
+    centered = points - points.mean(axis=0)
+    return (centered / math.sqrt(float(np.mean(np.sum(centered ** 2, axis=1))))).ravel()
+
+
+class TestStackedSceneDataset:
+    # More scenes than one splat block, so the stack is split.
+    CONFIG = StudyConfig(scenes=2 * SPLAT_BLOCK + 3, master_seed=4)
+
+    def test_landmark_dataset_matches_per_scene(self):
+        got = landmark_dataset(self.CONFIG)
+        want = per_scene_dataset(self.CONFIG, normalized_landmarks)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_lowres_inputs_match_per_scene_rasters(self, monkeypatch):
+        seen = []
+
+        def capture(config, inputs, targets, views, runs):
+            seen.append((inputs, targets))
+            return ()
+
+        monkeypatch.setattr(harness, "_trained_rows", capture)
+        run_lowres_study(self.CONFIG)
+        size = harness.RASTER_SIZE
+        scale = np.array([size / harness.IMAGE_WIDTH, size / harness.IMAGE_HEIGHT])
+        want = per_scene_dataset(
+            self.CONFIG, lambda points: rasterize(points * scale, size, size).values.ravel())
+        assert all(np.array_equal(g, w) for g, w in zip(seen[0], want))
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         result = run_subset_study(SMALL_RIGID)
@@ -547,10 +594,14 @@ class TestSvg:
             assert len(poly.attrib["points"].split()) == 2
 
     def test_escapes_markup(self, tmp_path):
-        rows = (StudyRow("a<b&c", 1.0, 1.0, 1.0, 1.0, 1),)
+        rows = (StudyRow("a<b&c>d", 1.0, 1.0, 1.0, 1.0, 1),)
         path = tmp_path / "esc.svg"
-        emit_svg(StudyResult("x<y", rows), path)
-        ET.fromstring(path.read_text())
+        emit_svg(StudyResult("x<y&z", rows), path)
+        text = path.read_text()
+        assert "x&lt;y&amp;z MAE" in text and ">a&lt;b&amp;c&gt;d<" in text
+        root = ET.fromstring(text)
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "x<y&z MAE (deg)" in labels and "a<b&c>d" in labels
 
 
 class TestLoadLandmarks:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from poselab.multiloss import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     AdamState,
     AngleHeadOutput,
@@ -494,6 +495,35 @@ class TestAdam:
                 for k, (m, v) in current.items():
                     assert m is moments[k][0] and v is moments[k][1]
             moments = current
+
+    @pytest.mark.parametrize("make", [
+        # three full blocks and a ragged tail
+        lambda rng: rng.normal(size=3 * ADAM_BLOCK + 123),
+        # one row per block, each row over half a block
+        lambda rng: rng.normal(size=(3, ADAM_BLOCK // 2 + 7)),
+        # a non-contiguous view: blocks of rows of w.T, written through to w
+        lambda rng: rng.normal(size=(ADAM_BLOCK // 3, 5)).T,
+        lambda rng: np.array(rng.normal()),
+    ], ids=["flat-ragged", "long-rows", "transposed-view", "0-d"])
+    def test_blocked_update_matches_textbook(self, make):
+        rng = np.random.default_rng(11)
+        w = make(rng)
+        base = w.base
+        state = AdamState(lr=0.01)
+        ref_p, ref_m, ref_v = w.copy(), np.zeros(w.shape), np.zeros(w.shape)
+        for t in range(1, 4):
+            g = rng.normal(size=w.shape)
+            adam_step({"w": w}, {"w": g}, state)
+            ref_m = ADAM_BETA1 * ref_m + (1.0 - ADAM_BETA1) * g
+            ref_v = ADAM_BETA2 * ref_v + (1.0 - ADAM_BETA2) * g ** 2
+            m_hat = ref_m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = ref_v / (1.0 - ADAM_BETA2 ** t)
+            ref_p = ref_p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            assert np.array_equal(w, ref_p)
+            assert np.array_equal(state.m["w"], ref_m) and np.array_equal(state.v["w"], ref_v)
+        if base is not None:
+            assert np.array_equal(base.T, ref_p)  # updated in place
+        assert all(a.size <= ADAM_BLOCK for a in state.scratch["w"])
 
 
 def linear_dataset(n, seed=0):

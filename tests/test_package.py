@@ -1,5 +1,8 @@
 import ast
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,22 @@ def test_star_import(module):
 def test_package_exports_resolve():
     for name in poselab.__all__:
         assert hasattr(poselab, name), name
+
+
+def test_import_loads_no_network_stack():
+    # Nothing in poselab talks to a network; xml.sax alone would pull in
+    # urllib.request, http.client, email, ssl and socket.
+    script = (
+        "import sys\n"
+        "import poselab, poselab.cli\n"
+        "print(' '.join(m for m in ('ssl', 'socket', 'http.client', 'urllib.request',\n"
+        "                          'email', 'xml.sax') if m in sys.modules))\n"
+    )
+    src = str(Path(poselab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
 
 
 def unused_imports(source: str) -> list:

@@ -210,6 +210,15 @@ class TestSolvePnP:
         assert again.converged and again.iterations == 1
         assert again.rmse == pytest.approx(first.rmse, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_cost_raises_no_warning(self):
+        # Image points this far out overflow the squared residual: the start
+        # cost is inf, every trial is rejected and damping runs out.
+        model = builtin_mean_face().points
+        solution = solve_pnp(PnPProblem(model, np.tile([1e200, 2e200], (68, 1)), K))
+        assert solution.termination == "damping_exhausted"
+        assert solution.rmse == math.inf and solution.iterations == 1
+
 
 def criterion_scenes(count, seed=7, jitter=0.0):
     """All-68 and rigid-6 problems on acceptance criterion 2's scenes

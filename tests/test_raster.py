@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from poselab.raster import (
     AUGMENT_SCHEMES,
     SET5_FACTORS,
+    SPLAT_BLOCK,
     SPLAT_SIGMA,
     Raster,
     UnknownSchemeError,
@@ -16,6 +17,7 @@ from poselab.raster import (
     degrade_stack,
     degrade_values,
     rasterize,
+    rasterize_stack,
     write_pgm,
 )
 
@@ -88,6 +90,67 @@ class TestRasterizeMatchesLoop:
         ref = rasterize_loop(points, width, height)
         assert ref.max() == 1.0 and ((0.0 < ref) & (ref < 1.0)).any()
         assert rasterize(points, width, height).values.max() == 1.0
+
+
+def splat_on_grid_only(points2d, width, height):
+    """The separable splat over the on-grid points alone, dropping the rest."""
+    pts = np.asarray(points2d, dtype=float).reshape(-1, 2)
+    u, v = pts[:, 0], pts[:, 1]
+    keep = (0.0 <= u) & (u < width) & (0.0 <= v) & (v < height)
+    reach = math.ceil(3.0 * SPLAT_SIGMA)
+
+    def profiles(centers, size):
+        pixels = np.arange(size)
+        out = np.exp(-(pixels - centers[:, None]) ** 2 / (2.0 * SPLAT_SIGMA ** 2))
+        out[np.abs(pixels - np.floor(centers)[:, None]) > reach] = 0.0
+        return out
+
+    return np.clip(profiles(v[keep], height).T @ profiles(u[keep], width), 0.0, 1.0)
+
+
+def stack_with_bad_points(count, n, size, seed):
+    """(count, n, 2) points over and around a size x size grid, with NaN,
+    +-inf and huge off-grid coordinates mixed in."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-4.0, size + 4.0, size=(count, n, 2))
+    for value in (np.nan, np.inf, -np.inf, 1e300, -1e300, 1e200):
+        image = rng.integers(0, count, size=count // 3)
+        point = rng.integers(0, n, size=count // 3)
+        pts[image, point, rng.integers(0, 2, size=count // 3)] = value
+    return pts
+
+
+@pytest.mark.filterwarnings("error")
+class TestRasterizeStack:
+    @pytest.mark.parametrize("width, height", [(32, 32), (7, 19), (19, 7), (1, 5), (1, 1)])
+    def test_matches_per_image_rasterize(self, width, height):
+        pts = stack_with_bad_points(2 * SPLAT_BLOCK + 5, 68, max(width, height), seed=width)
+        got = rasterize_stack(pts, width, height)
+        assert got.shape == (len(pts), height, width)
+        for image, points in zip(got, pts):
+            assert np.array_equal(image, rasterize(points, width, height).values)
+
+    def test_off_grid_points_add_nothing(self):
+        # Zero profiles in the product give the bits of the on-grid points
+        # splatted alone, on the grid size the low-resolution study uses.
+        pts = stack_with_bad_points(SPLAT_BLOCK + 9, 68, 32, seed=4)
+        got = rasterize_stack(pts, 32, 32)
+        for image, points in zip(got, pts):
+            assert np.array_equal(image, splat_on_grid_only(points, 32, 32))
+            np.testing.assert_allclose(image, rasterize_loop(points, 32, 32), atol=1e-15, rtol=0)
+
+    def test_empty_stacks(self):
+        assert rasterize_stack(np.zeros((0, 68, 2)), 8, 6).shape == (0, 6, 8)
+        assert not rasterize_stack(np.zeros((3, 0, 2)), 8, 6).any()
+
+    @pytest.mark.parametrize("shape", [(68, 2), (2, 68, 3), (2, 68)])
+    def test_rejects_non_stack(self, shape):
+        with pytest.raises(ValueError, match="stack"):
+            rasterize_stack(np.zeros(shape), 8, 8)
+
+    def test_rejects_bad_dims(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            rasterize_stack(np.zeros((1, 3, 2)), 8, 0)
 
 
 class TestRaster:
