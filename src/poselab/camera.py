@@ -111,8 +111,7 @@ def _behind_camera(depths) -> BehindCameraError:
 
 def _pinhole(cam, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Pixel coordinates (..., 2) of camera-frame points (..., 3), depths unchecked."""
-    z = cam[..., 2]
-    pixels = np.empty(cam.shape[:-1] + (2,))
-    pixels[..., 0] = intrinsics.fx * cam[..., 0] / z + intrinsics.cx
-    pixels[..., 1] = intrinsics.fy * cam[..., 1] / z + intrinsics.cy
+    pixels = np.multiply((intrinsics.fx, intrinsics.fy), cam[..., :2])
+    pixels /= cam[..., 2:]
+    pixels += (intrinsics.cx, intrinsics.cy)
     return pixels

@@ -202,12 +202,12 @@ def _parse_id_lines(path, fields: str) -> dict:
     """Read a landmark file with one whitespace-separated record per line.
 
     fields names the columns, id first (e.g. 'id x y z'); '#' starts a
-    comment.  Returns {id: coordinates} in file order.  Raises ParseError
+    comment.  The file is UTF-8, with or without a byte-order mark.  Returns {id: coordinates} in file order.  Raises ParseError
     (with the line number) on a malformed line and DuplicateIdError on a
     repeated id.
     """
     width = len(fields.split())
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     records = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -34,15 +34,24 @@ it, _solve_arrays is the array path the PnP studies call directly: models
 and images in as (B, N, 3) and (B, N, 2) arrays, and the best iterates,
 RMS errors, iteration counts, termination codes and behind-camera rows
 out as arrays, with no PnPProblem or PnPSolution per problem.  Both loops
-keep the rotation each residual evaluation builds with the iterate it
-belongs to: an accepted step's Jacobian reuses its trial's rotation, so
-Rodrigues runs once per residual evaluation and never for a Jacobian.
+keep what each residual evaluation builds with the iterate it belongs to,
+so Rodrigues runs once per residual evaluation and never for a Jacobian.
+The stacked loop keeps the rotations.  The scalar loop (_iterate, under
+solve_pnp) keeps its trial's whole evaluation: the rotation with the skew
+matrix, its square and the angle it was built from, the rotated points
+model @ R.T and the camera points; an accepted step's Jacobian starts from
+these.  Both loops solve the damped normal equations with the LAPACK
+gufunc under np.linalg.solve, with floating-point errors ignored: a
+singular system gives a NaN step, which is rejected as non-finite, and a
+trial that puts a point behind the camera or overflows its rotation is
+rejected too.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .camera import (
     MIN_DEPTH,
@@ -58,10 +67,10 @@ from .rotmath import (
     _IDENTITY,
     EulerAngles,
     _euler_from_rotation,
+    _rodrigues,
     axis_angle_to_rotation,
     rotation_to_axis_angle,
     rotation_to_euler,
-    skew,
 )
 
 __all__ = [
@@ -224,32 +233,54 @@ def _euler_rows(x) -> np.ndarray:
     return np.array(angles, dtype=float).reshape(-1, 3)
 
 
-def _residuals_at(model, image, x, intrinsics):
-    """The residual vector (2N,) at parameters x and the rotation it was built
-    with; raises BehindCameraError as project does."""
-    rot = axis_angle_to_rotation(x[:3])
-    return (_project_rigid(model, rot, x[3:], intrinsics) - image).ravel(), rot
+def _rigid_parts(model, x):
+    """What the residuals and the Jacobian at parameters x share, as the tuple
+    (rotation R, k, k @ k, |r|, q, cam): Rodrigues' matrix of r = x[:3] with
+    the skew matrix k = [r]x, k @ k and the angle |r| it was built from, the
+    rotated points q = model @ R.T and the camera points cam = q + x[3:].
+    None where r @ r is not finite."""
+    rodrigues = _rodrigues(x[:3])
+    if rodrigues is None:
+        return None
+    q = model @ rodrigues[0].T
+    return (*rodrigues, q, q + x[3:])
 
 
-def _right_jacobian(rvec: np.ndarray) -> np.ndarray:
-    # J_r(r) = I - (1-cos t)/t^2 [r]x + (t-sin t)/t^3 [r]x^2, Taylor near 0
-    theta = float(np.linalg.norm(rvec))
-    k = skew(rvec)
+def _evaluate(model, image, x, intrinsics):
+    """The scalar loop's residual evaluation: the residual vector (2N,) at
+    parameters x, its cost, and the _rigid_parts the Jacobian at x takes.
+
+    None where x puts a point on or behind the camera (depth <= MIN_DEPTH)
+    or its rotation vector overflows: a trial the loop rejects.
+    """
+    parts = _rigid_parts(model, x)
+    if parts is None:
+        return None
+    cam = parts[-1]
+    if (cam[:, 2] <= MIN_DEPTH).any():
+        return None
+    residual = (_pinhole(cam, intrinsics) - image).ravel()
+    return residual, float(residual @ residual), parts
+
+
+def _right_jacobian(k, kk, theta: float) -> np.ndarray:
+    """J_r(r) = I - (1-cos t)/t^2 [r]x + (t-sin t)/t^3 [r]x^2 of the rotation
+    vector r, from k = [r]x, kk = k @ k and t = |r|; Taylor near 0."""
     if theta < 1e-4:
         a = 0.5 * (1.0 - theta * theta / 12.0)
         b = (1.0 - theta * theta / 20.0) / 6.0
     else:
         a = (1.0 - math.cos(theta)) / (theta * theta)
         b = (theta - math.sin(theta)) / (theta ** 3)
-    return _IDENTITY - a * k + b * (k @ k)
+    return _IDENTITY - a * k + b * kk
 
 
-def _jacobian_analytic(model, x, rot, intrinsics) -> np.ndarray:
-    """The (2N, 6) Jacobian at parameters x, whose rotation rot the caller has."""
-    q = model @ rot.T
-    lever, full = _pinhole_jacobian(q, q + x[3:], intrinsics)
+def _jacobian_analytic(parts, intrinsics) -> np.ndarray:
+    """The (2N, 6) Jacobian at the parameters whose _rigid_parts are parts."""
+    rot, k, kk, theta, q, cam = parts
+    lever, full = _pinhole_jacobian(q, cam, intrinsics)
     n = len(q)
-    np.matmul(lever.reshape(2 * n, 3), rot @ _right_jacobian(x[:3]),
+    np.matmul(lever.reshape(2 * n, 3), rot @ _right_jacobian(k, kk, theta),
               out=full.reshape(2 * n, 6)[:, :3])
     return full.reshape(2 * n, 6)
 
@@ -265,30 +296,32 @@ def _pinhole_jacobian(q, cam, intrinsics):
     translation columns; the rotation columns are lever @ (R J_r), one
     (2N, 3) @ (3, 3) product per problem, left to the caller.
     """
-    iz = 1.0 / cam[..., 2]
-    a = intrinsics.fx * iz
-    b = intrinsics.fy * iz
-    c = -intrinsics.fx * cam[..., 0] * iz * iz
-    d = -intrinsics.fy * cam[..., 1] * iz * iz
-    q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
     lever = np.empty(q.shape[:-1] + (2, 3))
-    lever[..., 0, 0] = c * q2
-    lever[..., 0, 1] = a * q3 - c * q1
-    lever[..., 0, 2] = -a * q2
-    lever[..., 1, 0] = d * q2 - b * q3
-    lever[..., 1, 1] = -d * q1
-    lever[..., 1, 2] = b * q1
     full = np.zeros(q.shape[:-1] + (2, 6))
-    full[..., 0, 3] = a
-    full[..., 0, 5] = c
-    full[..., 1, 4] = b
-    full[..., 1, 5] = d
+    iz = 1.0 / cam[..., 2]
+    a = np.multiply(intrinsics.fx, iz, out=full[..., 0, 3])
+    b = np.multiply(intrinsics.fy, iz, out=full[..., 1, 4])
+    c = np.multiply(-intrinsics.fx, cam[..., 0], out=full[..., 0, 5])
+    c *= iz
+    c *= iz
+    d = np.multiply(-intrinsics.fy, cam[..., 1], out=full[..., 1, 5])
+    d *= iz
+    d *= iz
+    q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
+    np.multiply(c, q2, out=lever[..., 0, 0])
+    np.subtract(a * q3, c * q1, out=lever[..., 0, 1])
+    np.multiply(-a, q2, out=lever[..., 0, 2])
+    np.subtract(d * q2, b * q3, out=lever[..., 1, 0])
+    np.multiply(-d, q1, out=lever[..., 1, 1])
+    np.multiply(b, q1, out=lever[..., 1, 2])
     return lever, full
 
 
 def _jacobian_numeric(problem: PnPProblem, x: np.ndarray) -> np.ndarray:
     def residuals(at):
-        return _residuals_at(problem.model_points, problem.image_points, at, problem.intrinsics)[0]
+        predicted = _project_rigid(problem.model_points, axis_angle_to_rotation(at[:3]), at[3:],
+                                   problem.intrinsics)
+        return (predicted - problem.image_points).ravel()
 
     out = np.empty((2 * len(problem.model_points), 6))
     for i in range(6):
@@ -309,8 +342,7 @@ def jacobian(problem: PnPProblem, pose: Pose, mode: str = "analytic") -> np.ndar
     """
     x = _params_from_pose(pose)
     if mode == "analytic":
-        return _jacobian_analytic(problem.model_points, x, axis_angle_to_rotation(x[:3]),
-                                  problem.intrinsics)
+        return _jacobian_analytic(_rigid_parts(problem.model_points, x), problem.intrinsics)
     if mode == "numeric":
         return _jacobian_numeric(problem, x)
     raise ValueError(f"unknown jacobian mode {mode!r}")
@@ -329,50 +361,57 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
     # As in _solve_stack: a cost that overflows to inf is compared, not
     # used, so the floating-point warnings on the way are suppressed.
     with np.errstate(all="ignore"):
-        residual, rot = _residuals_at(model, image, x, intrinsics)
-        cost = float(residual @ residual)
-        if math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE:
-            result = x, cost, 0, "residual"
+        evaluation = _evaluate(model, image, x, intrinsics)
+        if evaluation is None:
+            raise _behind_start(model, x)
+        if math.sqrt(evaluation[1] / n_points) <= RESIDUAL_TOLERANCE:
+            result = x, evaluation[1], 0, "residual"
         else:
-            result = _iterate(model, image, intrinsics, x, rot, residual, cost, INITIAL_DAMPING, 0)
+            result = _iterate(model, image, intrinsics, x, evaluation, INITIAL_DAMPING, 0)
     return _solution(n_points, *result)
 
 
-def _iterate(model, image, intrinsics, x, rot, residual, cost: float, lam: float,
-             iterations: int) -> tuple:
-    """solve_pnp's iterations on one problem, model (N, 3) and image (N, 2)
-    points, from parameters x with their rotation, residual and cost, damping
-    lam and the iterations already run, until a stopping test ends them.
+def _behind_start(model, x) -> BehindCameraError:
+    """The error solve_pnp raises for a start x that puts a point of model on
+    or behind the camera: the depths _project_rigid finds there."""
+    rot = axis_angle_to_rotation(x[:3])
+    return _behind_camera((model @ rot.T + x[3:])[:, 2])
 
+
+def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: int) -> tuple:
+    """solve_pnp's iterations on one problem, model (N, 3) and image (N, 2)
+    points, from parameters x with their _evaluate result, damping lam and
+    the iterations already run, until a stopping test ends them.
+
+    Each accepted trial's evaluation rides with the iterate, so its Jacobian
+    takes the rotation, the rotated and the camera points that trial built.
     Returns the best iterate x, its cost, the iterations run and the
     termination.
     """
+    residual, cost, parts = evaluation
     n_points = len(model)
     termination = None
     while termination is None and iterations < MAX_ITERATIONS:
-        jac = _jacobian_analytic(model, x, rot, intrinsics)
+        jac = _jacobian_analytic(parts, intrinsics)
         normal = jac.T @ jac
-        gradient = jac.T @ residual
-        damping_diag = np.diag(np.maximum(np.diag(normal), DIAG_FLOOR))
+        descent = -(jac.T @ residual)
+        damping = np.maximum(normal.diagonal(), DIAG_FLOOR)
         step_limit = STEP_TOLERANCE * (math.sqrt(float(x @ x)) + STEP_TOLERANCE)
         short = slow = tiny = exhausted = False
         while not (short or exhausted):
-            try:
-                step = np.linalg.solve(normal + lam * damping_diag, -gradient)
-            except np.linalg.LinAlgError:
-                step = None
-            trial_cost = math.inf
-            if step is not None and np.all(np.isfinite(step)):
+            system = normal.copy()
+            system[_DIAGONAL, _DIAGONAL] += lam * damping
+            # A singular system gives a NaN step, rejected as non-finite.
+            step = _linear_solve(system, descent)
+            trial = None
+            if np.isfinite(step).all():
                 short = math.sqrt(float(step @ step)) <= step_limit
                 trial_x = x + step
-                try:
-                    trial_residual, trial_rot = _residuals_at(model, image, trial_x, intrinsics)
-                    trial_cost = float(trial_residual @ trial_residual)
-                except BehindCameraError:
-                    pass
-            if trial_cost < cost:
-                slow = cost - trial_cost <= COST_TOLERANCE * cost
-                x, rot, residual, cost = trial_x, trial_rot, trial_residual, trial_cost
+                trial = _evaluate(model, image, trial_x, intrinsics)
+            if trial is not None and trial[1] < cost:
+                slow = cost - trial[1] <= COST_TOLERANCE * cost
+                x = trial_x
+                residual, cost, parts = trial
                 tiny = math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE
                 lam = max(lam * DAMPING_DOWN, MIN_DAMPING)
                 break
@@ -429,9 +468,7 @@ def solve_pnp_batch(problems) -> list:
             intrinsics)
         for k, i in enumerate(members):
             if behind[k]:
-                # solve_pnp's error: the depths _project_rigid finds at the start x.
-                rot = axis_angle_to_rotation(x[k, :3])
-                results[i] = _behind_camera((problems[i].model_points @ rot.T + x[k, 3:])[:, 2])
+                results[i] = _behind_start(problems[i].model_points, x[k])
             else:
                 results[i] = PnPSolution(_pose_from_params(x[k]), float(rmse[k]),
                                          int(iterations[k]), TERMINATIONS[codes[k]])
@@ -474,6 +511,10 @@ def _solve_arrays(groups, intrinsics) -> tuple:
 
 
 _DIAGONAL = np.arange(6)
+# The gufunc np.linalg.solve wraps, without its checks: under
+# np.errstate(all="ignore") a singular system gives a NaN solution, not a
+# LinAlgError.  Takes systems (..., 6, 6) and right-hand sides (..., 6).
+_linear_solve = _umath_linalg.solve1
 
 
 def _solve_stack(model, image, intrinsics) -> tuple:
@@ -520,7 +561,8 @@ def _solve_stack(model, image, intrinsics) -> tuple:
             if len(live) == 1:
                 j = live[0]
                 x_out[j], cost_out[j], iterations_out[j], termination = _iterate(
-                    model[0], image[0], intrinsics, x[0], rot[0], residual[0], float(cost[0]),
+                    model[0], image[0], intrinsics, x[0],
+                    _evaluate(model[0], image[0], x[0], intrinsics),
                     float(lam[0]), int(iterations[0]))
                 codes[j] = TERMINATIONS.index(termination)
                 break
@@ -566,14 +608,9 @@ def _row_dots(a) -> np.ndarray:
 
 
 def _damped_steps(systems, rhs) -> np.ndarray:
-    """Solutions (B, 6) of the systems (B, 6, 6); NaN rows where a system is singular."""
-    try:
-        return np.linalg.solve(systems, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(systems) == 1:
-            return np.full_like(rhs, np.nan)
-        return np.concatenate([_damped_steps(systems[i:i + 1], rhs[i:i + 1])
-                               for i in range(len(systems))])
+    """Solutions (B, 6) of the systems (B, 6, 6); NaN rows where a system is
+    singular (with a RuntimeWarning unless invalid values are ignored)."""
+    return _linear_solve(systems, rhs)
 
 
 def _skew_stack(v) -> np.ndarray:

@@ -150,7 +150,7 @@ def _euler_from_rotation(m) -> tuple:
 
 def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(v) @ u == cross(v, u)."""
-    x, y, z = np.asarray(v, dtype=float)
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -163,6 +163,14 @@ def axis_angle_to_rotation(rvec) -> np.ndarray:
     r = np.asarray(rvec, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"rotation vector must have shape (3,), got {r.shape}")
+    rodrigues = _rodrigues(r)
+    return np.full((3, 3), math.nan) if rodrigues is None else rodrigues[0]
+
+
+def _rodrigues(r):
+    """axis_angle_to_rotation of an unchecked float (3,) vector r, with what it
+    was built from: (rotation, k = skew(r), k @ k, |r|).  None where r @ r is
+    not finite."""
     theta2 = float(r @ r)
     theta = math.sqrt(theta2)
     if theta < 1e-4:
@@ -173,10 +181,10 @@ def axis_angle_to_rotation(rvec) -> np.ndarray:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
     else:
-        # As in pnp._rodrigues_stack, so an LM trial step here is rejected.
-        return np.full((3, 3), math.nan)
+        return None
     k = skew(r)
-    return _IDENTITY + a * k + b * (k @ k)
+    kk = k @ k
+    return _IDENTITY + a * k + b * kk, k, kk, theta
 
 
 def rotation_to_axis_angle(m) -> np.ndarray:

@@ -338,6 +338,15 @@ class TestSolvePnP:
                      "--out", str(tmp_path / "j.csv")]) == 0
         assert built == []
 
+    def test_landmarks_with_byte_order_mark(self, tmp_path, capsys):
+        plain, marked = tmp_path / "landmarks.txt", tmp_path / "marked.txt"
+        write_landmark_file(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["solve-pnp", "--landmarks", str(plain)]) == 0
+        want = capsys.readouterr().out
+        assert main(["solve-pnp", "--landmarks", str(marked)]) == 0
+        assert capsys.readouterr() == (want, "")
+
     def test_too_few_landmarks(self, tmp_path, capsys):
         lm = tmp_path / "landmarks.txt"
         lm.write_text("1 10 10\n2 20 20\n3 30 30\n")

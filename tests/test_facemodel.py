@@ -113,6 +113,20 @@ class TestSaveLoad:
         path.write_text(text)
         load_face_model(path)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        plain, marked = tmp_path / "face.txt", tmp_path / "marked.txt"
+        save_face_model(builtin_mean_face(), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert np.array_equal(load_face_model(marked).points, load_face_model(plain).points)
+
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "face.txt"
+        path.write_bytes(b"\xef\xbb\xbf1 0.0 0.0 0.0\n2 a b c\n")
+        with pytest.raises(ParseError) as exc:
+            load_face_model(path)
+        assert exc.value.line_number == 2
+        assert str(exc.value) == f"{path}:2: coordinates must be decimal numbers"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_face_model(tmp_path / "nope.txt")

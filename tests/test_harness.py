@@ -613,6 +613,13 @@ class TestLoadLandmarks:
         assert pts.shape == (3, 2)
         assert pts[1].tolist() == [30.5, 40.25]
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "lm.txt"
+        path.write_bytes(b"\xef\xbb\xbf1 100 200\n2 30.5 40.25  # caf\xc3\xa9\n")
+        ids, pts = load_landmarks(path)
+        assert ids.tolist() == [1, 2]
+        assert pts.tolist() == [[100.0, 200.0], [30.5, 40.25]]
+
     def test_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "lm.txt"
         path.write_text("1 10.0 20.0\n2 30.0\n")

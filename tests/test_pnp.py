@@ -219,6 +219,61 @@ class TestSolvePnP:
         assert solution.termination == "damping_exhausted"
         assert solution.rmse == math.inf and solution.iterations == 1
 
+    def test_one_jacobian_per_iteration_on_the_evaluated_points(self, monkeypatch):
+        # Each Jacobian takes the very rotated and camera points that the
+        # residual evaluation at its iterate built: no model @ R.T of its own.
+        evaluated, jacobian_points = [], []
+        evaluate, pinhole_jacobian = pnp._evaluate, pnp._pinhole_jacobian
+
+        def recording_evaluate(*args):
+            result = evaluate(*args)
+            if result is not None:
+                evaluated.append(result[2])
+            return result
+
+        def recording_pinhole_jacobian(q, cam, intrinsics):
+            jacobian_points.append((q, cam))
+            return pinhole_jacobian(q, cam, intrinsics)
+
+        monkeypatch.setattr(pnp, "_evaluate", recording_evaluate)
+        monkeypatch.setattr(pnp, "_pinhole_jacobian", recording_pinhole_jacobian)
+        for problem in criterion_scenes(10, seed=3, jitter=5.0):
+            evaluated.clear()
+            jacobian_points.clear()
+            solution = solve_pnp(problem)
+            assert len(jacobian_points) == solution.iterations > 0
+            for q, cam in jacobian_points:
+                assert any(q is parts[4] and cam is parts[5] for parts in evaluated)
+
+
+class TestLinearSolve:
+    """pnp._linear_solve, the LAPACK gufunc both LM loops solve through."""
+
+    def test_equals_numpy_solve(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            systems = rng.standard_normal((7, 6, 6)) + 6.0 * np.eye(6)
+            rhs = rng.standard_normal((7, 6))
+            assert np.array_equal(pnp._linear_solve(systems[0], rhs[0]),
+                                  np.linalg.solve(systems[0], rhs[0]))
+            assert np.array_equal(pnp._linear_solve(systems, rhs),
+                                  np.linalg.solve(systems, rhs[..., None])[..., 0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_systems_give_nan_without_error_or_warning(self):
+        rng = np.random.default_rng(6)
+        systems = rng.standard_normal((4, 6, 6)) + 6.0 * np.eye(6)
+        systems[1] = 0.0
+        systems[3, :, 4] = 0.0
+        rhs = rng.standard_normal((4, 6))
+        with np.errstate(all="ignore"):
+            single = pnp._linear_solve(systems[1], rhs[1])
+            stacked = pnp._linear_solve(systems, rhs)
+        assert np.isnan(single).all()
+        assert np.isnan(stacked[[1, 3]]).all()
+        assert np.array_equal(stacked[[0, 2]], np.linalg.solve(systems[[0, 2]],
+                                                                rhs[[0, 2], :, None])[..., 0])
+
 
 def criterion_scenes(count, seed=7, jitter=0.0):
     """All-68 and rigid-6 problems on acceptance criterion 2's scenes
@@ -312,7 +367,7 @@ class TestSolvePnPBatch:
         # is one damping attempt of solve_pnp's loop: the totals agree.
         problems = criterion_scenes(20, seed=3, jitter=5.0)
         counts = {"rows": 0, "scalar": 0}
-        damped_steps, solve = pnp._damped_steps, np.linalg.solve
+        damped_steps, solve = pnp._damped_steps, pnp._linear_solve
 
         def counted_steps(systems, rhs):
             counts["rows"] += len(systems)
@@ -323,7 +378,7 @@ class TestSolvePnPBatch:
             return solve(a, b)
 
         monkeypatch.setattr(pnp, "_damped_steps", counted_steps)
-        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(pnp, "_linear_solve", counted_solve)
         solve_pnp_batch(problems)
         stacked = counts["rows"] + counts["scalar"]
         counts["scalar"] = 0
@@ -355,9 +410,8 @@ class TestSolvePnPBatch:
             rot = pnp._rodrigues_stack(x[:, :3])
             stacked = pnp._stack_jacobian(np.stack([p.model_points for p in group]), x, rot, K)
             for problem, xi, got in zip(group, x, stacked, strict=True):
-                scalar_rot = pnp.axis_angle_to_rotation(xi[:3])
-                assert np.array_equal(got, pnp._jacobian_analytic(problem.model_points, xi,
-                                                                  scalar_rot, K))
+                scalar_parts = pnp._rigid_parts(problem.model_points, xi)
+                assert np.array_equal(got, pnp._jacobian_analytic(scalar_parts, K))
 
     @pytest.mark.parametrize("cap", [1, 7 * 6, 7 * 68])
     def test_solution_independent_of_batch_cap_and_order(self, monkeypatch, cap):
@@ -477,7 +531,7 @@ class TestSolveArrays:
         # Each accepted step's Jacobian reuses the rotation its trial residuals
         # built, in the stacked loop and in solve_pnp's loop it hands off to.
         counts = dict.fromkeys(("rodrigues_stack", "stack_residuals", "stack_jacobian",
-                                "rodrigues", "residuals", "jacobian"), 0)
+                                "rodrigues", "evaluate", "jacobian", "public_rodrigues"), 0)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -488,13 +542,15 @@ class TestSolveArrays:
         for name, attr in (("rodrigues_stack", "_rodrigues_stack"),
                            ("stack_residuals", "_stack_residuals"),
                            ("stack_jacobian", "_stack_jacobian"),
-                           ("rodrigues", "axis_angle_to_rotation"),
-                           ("residuals", "_residuals_at"),
-                           ("jacobian", "_jacobian_analytic")):
+                           ("rodrigues", "_rodrigues"),
+                           ("evaluate", "_evaluate"),
+                           ("jacobian", "_jacobian_analytic"),
+                           ("public_rodrigues", "axis_angle_to_rotation")):
             monkeypatch.setattr(pnp, attr, counted(name, getattr(pnp, attr)))
         problems = criterion_scenes(20, seed=3, jitter=5.0)[0::2]
         pnp._solve_arrays([(problems[0].model_points,
                             np.stack([p.image_points for p in problems]))], K)
         assert counts["stack_jacobian"] > 0 and counts["jacobian"] > 0
         assert counts["rodrigues_stack"] == counts["stack_residuals"]
-        assert counts["rodrigues"] == counts["residuals"]
+        assert counts["rodrigues"] == counts["evaluate"]
+        assert counts["public_rodrigues"] == 0
