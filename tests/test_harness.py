@@ -274,9 +274,11 @@ class TestPnPSweep:
         monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
         assert csv_bytes("capped") == default
 
-    def test_exclusions(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    def test_exclusions(self, monkeypatch, block):
         # project raises on the first trial only; building the problem then
-        # raises for the second label of every remaining trial.
+        # raises for the second label of every remaining trial, in blocks of
+        # one, two or all three trials.
         real_project, real_problem = harness.project, harness.PnPProblem
         state = {"projections": 0, "problems": 0}
 
@@ -294,6 +296,7 @@ class TestPnPSweep:
 
         monkeypatch.setattr("poselab.harness.project", project)
         monkeypatch.setattr("poselab.harness.PnPProblem", problem)
+        monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
         config = StudyConfig(trials=3, subsets=("rigid-6", "all-68"),
                              jitter_sweep=(0.0, 2.0), stretch_sweep=(0.8, 1.0))
         for run in self.STUDIES:

@@ -34,16 +34,35 @@ class TestPnPProblem:
     def test_validation(self):
         pts = np.zeros((4, 3))
         uv = np.zeros((4, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 4 correspondences, got 3"):
             PnPProblem(pts[:3], uv[:3], K)  # too few points
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="4 model points vs 3 image points"):
             PnPProblem(pts, uv[:3], K)  # mismatched lengths
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"model_points must be \(N, 3\)"):
             PnPProblem(pts[:, :2], uv, K)  # wrong width
+        with pytest.raises(ValueError, match=r"image_points must be \(N, 2\), got \(4, 3\)"):
+            PnPProblem(pts, np.zeros((4, 3)), K)  # wrong image width
         bad = pts.copy()
         bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="correspondences contain non-finite values"):
             PnPProblem(bad, uv, K)
+        bad = uv.copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match="correspondences contain non-finite values"):
+            PnPProblem(pts, bad, K)
+
+    def test_validation_of_stacked_images(self):
+        # The checks PnPProblem makes of one problem's image points, made on
+        # the (B, N, 2) stack of a study block, with the same messages.
+        uv = np.zeros((3, 4, 2))
+        bad = uv.copy()
+        bad[1, 2, 0] = np.inf
+        for images, n_points, message in (
+                (uv, 5, "5 model points vs 4 image points"),
+                (np.zeros((3, 4, 3)), 4, r"image_points must be \(N, 2\), got \(4, 3\)"),
+                (bad, 4, "correspondences contain non-finite values")):
+            with pytest.raises(ValueError, match=message):
+                pnp._stacked_images(list(images), n_points)
 
     def test_collinear_points_rejected(self):
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
