@@ -50,9 +50,9 @@ from .multiloss import (
 from .pnp import (
     DegenerateProblemError,
     PnPProblem,
+    _check_images,
     _euler_rows,
     _solve_arrays,
-    _stacked_images,
     _viewing_distance,
 )
 # The studies never call solve_pnp.  It stays bound here only because
@@ -228,20 +228,20 @@ def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyRes
     it is solved against in every trial.  Trial i samples a pose of face
     from seed master_seed+i and calls trial(rng, pose, intrinsics), which
     makes the study's own draws from rng and returns label -> image rows
-    (N, 2).  A label's first kept trial is built as a PnPProblem, which
-    checks the model once for the study.  Trials run in blocks of
-    TRIAL_BLOCK: a block's image rows are stacked and checked per label,
-    solved by one _solve_arrays call, converted to Euler angles and scored
-    against their trials' true angles before the next block starts.  A
-    trial whose projection raises BehindCameraError is excluded at every
-    label; a degenerate model excludes its label from every trial, and a
-    solve that starts behind the camera excludes that trial at that label.
+    (N, 2).  Trials run in blocks of TRIAL_BLOCK.  Each label's model is
+    checked by one PnPProblem per block, on the block's first kept trial;
+    the block's image rows are stacked and checked per label by
+    _check_images, solved by one _solve_arrays call, converted to Euler
+    angles and scored against their trials' true angles before the next
+    block starts.  A trial whose projection raises BehindCameraError is
+    excluded at every label; a degenerate model excludes its label from
+    every trial, and a solve that starts behind the camera excludes that
+    trial at that label.
     """
     labels = tuple(models)
     sums = {label: np.zeros(3) for label in labels}
     counts = dict.fromkeys(labels, 0)
     excluded = dict.fromkeys(labels, 0)
-    checked, degenerate = set(), set()
     scenes = _scenes(config, face, config.trials)
 
     while block := list(islice(scenes, TRIAL_BLOCK)):
@@ -256,23 +256,22 @@ def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyRes
                 continue
             truths.append(pose.rotation.as_array())
             for label in labels:
-                if label not in checked:
-                    checked.add(label)
-                    try:
-                        PnPProblem(models[label], image_rows[label], intrinsics)
-                    except DegenerateProblemError:
-                        degenerate.add(label)
-                if label in degenerate:
-                    excluded[label] += 1
-                else:
-                    images[label].append(image_rows[label])
-        solved = [label for label in labels if images[label]]
-        if not solved:
+                images[label].append(image_rows[label])
+        if not truths:
             continue
+
+        solved = []
+        for label in labels:
+            try:
+                PnPProblem(models[label], images[label][0], intrinsics)
+            except DegenerateProblemError:
+                excluded[label] += len(truths)
+            else:
+                solved.append(label)
 
         # Every scene has the same camera (see _scenes).
         x, _, _, _, behind = _solve_arrays(
-            [(models[label], _stacked_images(images[label], len(models[label])))
+            [(models[label], _check_images(images[label], len(models[label])))
              for label in solved], intrinsics)
         truths = np.array(truths)
         for k, label in enumerate(solved):

@@ -33,10 +33,12 @@ solve_pnp_batch runs the same iteration on many problems at once.  Under
 it, _solve_arrays is the array path the PnP studies call directly: models
 and images in as (B, N, 3) and (B, N, 2) arrays, and the best iterates,
 RMS errors, iteration counts, termination codes and behind-camera rows
-out as arrays, with no PnPProblem or PnPSolution per problem.  Both loops
-keep what each residual evaluation builds with the iterate it belongs to,
-so Rodrigues runs once per residual evaluation and never for a Jacobian.
-The stacked loop keeps the rotations.  The scalar loop (_iterate, under
+out as arrays, with no PnPProblem or PnPSolution per problem; the studies
+check each block's image points with _check_images, the check PnPProblem
+makes of one problem's.  Both loops keep what each residual evaluation
+builds with the iterate it belongs to, so Rodrigues runs once per
+residual evaluation and never for a Jacobian, and _pinhole_jacobian
+builds both loops' Jacobians.  The stacked loop keeps the rotations.  The scalar loop (_iterate, under
 solve_pnp) keeps its trial's whole evaluation: the rotation with the skew
 matrix, its square and the angle it was built from, the rotated points
 model @ R.T and the camera points; an accepted step's Jacobian starts from
@@ -133,10 +135,8 @@ class PnPProblem:
         ip = np.asarray(self.image_points, dtype=float)
         if mp.ndim != 2 or mp.shape[1] != 3:
             raise ValueError(f"model_points must be (N, 3), got {mp.shape}")
-        _check_image_shape(ip.shape, len(mp))
-        if len(mp) < 4:
-            raise ValueError(f"need at least 4 correspondences, got {len(mp)}")
-        if not (np.all(np.isfinite(mp)) and np.all(np.isfinite(ip))):
+        _check_images(ip[None], len(mp))
+        if not np.all(np.isfinite(mp)):
             raise ValueError(_NON_FINITE)
         singulars = np.linalg.svd(mp - mp.mean(axis=0), compute_uv=False)
         if int(np.sum(singulars > 1e-9 * max(1.0, singulars[0]))) < 2:
@@ -148,23 +148,21 @@ class PnPProblem:
 _NON_FINITE = "correspondences contain non-finite values"
 
 
-def _check_image_shape(shape, n_points: int) -> None:
-    """PnPProblem's check of one problem's image points against its n_points model points."""
-    if len(shape) != 2 or shape[1] != 2:
-        raise ValueError(f"image_points must be (N, 2), got {shape}")
-    if shape[0] != n_points:
-        raise ValueError(f"{n_points} model points vs {shape[0]} image points")
-
-
-def _stacked_images(rows, n_points: int) -> np.ndarray:
-    """Image points of several problems on one model of n_points points as a
-    (B, N, 2) array, with PnPProblem's shape and finiteness checks."""
-    for image in rows:
-        _check_image_shape(np.shape(image), n_points)
-    stacked = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(stacked)):
+def _check_images(images, n_points: int) -> np.ndarray:
+    """The image points of B problems on one model of n_points points as a
+    (B, N, 2) float array, checked: each problem's points are (N, 2) with
+    N == n_points >= 4, and all are finite.  PnPProblem checks its (N, 2)
+    points as a stack of one."""
+    images = np.asarray(images, dtype=float)
+    if images.ndim != 3 or images.shape[2] != 2:
+        raise ValueError(f"image_points must be (N, 2), got {images.shape[1:]}")
+    if images.shape[1] != n_points:
+        raise ValueError(f"{n_points} model points vs {images.shape[1]} image points")
+    if n_points < 4:
+        raise ValueError(f"need at least 4 correspondences, got {n_points}")
+    if not np.all(np.isfinite(images)):
         raise ValueError(_NON_FINITE)
-    return stacked
+    return images
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,23 +276,17 @@ def _right_jacobian(k, kk, theta: float) -> np.ndarray:
 def _jacobian_analytic(parts, intrinsics) -> np.ndarray:
     """The (2N, 6) Jacobian at the parameters whose _rigid_parts are parts."""
     rot, k, kk, theta, q, cam = parts
-    lever, full = _pinhole_jacobian(q, cam, intrinsics)
-    n = len(q)
-    np.matmul(lever.reshape(2 * n, 3), rot @ _right_jacobian(k, kk, theta),
-              out=full.reshape(2 * n, 6)[:, :3])
-    return full.reshape(2 * n, 6)
+    return _pinhole_jacobian(q, cam, rot @ _right_jacobian(k, kk, theta), intrinsics)
 
 
-def _pinhole_jacobian(q, cam, intrinsics):
-    """The parts of the residual Jacobian at rotated points q = R p (..., N, 3)
-    and camera points cam = q + t, for the Jacobians (..., 2N, 6).
+def _pinhole_jacobian(q, cam, rot_jr, intrinsics) -> np.ndarray:
+    """The residual Jacobians (..., 2N, 6) at rotated points q = R p (..., N, 3),
+    camera points cam = q + t and rot_jr = R J_r (..., 3, 3), for any leading shape.
 
     With P the pinhole derivative d(pixel)/d(camera point), a (2, 3) block
     per point, the derivative by the translation is P, and by the rotation
-    vector it is -P R [p]x J_r = -P [q]x (R J_r).  Returns lever, the
-    (..., N, 2, 3) blocks -P [q]x, and full (..., N, 2, 6) with P in its
-    translation columns; the rotation columns are lever @ (R J_r), one
-    (2N, 3) @ (3, 3) product per problem, left to the caller.
+    vector it is -P R [p]x J_r = -P [q]x (R J_r): the (..., N, 2, 3) blocks
+    lever = -P [q]x times rot_jr, one (2N, 3) @ (3, 3) product per problem.
     """
     lever = np.empty(q.shape[:-1] + (2, 3))
     full = np.zeros(q.shape[:-1] + (2, 6))
@@ -314,7 +306,9 @@ def _pinhole_jacobian(q, cam, intrinsics):
     np.subtract(d * q2, b * q3, out=lever[..., 1, 0])
     np.multiply(-d, q1, out=lever[..., 1, 1])
     np.multiply(b, q1, out=lever[..., 1, 2])
-    return lever, full
+    rows = q.shape[:-2] + (2 * q.shape[-2],)
+    np.matmul(lever.reshape(rows + (3,)), rot_jr, out=full.reshape(rows + (6,))[..., :3])
+    return full.reshape(rows + (6,))
 
 
 def _jacobian_numeric(problem: PnPProblem, x: np.ndarray) -> np.ndarray:
@@ -573,7 +567,7 @@ def _solve_stack(model, image, intrinsics) -> tuple:
             damping = np.maximum(systems[:, _DIAGONAL, _DIAGONAL], DIAG_FLOOR)
             step_limit = STEP_TOLERANCE * (np.sqrt(_row_dots(x)) + STEP_TOLERANCE)
             systems[:, _DIAGONAL, _DIAGONAL] += lam[:, None] * damping
-            step = _damped_steps(systems, -gradient)
+            step = _linear_solve(systems, -gradient)
             trial_x = x + step
             trial_residual, depth, trial_rot = _stack_residuals(model, image, trial_x, intrinsics)
             trial_cost = _row_dots(trial_residual)
@@ -605,12 +599,6 @@ def _solve_stack(model, image, intrinsics) -> tuple:
 def _row_dots(a) -> np.ndarray:
     """a[i] @ a[i] for every row of a (B, K) array, with the dot product solve_pnp uses."""
     return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
-
-
-def _damped_steps(systems, rhs) -> np.ndarray:
-    """Solutions (B, 6) of the systems (B, 6, 6); NaN rows where a system is
-    singular (with a RuntimeWarning unless invalid values are ignored)."""
-    return _linear_solve(systems, rhs)
 
 
 def _skew_stack(v) -> np.ndarray:
@@ -658,8 +646,5 @@ def _stack_jacobian(model, x, rot, intrinsics) -> np.ndarray:
     """_jacobian_analytic of stacked problems: (B, 2N, 6) at parameters x (B, 6)
     with rotations rot (B, 3, 3)."""
     q = model @ rot.transpose(0, 2, 1)
-    lever, full = _pinhole_jacobian(q, q + x[:, None, 3:], intrinsics)
-    count, n = model.shape[:2]
-    np.matmul(lever.reshape(count, 2 * n, 3), rot @ _right_jacobian_stack(x[:, :3]),
-              out=full.reshape(count, 2 * n, 6)[..., :3])
-    return full.reshape(count, 2 * n, 6)
+    return _pinhole_jacobian(q, q + x[:, None, 3:], rot @ _right_jacobian_stack(x[:, :3]),
+                             intrinsics)

@@ -58,11 +58,13 @@ class TestPnPProblem:
         bad = uv.copy()
         bad[1, 2, 0] = np.inf
         for images, n_points, message in (
+                (uv[:, :3], 3, "need at least 4 correspondences, got 3"),
                 (uv, 5, "5 model points vs 4 image points"),
                 (np.zeros((3, 4, 3)), 4, r"image_points must be \(N, 2\), got \(4, 3\)"),
                 (bad, 4, "correspondences contain non-finite values")):
             with pytest.raises(ValueError, match=message):
-                pnp._stacked_images(list(images), n_points)
+                pnp._check_images(images, n_points)
+        assert np.array_equal(pnp._check_images(list(uv), 4), uv)
 
     def test_collinear_points_rejected(self):
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
@@ -250,9 +252,9 @@ class TestSolvePnP:
                 evaluated.append(result[2])
             return result
 
-        def recording_pinhole_jacobian(q, cam, intrinsics):
+        def recording_pinhole_jacobian(q, cam, rot_jr, intrinsics):
             jacobian_points.append((q, cam))
-            return pinhole_jacobian(q, cam, intrinsics)
+            return pinhole_jacobian(q, cam, rot_jr, intrinsics)
 
         monkeypatch.setattr(pnp, "_evaluate", recording_evaluate)
         monkeypatch.setattr(pnp, "_pinhole_jacobian", recording_pinhole_jacobian)
@@ -361,17 +363,18 @@ class TestSolvePnPBatch:
         # problem is picked up by solve_pnp's loop mid-solve, with the result
         # solve_pnp reaches on its own.
         rounds, handed = [], []
-        damped_steps, iterate = pnp._damped_steps, pnp._iterate
+        solve, iterate = pnp._linear_solve, pnp._iterate
 
-        def counted_steps(systems, rhs):
-            rounds.append(len(systems))
-            return damped_steps(systems, rhs)
+        def counted_solve(systems, rhs):
+            if np.ndim(systems) == 3:
+                rounds.append(len(systems))
+            return solve(systems, rhs)
 
         def counted_iterate(*args):
             handed.append(args[-1])  # the iterations already run
             return iterate(*args)
 
-        monkeypatch.setattr(pnp, "_damped_steps", counted_steps)
+        monkeypatch.setattr(pnp, "_linear_solve", counted_solve)
         monkeypatch.setattr(pnp, "_iterate", counted_iterate)
         problems = criterion_scenes(20, seed=3, jitter=5.0)
         batch = solve_pnp_batch(problems)
@@ -386,17 +389,15 @@ class TestSolvePnPBatch:
         # is one damping attempt of solve_pnp's loop: the totals agree.
         problems = criterion_scenes(20, seed=3, jitter=5.0)
         counts = {"rows": 0, "scalar": 0}
-        damped_steps, solve = pnp._damped_steps, pnp._linear_solve
-
-        def counted_steps(systems, rhs):
-            counts["rows"] += len(systems)
-            return damped_steps(systems, rhs)
+        solve = pnp._linear_solve
 
         def counted_solve(a, b):
-            counts["scalar"] += np.ndim(a) == 2
+            if np.ndim(a) == 3:
+                counts["rows"] += len(a)
+            else:
+                counts["scalar"] += 1
             return solve(a, b)
 
-        monkeypatch.setattr(pnp, "_damped_steps", counted_steps)
         monkeypatch.setattr(pnp, "_linear_solve", counted_solve)
         solve_pnp_batch(problems)
         stacked = counts["rows"] + counts["scalar"]
@@ -495,16 +496,6 @@ class TestSolvePnPBatch:
 
     def test_empty(self):
         assert solve_pnp_batch([]) == []
-
-    def test_singular_system_gives_no_step_for_that_problem_only(self):
-        rng = np.random.default_rng(0)
-        systems = rng.standard_normal((3, 6, 6)) + 6.0 * np.eye(6)
-        systems[1] = 0.0
-        rhs = rng.standard_normal((3, 6))
-        steps = pnp._damped_steps(systems, rhs)
-        assert np.all(np.isnan(steps[1]))
-        for i in (0, 2):
-            assert np.array_equal(steps[i], np.linalg.solve(systems[i], rhs[i]))
 
 
 class TestSolveArrays:
