@@ -427,8 +427,15 @@ class TestSolvePnPBatch:
             group = [p for p in problems if len(p.model_points) == n_points]
             x = pnp._start_params(np.stack([p.model_points for p in group]))
             x += rng.uniform(-0.5, 0.5, x.shape)
-            rot = pnp._rodrigues_stack(x[:, :3])
-            stacked = pnp._stack_jacobian(np.stack([p.model_points for p in group]), x, rot, K)
+            # Both Taylor branches (theta = 0 and theta in (0, 1e-4)) and a
+            # near half turn; the other rows stay random.
+            axis = rng.normal(size=(4, 3))
+            axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+            x[:4, :3] = np.array([0.0, 3e-5, 9.9e-5, math.pi - 1e-7])[:, None] * axis
+            # The stacked loop evaluates both branches under np.errstate, as here.
+            with np.errstate(all="ignore"):
+                rot = pnp._rodrigues_stack(x[:, :3])
+                stacked = pnp._stack_jacobian(np.stack([p.model_points for p in group]), x, rot, K)
             for problem, xi, got in zip(group, x, stacked, strict=True):
                 scalar_parts = pnp._rigid_parts(problem.model_points, xi)
                 assert np.array_equal(got, pnp._jacobian_analytic(scalar_parts, K))
