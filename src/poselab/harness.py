@@ -212,12 +212,13 @@ def _sweep_label(value) -> str:
     return repr(float(value))
 
 
-def _finish_row(label, error_sum: np.ndarray, count: int, excluded: int) -> StudyRow:
-    """Mean per-angle error over count trials; a NaN row when count is 0."""
-    if count > 0:
-        per_angle = error_sum / count
+def _finish_row(label, errors: np.ndarray, excluded: int) -> StudyRow:
+    """Mean per-angle error over the (trials, 3) errors, summed in trial
+    order; a NaN row when there are no trials."""
+    if len(errors):
+        per_angle = errors.sum(axis=0) / len(errors)
         return StudyRow(_sweep_label(label), float(per_angle[0]), float(per_angle[1]),
-                        float(per_angle[2]), float(per_angle.mean()), count, excluded)
+                        float(per_angle[2]), float(per_angle.mean()), len(errors), excluded)
     return StudyRow(_sweep_label(label), math.nan, math.nan, math.nan, math.nan, 0, excluded)
 
 
@@ -239,8 +240,7 @@ def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyRes
     trial at that label.
     """
     labels = tuple(models)
-    sums = {label: np.zeros(3) for label in labels}
-    counts = dict.fromkeys(labels, 0)
+    errors = {label: [np.empty((0, 3))] for label in labels}
     excluded = dict.fromkeys(labels, 0)
     scenes = _scenes(config, face, config.trials)
 
@@ -277,14 +277,11 @@ def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyRes
         for k, label in enumerate(solved):
             part = slice(k * len(truths), (k + 1) * len(truths))
             kept = ~behind[part]
-            errors = angle_error(_euler_rows(x[part][kept]), truths[kept])
-            for error in errors:  # in trial order, as the rows were pinned
-                sums[label] += error
-            counts[label] += len(errors)
-            excluded[label] += len(truths) - len(errors)
+            errors[label].append(angle_error(_euler_rows(x[part][kept]), truths[kept]))
+            excluded[label] += int(behind[part].sum())
 
-    return StudyResult(study, tuple(_finish_row(label, sums[label], counts[label], excluded[label])
-                                    for label in labels))
+    return StudyResult(study, tuple(_finish_row(label, np.concatenate(errors[label]),
+                                                excluded[label]) for label in labels))
 
 
 def run_subset_study(config: StudyConfig | None = None) -> StudyResult:
@@ -393,13 +390,14 @@ def _trained_rows(config: StudyConfig, inputs, targets, views, runs) -> tuple:
         except TrainingDivergedError:
             nets.append(None)
     n_val = len(val_idx)
-    rows = [[_finish_row(label, None, 0, n_val) for label in labels] for *_, labels in runs]
+    rows = [[_finish_row(label, np.empty((0, 3)), n_val) for label in labels]
+            for *_, labels in runs]
     for v, view in enumerate(views):
         view_inputs = view(inputs[val_idx])
         for (*_, labels), net, run_rows in zip(runs, nets, rows):
             if net is not None:
                 errors = angle_error(predict_angles(net, view_inputs), targets[val_idx])
-                run_rows[v] = _finish_row(labels[v], errors.sum(axis=0), n_val, 0)
+                run_rows[v] = _finish_row(labels[v], errors, 0)
     return tuple(row for run_rows in rows for row in run_rows)
 
 

@@ -32,21 +32,21 @@ module constants.
 solve_pnp_batch runs the same iteration on many problems at once.  Under
 it, _solve_arrays is the array path the PnP studies call directly: models
 and images in as (B, N, 3) and (B, N, 2) arrays, and the best iterates,
-RMS errors, iteration counts, termination codes and behind-camera rows
-out as arrays, with no PnPProblem or PnPSolution per problem; the studies
+RMS errors, iteration counts, termination codes and behind-camera rows out
+as arrays, with no PnPProblem or PnPSolution per problem; the studies
 check each block's image points with _check_images, the check PnPProblem
-makes of one problem's.  Both loops keep what each residual evaluation
-builds with the iterate it belongs to, so Rodrigues runs once per
-residual evaluation and never for a Jacobian, and _pinhole_jacobian
-builds both loops' Jacobians.  The stacked loop keeps the rotations.  The scalar loop (_iterate, under
-solve_pnp) keeps its trial's whole evaluation: the rotation with the skew
-matrix, its square and the angle it was built from, the rotated points
-model @ R.T and the camera points; an accepted step's Jacobian starts from
-these.  Both loops solve the damped normal equations with the LAPACK
-gufunc under np.linalg.solve, with floating-point errors ignored: a
-singular system gives a NaN step, which is rejected as non-finite, and a
-trial that puts a point behind the camera or overflows its rotation is
-rejected too.
+makes of one problem's.  Both loops carry each accepted trial's whole
+residual evaluation with its iterate: the residuals, the cost and the
+_rigid_parts, that is the rotation with the skew matrix, its square and
+the angle it was built from, the rotated points model @ R^T and the camera
+points.  _evaluate makes it for the scalar loop (_iterate, under
+solve_pnp) and _stack_evaluate for every row of the stacked loop, so
+Rodrigues runs once per residual evaluation and never for a Jacobian, and
+_pinhole_jacobian builds both loops' Jacobians from these parts.  Both
+loops solve the damped normal equations with the LAPACK gufunc under
+np.linalg.solve, with floating-point errors ignored: a singular system
+gives a NaN step, which is rejected as non-finite, and a trial that puts a
+point behind the camera or overflows its rotation is rejected too.
 """
 
 import math
@@ -226,22 +226,19 @@ def _euler_rows(x) -> np.ndarray:
     # Both branches of the Rodrigues series are evaluated (a zero rotation
     # vector divides 0 by 0 in the unused one), as in _solve_stack.
     with np.errstate(all="ignore"):
-        rotations = _rodrigues_stack(x[:, :3])
+        rotations = _rodrigues_stack(x[:, :3])[0]
     angles = [_euler_from_rotation(rot) for rot in rotations]
     return np.array(angles, dtype=float).reshape(-1, 3)
 
 
-def _rigid_parts(model, x):
-    """What the residuals and the Jacobian at parameters x share, as the tuple
-    (rotation R, k, k @ k, |r|, q, cam): Rodrigues' matrix of r = x[:3] with
-    the skew matrix k = [r]x, k @ k and the angle |r| it was built from, the
-    rotated points q = model @ R.T and the camera points cam = q + x[3:].
-    None where r @ r is not finite."""
-    rodrigues = _rodrigues(x[:3])
-    if rodrigues is None:
-        return None
-    q = model @ rodrigues[0].T
-    return (*rodrigues, q, q + x[3:])
+def _rigid_parts(model, x, rodrigues):
+    """What the residuals and the Jacobian at parameters x (6,) or (B, 6)
+    share: the tuple (R, k, k @ k, |r|, q, cam).  rodrigues gives the first
+    four, Rodrigues' matrix R of r = x[..., :3] with the skew matrix k = [r]x,
+    k @ k and the angle |r| it was built from; q = model @ R^T are the
+    rotated points and cam = q + x[..., 3:] the camera points."""
+    q = model @ rodrigues[0].swapaxes(-1, -2)
+    return (*rodrigues, q, q + x[..., None, 3:])
 
 
 def _evaluate(model, image, x, intrinsics):
@@ -251,9 +248,10 @@ def _evaluate(model, image, x, intrinsics):
     None where x puts a point on or behind the camera (depth <= MIN_DEPTH)
     or its rotation vector overflows: a trial the loop rejects.
     """
-    parts = _rigid_parts(model, x)
-    if parts is None:
+    rodrigues = _rodrigues(x[:3])
+    if rodrigues is None:
         return None
+    parts = _rigid_parts(model, x, rodrigues)
     cam = parts[-1]
     if (cam[:, 2] <= MIN_DEPTH).any():
         return None
@@ -336,7 +334,8 @@ def jacobian(problem: PnPProblem, pose: Pose, mode: str = "analytic") -> np.ndar
     """
     x = _params_from_pose(pose)
     if mode == "analytic":
-        return _jacobian_analytic(_rigid_parts(problem.model_points, x), problem.intrinsics)
+        parts = _rigid_parts(problem.model_points, x, _rodrigues(x[:3]))
+        return _jacobian_analytic(parts, problem.intrinsics)
     if mode == "numeric":
         return _jacobian_numeric(problem, x)
     raise ValueError(f"unknown jacobian mode {mode!r}")
@@ -442,9 +441,10 @@ def _solution(n_points: int, x, cost: float, iterations: int, termination: str) 
 def solve_pnp_batch(problems) -> list:
     """Solve every problem from its default_init pose; one result per problem, in input order.
 
-    Each result is the PnPSolution that solve_pnp(problem) returns, up to
-    rounding: the iteration, damping schedule, acceptance test and stopping
-    rules are solve_pnp's from its default start, applied per problem.
+    Each result is bitwise the PnPSolution that solve_pnp(problem)
+    returns: the iteration, damping schedule, acceptance test and stopping
+    rules are solve_pnp's from its default start, with the same operations,
+    applied per problem.
     Problems with the same point count and intrinsics are stacked and
     iterated together, at most BATCH_POINTS points per stack.  A problem
     whose starting pose puts a point on or behind the camera gets, in its
@@ -515,18 +515,18 @@ def _solve_stack(model, image, intrinsics) -> tuple:
     """solve_pnp's loop run on B stacked problems: models (B, N, 3) and images (B, N, 2).
 
     Each round makes one damping attempt per unfinished problem.  Between
-    rounds a problem keeps only its iterate (with that iterate's rotation,
-    residuals and cost), its damping and its iteration count, and each
-    round builds its Jacobian and normal equations from them.  A rejected
-    step leaves the iterate where it was, so the next round rebuilds the
-    same normal equations and solves them with the raised damping; an
+    rounds a problem keeps its iterate with that iterate's _stack_evaluate row
+    (residuals, cost and rigid parts), its damping and its iteration count,
+    and each round builds its Jacobian and normal equations from them.  A
+    rejected step leaves the iterate where it was, so the next round rebuilds
+    the same normal equations and solves them with the raised damping; an
     accepted step ends one of its iterations.  The stopping tests are
-    solve_pnp's, with the same operations.  The last unfinished problem
-    goes on in solve_pnp's own loop from its iterate, damping and
-    iteration count: a round for one problem costs two to two and a half
+    solve_pnp's, with the same operations.  The last unfinished problem goes
+    on in solve_pnp's own loop from its iterate, its evaluation, its damping
+    and iteration count: a round for one problem costs two to two and a half
     times a scalar attempt, and the longest solves (up to MAX_ITERATIONS)
-    would otherwise end alone in the stack, so the run time would follow
-    how many of them a batch holds.
+    would otherwise end alone in the stack, so the run time would follow how
+    many of them a batch holds.
 
     Returns the best iterates x (B, 6), their costs, iterations and
     termination codes, and the rows whose start is behind the camera.
@@ -539,28 +539,31 @@ def _solve_stack(model, image, intrinsics) -> tuple:
     # may be non-finite or put points behind the camera; such values are
     # never used, so their floating-point warnings are suppressed.
     with np.errstate(all="ignore"):
-        residual, depth, rot = _stack_residuals(model, image, x, intrinsics)
-        cost = _row_dots(residual)
-        behind = np.any(depth <= MIN_DEPTH, axis=1)
+        residual, cost, parts = _stack_evaluate(model, image, x, intrinsics)
+        behind = np.any(parts[-1][..., 2] <= MIN_DEPTH, axis=1)
         done = behind | (np.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE)
         x_out, cost_out = x.copy(), cost.copy()  # final for the rows done at the start
 
         keep = ~done
         live = np.flatnonzero(keep)  # stack positions still iterating
-        state = [live, *(a[keep] for a in (x, rot, residual, cost, model, image)),
+        state = [live, *(a[keep] for a in (x, residual, cost, *parts, model, image)),
                  np.full(len(live), INITIAL_DAMPING), np.zeros(len(live), dtype=int)]
         while len(state[0]):
             # Each round updates these arrays in place; finished rows are dropped.
-            live, x, rot, residual, cost, model, image, lam, iterations = state
+            live, *carried, model, image, lam, iterations = state
+            x, residual, cost, *parts = carried
             if len(live) == 1:
                 j = live[0]
+                # The angle and the cost go as Python floats, as _evaluate gives
+                # them, so _iterate's scalar arithmetic runs on the same types.
+                rot, k, kk, theta, q, cam = (a[0] for a in parts)
                 x_out[j], cost_out[j], iterations_out[j], termination = _iterate(
                     model[0], image[0], intrinsics, x[0],
-                    _evaluate(model[0], image[0], x[0], intrinsics),
+                    (residual[0], float(cost[0]), (rot, k, kk, float(theta), q, cam)),
                     float(lam[0]), int(iterations[0]))
                 codes[j] = TERMINATIONS.index(termination)
                 break
-            jac = _stack_jacobian(model, x, rot, intrinsics)
+            jac = _stack_jacobian(parts, intrinsics)
             jac_t = jac.transpose(0, 2, 1)
             systems = jac_t @ jac
             gradient = (jac_t @ residual[:, :, None])[..., 0]
@@ -569,16 +572,15 @@ def _solve_stack(model, image, intrinsics) -> tuple:
             systems[:, _DIAGONAL, _DIAGONAL] += lam[:, None] * damping
             step = _linear_solve(systems, -gradient)
             trial_x = x + step
-            trial_residual, depth, trial_rot = _stack_residuals(model, image, trial_x, intrinsics)
-            trial_cost = _row_dots(trial_residual)
+            trial_residual, trial_cost, trial_parts = _stack_evaluate(
+                model, image, trial_x, intrinsics)
             finite = np.all(np.isfinite(step), axis=1)
             short = finite & (np.sqrt(_row_dots(step)) <= step_limit)
-            accepted = finite & ~np.any(depth <= MIN_DEPTH, axis=1) & (trial_cost < cost)
+            accepted = (finite & ~np.any(trial_parts[-1][..., 2] <= MIN_DEPTH, axis=1)
+                        & (trial_cost < cost))
             slow = accepted & (cost - trial_cost <= COST_TOLERANCE * cost)
-            x[accepted] = trial_x[accepted]
-            rot[accepted] = trial_rot[accepted]
-            residual[accepted] = trial_residual[accepted]
-            cost[accepted] = trial_cost[accepted]
+            for kept, trial in zip(carried, (trial_x, trial_residual, trial_cost, *trial_parts)):
+                np.copyto(kept, trial, where=accepted.reshape(-1, *(1,) * (kept.ndim - 1)))
             tiny = accepted & (np.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE)
             lam[:] = np.where(accepted, np.maximum(lam * DAMPING_DOWN, MIN_DAMPING),
                               lam * DAMPING_UP)
@@ -601,50 +603,44 @@ def _row_dots(a) -> np.ndarray:
     return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
-def _skew_stack(v) -> np.ndarray:
-    """skew() of every row of a (B, 3) array."""
-    k = np.zeros((len(v), 3, 3))
-    k[:, 0, 1], k[:, 0, 2] = -v[:, 2], v[:, 1]
-    k[:, 1, 0], k[:, 1, 2] = v[:, 2], -v[:, 0]
-    k[:, 2, 0], k[:, 2, 1] = -v[:, 1], v[:, 0]
-    return k
-
-
-def _rodrigues_stack(rvecs) -> np.ndarray:
-    """axis_angle_to_rotation of every row of a (B, 3) array."""
+def _rodrigues_stack(rvecs) -> tuple:
+    """_rodrigues of every row of a (B, 3) array: the rotations (B, 3, 3), the
+    skew matrices k, k @ k and the angles (B,), with NaN rotations where
+    r @ r is not finite."""
     theta2 = _row_dots(rvecs)
     theta = np.sqrt(theta2)
     small = theta < 1e-4
     a = np.where(small, 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0), np.sin(theta) / theta)
     b = np.where(small, 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0)),
                  (1.0 - np.cos(theta)) / theta2)
-    k = _skew_stack(rvecs)
-    return _IDENTITY + a[:, None, None] * k + b[:, None, None] * (k @ k)
+    k = np.zeros((len(rvecs), 3, 3))  # skew() of every row
+    k[:, 0, 1], k[:, 0, 2] = -rvecs[:, 2], rvecs[:, 1]
+    k[:, 1, 0], k[:, 1, 2] = rvecs[:, 2], -rvecs[:, 0]
+    k[:, 2, 0], k[:, 2, 1] = -rvecs[:, 1], rvecs[:, 0]
+    kk = k @ k
+    return _IDENTITY + a[:, None, None] * k + b[:, None, None] * kk, k, kk, theta
 
 
-def _right_jacobian_stack(rvecs) -> np.ndarray:
-    """_right_jacobian of every row of a (B, 3) array."""
-    theta = np.sqrt(_row_dots(rvecs))
+def _right_jacobian_stack(k, kk, theta) -> np.ndarray:
+    """_right_jacobian of every row: skew matrices k and kk = k @ k (B, 3, 3), angles theta (B,)."""
     small = theta < 1e-4
     a = np.where(small, 0.5 * (1.0 - theta * theta / 12.0), (1.0 - np.cos(theta)) / (theta * theta))
     # Python's float power, as in _right_jacobian: NumPy's can differ in the last bit.
     cube = np.array([t ** 3 for t in theta.tolist()])
     b = np.where(small, (1.0 - theta * theta / 20.0) / 6.0, (theta - np.sin(theta)) / cube)
-    k = _skew_stack(rvecs)
-    return _IDENTITY - a[:, None, None] * k + b[:, None, None] * (k @ k)
+    return _IDENTITY - a[:, None, None] * k + b[:, None, None] * kk
 
 
-def _stack_residuals(model, image, x, intrinsics):
-    """Residuals (B, 2N), camera depths (B, N) and rotations (B, 3, 3) of
-    stacked problems at parameters x (B, 6)."""
-    rot = _rodrigues_stack(x[:, :3])
-    cam = model @ rot.transpose(0, 2, 1) + x[:, None, 3:]
-    return (_pinhole(cam, intrinsics) - image).reshape(len(x), -1), cam[..., 2], rot
+def _stack_evaluate(model, image, x, intrinsics):
+    """_evaluate of stacked problems at parameters x (B, 6): residuals (B, 2N),
+    costs (B,) and the stacked _rigid_parts.  No row is rejected: the depths
+    are cam[..., 2], the last part."""
+    parts = _rigid_parts(model, x, _rodrigues_stack(x[:, :3]))
+    residual = (_pinhole(parts[-1], intrinsics) - image).reshape(len(x), -1)
+    return residual, _row_dots(residual), parts
 
 
-def _stack_jacobian(model, x, rot, intrinsics) -> np.ndarray:
-    """_jacobian_analytic of stacked problems: (B, 2N, 6) at parameters x (B, 6)
-    with rotations rot (B, 3, 3)."""
-    q = model @ rot.transpose(0, 2, 1)
-    return _pinhole_jacobian(q, q + x[:, None, 3:], rot @ _right_jacobian_stack(x[:, :3]),
-                             intrinsics)
+def _stack_jacobian(parts, intrinsics) -> np.ndarray:
+    """_jacobian_analytic of stacked problems: (B, 2N, 6) from their stacked _rigid_parts."""
+    rot, k, kk, theta, q, cam = parts
+    return _pinhole_jacobian(q, cam, rot @ _right_jacobian_stack(k, kk, theta), intrinsics)

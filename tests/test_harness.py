@@ -251,6 +251,19 @@ class TestPnPSweep:
             expected = tuple(StudyRow(*values, 12, 0) for values in self.PINNED[result.study])
             assert result.rows == expected
 
+    def test_row_mean_adds_errors_in_trial_order(self):
+        # A row's axis-0 sum of its (trials, 3) errors is bitwise the running
+        # sum in trial order that the pinned rows were computed with.
+        rng = np.random.default_rng(0)
+        for trials in (1, 2, 3, 17, 64, 500, 4097):
+            errors = rng.uniform(0.0, 30.0, (trials, 3)) * rng.uniform(0.0, 1.0, (trials, 1)) ** 4
+            running = np.zeros(3)
+            for error in errors:
+                running += error
+            row = harness._finish_row(1.0, errors, 2)
+            assert (row.yaw_mae, row.pitch_mae, row.roll_mae) == tuple(running / trials)
+            assert (row.sweep, row.trials, row.excluded) == ("1.0", trials, 2)
+
     @pytest.mark.parametrize("cap, block", [(1, 64), (7 * 68, 64), (3300, 1), (3300, 5)])
     def test_csv_bytes_independent_of_batch_cap_and_trial_block(self, tmp_path, monkeypatch,
                                                                 cap, block):

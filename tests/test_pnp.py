@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poselab import pnp
-from poselab.camera import BehindCameraError, Pose, default_intrinsics, project
+from poselab.camera import MIN_DEPTH, BehindCameraError, Pose, default_intrinsics, project
 from poselab.facemodel import builtin_mean_face, stretch_model, subset_by_name
 from poselab.pnp import (
     DegenerateProblemError,
@@ -328,11 +328,7 @@ class TestSolvePnPBatch:
         for jitter in (0.0, 5.0):
             problems = criterion_scenes(1000, jitter=jitter)
             for problem, got in zip(problems, solve_pnp_batch(problems), strict=True):
-                want = solve_pnp(problem)
-                assert max(angle_error(got.pose.rotation.as_array(),
-                                       want.pose.rotation.as_array())) < 1e-9
-                assert got.converged == want.converged
-                assert got.termination == want.termination
+                assert same_solution(got, solve_pnp(problem))
 
     def test_noise_floor_solves_converge(self):
         # At 5 px every all-68 solve reaches the noise floor, where no step
@@ -421,24 +417,42 @@ class TestSolvePnPBatch:
             assert same_solution(got, solve_pnp(problem))
 
     def test_stack_jacobian_matches_jacobian_analytic(self):
+        # Every row of the stacked evaluation is _evaluate's, bitwise, in the
+        # residuals, the cost and all six rigid parts, and its Jacobian is
+        # _jacobian_analytic's.  A row behind the camera is not rejected: its
+        # depths show it, where _evaluate gives None.
         problems = criterion_scenes(40, seed=2, jitter=3.0)
         rng = np.random.default_rng(4)
         for n_points in (68, 6):
             group = [p for p in problems if len(p.model_points) == n_points]
-            x = pnp._start_params(np.stack([p.model_points for p in group]))
+            model = np.stack([p.model_points for p in group])
+            x = pnp._start_params(model)
             x += rng.uniform(-0.5, 0.5, x.shape)
             # Both Taylor branches (theta = 0 and theta in (0, 1e-4)) and a
-            # near half turn; the other rows stay random.
+            # near half turn; the other rows stay random but row 4, whose
+            # model is put behind the camera.
             axis = rng.normal(size=(4, 3))
             axis /= np.linalg.norm(axis, axis=1, keepdims=True)
             x[:4, :3] = np.array([0.0, 3e-5, 9.9e-5, math.pi - 1e-7])[:, None] * axis
+            x[4, 5] = -x[4, 5]
             # The stacked loop evaluates both branches under np.errstate, as here.
             with np.errstate(all="ignore"):
-                rot = pnp._rodrigues_stack(x[:, :3])
-                stacked = pnp._stack_jacobian(np.stack([p.model_points for p in group]), x, rot, K)
-            for problem, xi, got in zip(group, x, stacked, strict=True):
-                scalar_parts = pnp._rigid_parts(problem.model_points, xi)
-                assert np.array_equal(got, pnp._jacobian_analytic(scalar_parts, K))
+                residual, cost, parts = pnp._stack_evaluate(
+                    model, np.stack([p.image_points for p in group]), x, K)
+                stacked = pnp._stack_jacobian(parts, K)
+            assert (parts[-1][4, :, 2] <= MIN_DEPTH).all()
+            for i, (problem, xi) in enumerate(zip(group, x, strict=True)):
+                want = pnp._evaluate(problem.model_points, problem.image_points, xi, K)
+                if i == 4:
+                    assert want is None
+                    want = None, None, pnp._rigid_parts(problem.model_points, xi,
+                                                        pnp._rodrigues(xi[:3]))
+                else:
+                    assert np.array_equal(residual[i], want[0])
+                    assert cost[i] == want[1]
+                for got_part, want_part in zip(parts, want[2], strict=True):
+                    assert np.array_equal(got_part[i], want_part)
+                assert np.array_equal(stacked[i], pnp._jacobian_analytic(want[2], K))
 
     @pytest.mark.parametrize("cap", [1, 7 * 6, 7 * 68])
     def test_solution_independent_of_batch_cap_and_order(self, monkeypatch, cap):
@@ -475,12 +489,8 @@ class TestSolvePnPBatch:
                 problems.append(PnPProblem(stretched[rows], image[rows], K))
         batch = solve_pnp_batch(problems)
         assert len(batch) == len(problems)
-        for problem, got in zip(problems, batch):
-            want = solve_pnp(problem)
-            assert max(angle_error(got.pose.rotation.as_array(),
-                                   want.pose.rotation.as_array())) < 1e-9
-            assert got.converged == want.converged
-            assert got.rmse == pytest.approx(want.rmse, rel=1e-9, abs=1e-12)
+        for problem, got in zip(problems, batch, strict=True):
+            assert same_solution(got, solve_pnp(problem))
         assert max(angle_error(batch[1].pose.rotation.as_array(),
                                truth.rotation.as_array())) < 1e-6
 
@@ -546,9 +556,13 @@ class TestSolveArrays:
 
     def test_rotation_built_once_per_residual_evaluation(self, monkeypatch):
         # Each accepted step's Jacobian reuses the rotation its trial residuals
-        # built, in the stacked loop and in solve_pnp's loop it hands off to.
-        counts = dict.fromkeys(("rodrigues_stack", "stack_residuals", "stack_jacobian",
-                                "rodrigues", "evaluate", "jacobian", "public_rodrigues"), 0)
+        # built, in the stacked loop and in solve_pnp's loop it hands off to;
+        # the hand-off takes the stack's evaluation of its last row, so the
+        # scalar loop evaluates only the finite steps it solves for.
+        counts = dict.fromkeys(("rodrigues_stack", "stack_evaluate", "stack_jacobian",
+                                "rodrigues", "evaluate", "jacobian", "public_rodrigues",
+                                "finite_scalar_steps"), 0)
+        solve = pnp._linear_solve
 
         def counted(name, fn):
             def wrapper(*args):
@@ -556,8 +570,15 @@ class TestSolveArrays:
                 return fn(*args)
             return wrapper
 
+        def counted_solve(systems, rhs):
+            step = solve(systems, rhs)
+            if np.ndim(systems) == 2 and np.isfinite(step).all():
+                counts["finite_scalar_steps"] += 1
+            return step
+
+        monkeypatch.setattr(pnp, "_linear_solve", counted_solve)
         for name, attr in (("rodrigues_stack", "_rodrigues_stack"),
-                           ("stack_residuals", "_stack_residuals"),
+                           ("stack_evaluate", "_stack_evaluate"),
                            ("stack_jacobian", "_stack_jacobian"),
                            ("rodrigues", "_rodrigues"),
                            ("evaluate", "_evaluate"),
@@ -568,6 +589,7 @@ class TestSolveArrays:
         pnp._solve_arrays([(problems[0].model_points,
                             np.stack([p.image_points for p in problems]))], K)
         assert counts["stack_jacobian"] > 0 and counts["jacobian"] > 0
-        assert counts["rodrigues_stack"] == counts["stack_residuals"]
+        assert counts["rodrigues_stack"] == counts["stack_evaluate"]
         assert counts["rodrigues"] == counts["evaluate"]
+        assert counts["evaluate"] == counts["finite_scalar_steps"] > 0
         assert counts["public_rodrigues"] == 0
