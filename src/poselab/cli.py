@@ -23,7 +23,6 @@ from .harness import (
 from .camera import default_intrinsics
 from .multiloss import MultiLossConfig, save_toynet, train_toy
 from .pnp import PnPProblem, solve_pnp
-from .rotmath import EulerAngles
 
 __all__ = ["main"]
 
@@ -142,9 +141,8 @@ def cmd_solve_pnp(args) -> int:
 def cmd_train_toy(args) -> int:
     config = _study_config(args)
     inputs, targets = landmark_dataset(config)
-    pairs = [(inputs[i], EulerAngles(*targets[i])) for i in range(len(inputs))]
     net, history = train_toy(
-        pairs, config=MultiLossConfig(alpha=args.alpha),
+        inputs, targets, config=MultiLossConfig(alpha=args.alpha),
         epochs=config.epochs, seed=config.master_seed,
         hidden_size=config.hidden_size, batch_size=config.batch_size,
         lr=config.learning_rate, val_fraction=config.val_fraction,

@@ -40,13 +40,7 @@ from .facemodel import (
     stretch_model,
     subset_by_name,
 )
-from .multiloss import (
-    BinSpec,
-    MultiLossConfig,
-    TrainingDivergedError,
-    predict_angles,
-    train_toy,
-)
+from .multiloss import MultiLossConfig, TrainingDivergedError, predict_angles, train_toy
 from .pnp import (
     DegenerateProblemError,
     PnPProblem,
@@ -101,6 +95,11 @@ RASTER_SIZE = 32
 TRIAL_BLOCK = 64
 
 
+def _is_integer(value) -> bool:
+    # bool is an Integral, but True is no count, seed or factor.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Shared knobs for every study; unused fields are ignored per study."""
@@ -125,7 +124,7 @@ class StudyConfig:
     def __post_init__(self):
         for name in ("trials", "master_seed", "scenes", "epochs", "hidden_size", "batch_size"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -156,7 +155,7 @@ class StudyConfig:
             if scheme not in ("none", *AUGMENT_SCHEMES):
                 raise UnknownSchemeError(f"unknown augmentation scheme {scheme!r}; "
                                          f"known: none, {', '.join(AUGMENT_SCHEMES)}")
-        if not all(isinstance(f, numbers.Integral) and f >= 1 for f in self.lowres_factors):
+        if not all(_is_integer(f) and f >= 1 for f in self.lowres_factors):
             raise ValueError(f"lowres factors must be integers >= 1, got {self.lowres_factors}")
         if not all(math.isfinite(a) and a >= 0 for a in self.alpha_sweep):
             raise ValueError(f"alphas must be finite and >= 0, got {self.alpha_sweep}")
@@ -373,16 +372,17 @@ def _trained_rows(config: StudyConfig, inputs, targets, views, runs) -> tuple:
     after all training, so one transformed copy is alive at a time.  Each
     run is (loss_config, augment, labels) and yields one row per view,
     labelled in order: the net's MAE on that view.  All runs share the
-    seed, split and initialization.  A run whose training diverges yields
-    NaN rows with trials=0 for all its labels.
+    seed, split and initialization.  Each run trains on its own copy of
+    the training rows, freed when its training ends, so the copy is not
+    alive while the views are scored.  A run whose training diverges
+    yields NaN rows with trials=0 for all its labels.
     """
     train_idx, val_idx = _train_val_split(config, len(inputs))
-    train_pairs = [(inputs[j], EulerAngles(*targets[j])) for j in train_idx]
     nets = []
     for loss_config, augment, _ in runs:
         try:
             nets.append(train_toy(
-                train_pairs, config=loss_config, spec=BinSpec(),
+                inputs[train_idx], targets[train_idx], config=loss_config,
                 epochs=config.epochs, seed=config.master_seed,
                 hidden_size=config.hidden_size, batch_size=config.batch_size,
                 lr=config.learning_rate, val_fraction=0.0, augment=augment,

@@ -4,20 +4,23 @@ Angles are classified into fixed-width bins via softmax; a continuous
 estimate is decoded as the probability-weighted mean of the bin centers.
 The training loss per angle is cross-entropy on the true bin plus
 alpha * (decoded - target)^2, summed over yaw, pitch, roll; one core
-computes it and its gradient for single samples and batches.  Also ships
-a small dense network with three angle heads, manual backprop, a
-bias-corrected Adam optimizer, and a text serialization format, so the
-loss can be exercised end to end without any ML framework.
+computes it and its gradient for single samples and batches.  One rule,
+_bin_indices, bins a whole array of angles; bin_angle, the loss API and
+train_toy all bin through it.  Also ships a small dense network with
+three angle heads, manual backprop, a bias-corrected Adam optimizer, and
+a text serialization format, so the loss can be exercised end to end
+without any ML framework.
 
 The network keeps its parameters in one flat float64 vector, and the four
 named arrays are views into it.  Private helpers do the maths once:
 _hidden_activations, _head_logits (one matmul per head) and
 _backward_into (gradients written into given arrays).  toynet_forward and
-toynet_backward are thin checked wrappers over them; train_toy calls the
-helpers directly, so each step computes the hidden layer once, writes the
-gradients into one flat vector laid out like the parameters, and makes one
-adam_step on the pair {"flat": ...}.  train_toy's history holds only the
-held-out MAE per epoch.
+toynet_backward are thin checked wrappers over them.  train_toy takes the
+arrays a dataset already is, inputs (B, ...) and targets (B, 3) in
+degrees, and calls the helpers directly, so each step computes the hidden
+layer once, writes the gradients into one flat vector laid out like the
+parameters, and makes one adam_step on the pair {"flat": ...}.
+train_toy's history holds only the held-out MAE per epoch.
 """
 
 import math
@@ -135,14 +138,27 @@ class AngleLossTerms:
     total: float
 
 
-def bin_angle(angle: float, spec: BinSpec) -> int:
-    """Bin index of an angle; raises AngleOutOfRangeError outside [min, max)."""
-    if not spec.min_angle <= angle < spec.max_angle:
+def _bin_indices(angles, spec: BinSpec) -> np.ndarray:
+    """Bin index of every angle, as an integer array of the same shape.
+
+    floor((angle - min) / width), capped at num_bins - 1; raises
+    AngleOutOfRangeError for the first angle (in C order) outside
+    [min, max), NaN included.
+    """
+    a = np.asarray(angles, dtype=float)
+    outside = ~((a >= spec.min_angle) & (a < spec.max_angle))
+    if outside.any():
+        angle = float(a.flat[np.argmax(outside)])
         raise AngleOutOfRangeError(
             f"angle {angle} outside [{spec.min_angle}, {spec.max_angle})"
         )
-    idx = int(math.floor((angle - spec.min_angle) / spec.bin_width))
-    return min(idx, spec.num_bins - 1)
+    idx = np.floor((a - spec.min_angle) / spec.bin_width).astype(np.intp)
+    return np.minimum(idx, spec.num_bins - 1)
+
+
+def bin_angle(angle: float, spec: BinSpec) -> int:
+    """Bin index of an angle; raises AngleOutOfRangeError outside [min, max)."""
+    return int(_bin_indices(angle, spec))
 
 
 def softmax(logits) -> np.ndarray:
@@ -209,7 +225,7 @@ def _checked_sample(output, target: EulerAngles, spec: BinSpec):
     if logits.shape[1] != spec.num_bins:
         raise ValueError(f"logits have {logits.shape[1]} bins, spec has {spec.num_bins}")
     angles = target.as_array()
-    return logits, np.array([bin_angle(a, spec) for a in angles]), angles
+    return logits, _bin_indices(angles, spec), angles
 
 
 def multi_loss(output, target: EulerAngles, spec: BinSpec, config: MultiLossConfig):
@@ -493,44 +509,46 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
             pb -= a
 
 
-def train_toy(dataset, config: MultiLossConfig | None = None, spec: BinSpec | None = None,
-              epochs: int = 30, seed=0, hidden_size: int = 128, batch_size: int = 32,
-              lr: float = 1e-3, val_fraction: float = 0.2, activation: str = "tanh",
-              augment=None):
-    """Train a ToyNet on (input vector, EulerAngles) pairs.
+def train_toy(inputs, targets, config: MultiLossConfig | None = None, epochs: int = 30,
+              seed=0, hidden_size: int = 128, batch_size: int = 32, lr: float = 1e-3,
+              val_fraction: float = 0.2, augment=None):
+    """Train a tanh ToyNet on the default BinSpec.
 
-    Returns (net, history); history rows are dicts with keys epoch and
-    val_mae, starting with an epoch-0 row for the untrained network.
-    val_mae is decoded-vs-target degrees averaged over the held-out
-    samples and angles, NaN when val_fraction is 0.  augment, when
-    given, is called as augment(batch, rng) on every training mini-batch
-    and must return an equally-shaped array.  Fully deterministic for a
-    fixed seed.
+    inputs is (B, ...), one sample per row, each flattened to a vector
+    (a C-contiguous float64 array is used as it is, not copied); targets
+    is (B, 3): yaw, pitch and roll in degrees.  Every target is binned
+    before the first training step.  Returns (net, history); history
+    rows are dicts with keys epoch and val_mae, starting with an epoch-0
+    row for the untrained network.  val_mae is decoded-vs-target degrees
+    averaged over the held-out samples and angles, NaN when val_fraction
+    is 0.  augment, when given, is called as augment(batch, rng) on every
+    training mini-batch and must return an equally-shaped array.  Fully
+    deterministic for a fixed seed.
     """
     if config is None:
         config = MultiLossConfig()
-    if spec is None:
-        spec = BinSpec()
-    pairs = list(dataset)
-    if not pairs:
-        raise ValueError("dataset is empty")
+    spec = BinSpec()
+    inputs = np.asarray(inputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if inputs.ndim == 0 or len(inputs) == 0:
+        raise ValueError(f"inputs must be a nonempty (B, ...) array, got shape {inputs.shape}")
+    if targets.shape != (len(inputs), 3):
+        raise ShapeMismatchError(f"targets shape {targets.shape} vs ({len(inputs)}, 3)")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError("val_fraction must be in [0, 1)")
     if not (math.isfinite(lr) and lr > 0.0):
         raise ValueError(f"lr must be finite and > 0, got {lr}")
-    inputs = np.array([np.asarray(x, dtype=float).ravel() for x, _ in pairs])
-    targets = np.array([[t.yaw, t.pitch, t.roll] for _, t in pairs])
-    target_bins = np.array([[bin_angle(v, spec) for v in row] for row in targets])
+    inputs = inputs.reshape(len(inputs), -1)
+    target_bins = _bin_indices(targets, spec)
 
-    n = len(pairs)
+    n = len(inputs)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_val = min(int(round(n * val_fraction)), n - 1)
     val_idx, train_idx = order[:n_val], order[n_val:]
-    net = toynet_init(inputs.shape[1], hidden_size, spec, seed=int(rng.integers(2 ** 63)),
-                      activation=activation)
+    net = toynet_init(inputs.shape[1], hidden_size, spec, seed=int(rng.integers(2 ** 63)))
     # One gradient vector laid out like net.flat, so one Adam step covers
     # every parameter.
     grad_flat = np.empty_like(net.flat)
@@ -592,9 +610,11 @@ def load_toynet(path) -> ToyNet:
     if not lines or lines[0].strip() != TOYNET_MAGIC:
         fail(1, f"missing {TOYNET_MAGIC} header")
     try:
-        _, activation = lines[1].split()
-        _, bmin, bmax, bwidth = lines[2].split()
-        _, input_dim, hidden_size = lines[3].split()
+        key_a, activation = lines[1].split()
+        key_b, bmin, bmax, bwidth = lines[2].split()
+        key_s, input_dim, hidden_size = lines[3].split()
+        if (key_a, key_b, key_s) != ("activation", "bins", "shape"):
+            raise ValueError
         spec = BinSpec(float(bmin), float(bmax), float(bwidth))
         input_dim, hidden_size = int(input_dim), int(hidden_size)
     except (IndexError, ValueError):

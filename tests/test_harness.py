@@ -91,6 +91,8 @@ class TestStudyConfig:
             {"learning_rate": 0.0},
             {"learning_rate": math.nan},
             {"learning_rate": math.inf},
+            {"trials": True},
+            {"lowres_factors": (True,)},
         ],
     )
     def test_validation(self, kwargs):

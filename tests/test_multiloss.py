@@ -18,6 +18,7 @@ from poselab.multiloss import (
     ShapeMismatchError,
     ToyNet,
     TrainingDivergedError,
+    _bin_indices,
     adam_step,
     bin_angle,
     cross_entropy,
@@ -113,6 +114,56 @@ class TestBinAngle:
     def test_center_maps_to_own_bin(self):
         for i, c in enumerate(DEFAULT.centers):
             assert bin_angle(float(c), DEFAULT) == i
+
+
+def reference_bin(angle: float, spec: BinSpec) -> int:
+    """The scalar binning rule as bin_angle first stated it, kept as the
+    reference for the array rule."""
+    if not spec.min_angle <= angle < spec.max_angle:
+        raise AngleOutOfRangeError(
+            f"angle {angle} outside [{spec.min_angle}, {spec.max_angle})"
+        )
+    idx = int(math.floor((angle - spec.min_angle) / spec.bin_width))
+    return min(idx, spec.num_bins - 1)
+
+
+class TestBinIndices:
+    # 0.1 is not a binary fraction, so these edges are where rounding bites.
+    SPECS = [DEFAULT, TWO_BIN, SMALL, BinSpec(-1.0, 0.5, 0.1)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["default", "two-bin", "small", "tenths"])
+    def test_matches_scalar_rule(self, spec):
+        edges = spec.min_angle + np.arange(spec.num_bins) * spec.bin_width
+        below_max = np.nextafter(spec.max_angle, -np.inf)
+        near_edges = np.concatenate([np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        angles = np.concatenate([
+            edges, [spec.min_angle, below_max],
+            near_edges[(near_edges >= spec.min_angle) & (near_edges < spec.max_angle)],
+            np.random.default_rng(0).uniform(spec.min_angle, spec.max_angle, size=500),
+        ])
+        want = [reference_bin(float(a), spec) for a in angles]
+        got = _bin_indices(angles, spec)
+        assert got.shape == angles.shape and got.dtype.kind == "i"
+        assert got.tolist() == want
+        assert [bin_angle(float(a), spec) for a in angles] == want
+        assert bin_angle(float(below_max), spec) == spec.num_bins - 1
+
+    def test_keeps_shape(self):
+        angles = np.random.default_rng(1).uniform(-99.0, 99.0, size=(4, 3))
+        got = _bin_indices(angles, DEFAULT)
+        assert got.shape == (4, 3)
+        assert got.tolist() == [[reference_bin(a, DEFAULT) for a in row] for row in angles.tolist()]
+
+    @pytest.mark.parametrize("bad", [99.0, np.nextafter(-99.0, -np.inf), math.nan, math.inf, -math.inf])
+    def test_out_of_range_message_names_first_bad_angle(self, bad):
+        with pytest.raises(AngleOutOfRangeError) as want:
+            reference_bin(bad, DEFAULT)
+        with pytest.raises(AngleOutOfRangeError) as scalar:
+            bin_angle(bad, DEFAULT)
+        angles = np.array([[0.0, 10.0, -5.0], [1.0, bad, 150.0]])
+        with pytest.raises(AngleOutOfRangeError) as array:
+            _bin_indices(angles, DEFAULT)
+        assert str(scalar.value) == str(array.value) == str(want.value)
 
 
 class TestSoftmaxAndCrossEntropy:
@@ -527,60 +578,86 @@ class TestAdam:
 
 
 def linear_dataset(n, seed=0):
+    """(xs, targets): n random 6-vectors and their (yaw, pitch, roll) rows
+    30 x0, 20 x1, 10 x2."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1.0, 1.0, size=(n, 6))
-    return [
-        (x, EulerAngles(30.0 * x[0], 20.0 * x[1], 10.0 * x[2]))
-        for x in xs
-    ]
+    return xs, xs[:, :3] * np.array([30.0, 20.0, 10.0])
 
 
 class TestTrainToy:
     def test_learns_linear_targets(self):
         net, history = train_toy(
-            linear_dataset(400), epochs=8, seed=0, hidden_size=32, batch_size=32
+            *linear_dataset(400), epochs=8, seed=0, hidden_size=32, batch_size=32
         )
         assert len(history) == 9
         assert history[0]["epoch"] == 0
         assert history[-1]["epoch"] == 8
         assert history[-1]["val_mae"] < history[0]["val_mae"] * 0.6
-        x, target = linear_dataset(400)[0]
-        decoded = predict_angles(net, x)
-        assert abs(decoded[0] - target.yaw) < 15.0
+        xs, targets = linear_dataset(400)
+        decoded = predict_angles(net, xs[0])
+        assert abs(decoded[0] - targets[0, 0]) < 15.0
 
     def test_untrained_row_reflects_zero_decode(self):
-        _, history = train_toy(linear_dataset(100), epochs=0, seed=0, hidden_size=8)
+        _, history = train_toy(*linear_dataset(100), epochs=0, seed=0, hidden_size=8)
         # untrained network decodes 0 for every angle, so the MAE is the
         # mean absolute target
-        targets = np.array([[t.yaw, t.pitch, t.roll] for _, t in linear_dataset(100)])
+        _, targets = linear_dataset(100)
         assert len(history) == 1 and set(history[0]) == {"epoch", "val_mae"}
         assert history[0]["val_mae"] == pytest.approx(np.mean(np.abs(targets)), rel=0.3)
 
     def test_deterministic(self):
-        _, h1 = train_toy(linear_dataset(120), epochs=2, seed=7, hidden_size=8)
-        _, h2 = train_toy(linear_dataset(120), epochs=2, seed=7, hidden_size=8)
-        _, h3 = train_toy(linear_dataset(120), epochs=2, seed=8, hidden_size=8)
+        _, h1 = train_toy(*linear_dataset(120), epochs=2, seed=7, hidden_size=8)
+        _, h2 = train_toy(*linear_dataset(120), epochs=2, seed=7, hidden_size=8)
+        _, h3 = train_toy(*linear_dataset(120), epochs=2, seed=8, hidden_size=8)
         assert h1 == h2
         assert h1 != h3
 
     def test_no_validation_split(self):
-        _, history = train_toy(linear_dataset(50), epochs=1, seed=0, hidden_size=8, val_fraction=0.0)
+        _, history = train_toy(*linear_dataset(50), epochs=1, seed=0, hidden_size=8, val_fraction=0.0)
         assert [row["epoch"] for row in history] == [0, 1]
         assert all(math.isnan(row["val_mae"]) for row in history)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
-            train_toy([], epochs=1)
+            train_toy(np.empty((0, 4)), np.empty((0, 3)), epochs=1)
 
     def test_out_of_range_target_rejected_before_training(self):
-        data = [(np.zeros(4), EulerAngles(99.0, 0.0, 0.0))]
         with pytest.raises(AngleOutOfRangeError):
-            train_toy(data, epochs=1)
+            train_toy(np.zeros((1, 4)), np.array([[99.0, 0.0, 0.0]]), epochs=1)
+
+    @pytest.mark.parametrize("bad", [-120.0, math.nan, math.inf, -math.inf])
+    def test_bad_target_rejected_before_any_step(self, bad):
+        xs, targets = linear_dataset(40)
+        targets[7, 1] = bad
+        steps = []
+
+        def spy(batch, rng):
+            steps.append(len(batch))
+            return batch
+
+        with pytest.raises(AngleOutOfRangeError, match=f"angle {bad} outside"):
+            train_toy(xs, targets, epochs=1, seed=0, hidden_size=8, augment=spy)
+        assert steps == []
+
+    @pytest.mark.parametrize("shape", [(39, 3), (41, 3), (40, 2), (40, 4), (40,)])
+    def test_target_shape_checked(self, shape):
+        xs, _ = linear_dataset(40)
+        with pytest.raises(ShapeMismatchError):
+            train_toy(xs, np.zeros(shape), epochs=1, hidden_size=8)
+
+    def test_sample_axes_flattened(self):
+        xs, targets = linear_dataset(60)
+        net_flat, h_flat = train_toy(xs, targets, epochs=2, seed=3, hidden_size=8)
+        net_grid, h_grid = train_toy(xs.reshape(60, 2, 3), targets, epochs=2, seed=3, hidden_size=8)
+        assert net_grid.input_dim == 6
+        assert h_grid == h_flat
+        assert np.array_equal(net_grid.flat, net_flat.flat)
 
     @pytest.mark.parametrize("lr", [-1e-3, 0.0, math.nan, math.inf])
     def test_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="lr"):
-            train_toy(linear_dataset(40), epochs=1, seed=0, hidden_size=8, lr=lr)
+            train_toy(*linear_dataset(40), epochs=1, seed=0, hidden_size=8, lr=lr)
 
     def test_augment_hook_changes_training(self):
         data = linear_dataset(120)
@@ -588,8 +665,8 @@ class TestTrainToy:
         def noisy(batch, rng):
             return batch + rng.normal(scale=0.5, size=batch.shape)
 
-        _, plain = train_toy(data, epochs=2, seed=0, hidden_size=8)
-        _, augmented = train_toy(data, epochs=2, seed=0, hidden_size=8, augment=noisy)
+        _, plain = train_toy(*data, epochs=2, seed=0, hidden_size=8)
+        _, augmented = train_toy(*data, epochs=2, seed=0, hidden_size=8, augment=noisy)
         assert plain != augmented
 
     def test_augment_shape_checked(self):
@@ -597,19 +674,19 @@ class TestTrainToy:
             return batch[:, :2]
 
         with pytest.raises(ShapeMismatchError):
-            train_toy(linear_dataset(40), epochs=1, seed=0, hidden_size=8, augment=broken)
+            train_toy(*linear_dataset(40), epochs=1, seed=0, hidden_size=8, augment=broken)
 
     def test_divergence_detected(self):
         def poison(batch, rng):
             return np.full_like(batch, np.inf)
 
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(TrainingDivergedError):
-            train_toy(linear_dataset(40), epochs=1, seed=0, hidden_size=8, augment=poison)
+            train_toy(*linear_dataset(40), epochs=1, seed=0, hidden_size=8, augment=poison)
 
 
 class TestSaveLoadToyNet:
     def test_round_trip_exact(self, tmp_path):
-        net, _ = train_toy(linear_dataset(60), epochs=1, seed=0, hidden_size=8)
+        net, _ = train_toy(*linear_dataset(60), epochs=1, seed=0, hidden_size=8)
         path = tmp_path / "net.txt"
         save_toynet(net, path)
         back = load_toynet(path)
@@ -635,6 +712,22 @@ class TestSaveLoadToyNet:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError):
+            load_toynet(path)
+
+    @pytest.mark.parametrize("header", [
+        ("junk tanh", "x -6 6 3", "y 4 3"),
+        ("junk tanh", "bins -6 6 3", "shape 4 3"),
+        ("activation tanh", "x -6 6 3", "shape 4 3"),
+        ("activation tanh", "bins -6 6 3", "y 4 3"),
+    ])
+    def test_header_keywords_required(self, tmp_path, header):
+        net = toynet_init(4, 3, BinSpec(-6.0, 6.0, 3.0), seed=0)
+        path = tmp_path / "net.txt"
+        save_toynet(net, path)
+        lines = path.read_text().splitlines()
+        assert lines[1:4] == ["activation tanh", "bins -6 6 3", "shape 4 3"]
+        path.write_text("\n".join([lines[0], *header, *lines[4:]]) + "\n")
+        with pytest.raises(ValueError, match="malformed header"):
             load_toynet(path)
 
     def test_corrupt_number(self, tmp_path):

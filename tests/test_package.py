@@ -1,6 +1,7 @@
 import ast
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,17 @@ import poselab
 MODULES = sorted(info.name for info in pkgutil.iter_modules(poselab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+
+
+def test_readme_examples_run():
+    # Every python block of the README, in order, in one namespace: later
+    # blocks use the names earlier ones define.
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def test_modules_found():
