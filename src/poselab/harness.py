@@ -24,7 +24,6 @@ the raster size are module constants.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -40,7 +39,13 @@ from .facemodel import (
     stretch_model,
     subset_by_name,
 )
-from .multiloss import MultiLossConfig, TrainingDivergedError, predict_angles, train_toy
+from .multiloss import (
+    MultiLossConfig,
+    TrainingDivergedError,
+    _is_integer,
+    predict_angles,
+    train_toy,
+)
 from .pnp import (
     DegenerateProblemError,
     PnPProblem,
@@ -93,11 +98,6 @@ RASTER_SIZE = 32
 # keeps the batched solver's stacks full while bounding the problems held
 # in memory; the rows do not depend on it.
 TRIAL_BLOCK = 64
-
-
-def _is_integer(value) -> bool:
-    # bool is an Integral, but True is no count, seed or factor.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

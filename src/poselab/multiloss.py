@@ -6,15 +6,16 @@ The training loss per angle is cross-entropy on the true bin plus
 alpha * (decoded - target)^2, summed over yaw, pitch, roll; one core
 computes it and its gradient for single samples and batches.  One rule,
 _bin_indices, bins a whole array of angles; bin_angle, the loss API and
-train_toy all bin through it.  Also ships a small dense network with
-three angle heads, manual backprop, a bias-corrected Adam optimizer, and
-a text serialization format, so the loss can be exercised end to end
-without any ML framework.
+train_toy all bin through it.  Also ships a small dense network (one
+tanh hidden layer, three angle heads), manual backprop, a bias-corrected
+Adam optimizer, and a text serialization format, so the loss can be
+exercised end to end without any ML framework.
 
 The network keeps its parameters in one flat float64 vector, and the four
 named arrays are views into it.  Private helpers do the maths once:
-_hidden_activations, _head_logits (one matmul per head) and
-_backward_into (gradients written into given arrays).  toynet_forward and
+_hidden_activations (the tanh layer, one array), _head_logits (one
+matmul per head) and _backward_into (gradients written into given
+arrays, from the inputs and the hidden layer alone).  toynet_forward and
 toynet_backward are thin checked wrappers over them.  train_toy takes the
 arrays a dataset already is, inputs (B, ...) and targets (B, 3) in
 degrees, and calls the helpers directly, so each step computes the hidden
@@ -24,6 +25,7 @@ train_toy's history holds only the held-out MAE per epoch.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,6 +138,11 @@ class AngleLossTerms:
     cross_entropy: float
     squared_error: float
     total: float
+
+
+def _is_integer(value) -> bool:
+    # bool is an Integral, but True is no count, seed, size or factor.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _bin_indices(angles, spec: BinSpec) -> np.ndarray:
@@ -255,7 +262,7 @@ def _batch_loss_and_grad(logits, target_bins, target_angles, spec, alpha):
 
 @dataclass(eq=False)
 class ToyNet:
-    """One dense hidden layer feeding three independent linear angle heads.
+    """One tanh hidden layer feeding three independent linear angle heads.
 
     The four parameter arrays are views into one float64 vector, the
     attribute flat, laid out as w_hidden, b_hidden, w_heads, b_heads.  The
@@ -269,7 +276,6 @@ class ToyNet:
     w_heads: np.ndarray   # (3, num_bins, hidden)
     b_heads: np.ndarray   # (3, num_bins)
     spec: BinSpec
-    activation: str = "tanh"
 
     def __post_init__(self):
         self.w_hidden = np.asarray(self.w_hidden, dtype=float)
@@ -287,8 +293,6 @@ class ToyNet:
             raise ShapeMismatchError(
                 f"heads emit {self.w_heads.shape[1]} logits, bin spec has {self.spec.num_bins}"
             )
-        if self.activation not in ("tanh", "relu"):
-            raise ValueError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
         self.flat = np.concatenate([p.ravel() for p in self.parameters().values()])
         for name, view in self._views(self.flat).items():
             setattr(self, name, view)
@@ -323,7 +327,7 @@ class ToyNet:
         return views
 
 
-def toynet_init(input_dim: int, hidden_size: int, spec: BinSpec, seed=0, activation: str = "tanh") -> ToyNet:
+def toynet_init(input_dim: int, hidden_size: int, spec: BinSpec, seed=0) -> ToyNet:
     """Uniform Xavier hidden weights, zero biases and zero head weights.
 
     Zero heads mean the untrained network emits equal logits, so it
@@ -341,7 +345,6 @@ def toynet_init(input_dim: int, hidden_size: int, spec: BinSpec, seed=0, activat
         np.zeros((3, spec.num_bins, hidden_size)),
         np.zeros((3, spec.num_bins)),
         spec,
-        activation,
     )
 
 
@@ -354,11 +357,10 @@ def _batch_input(net: ToyNet, inputs):
     return x, x2
 
 
-def _hidden_activations(net: ToyNet, x2d: np.ndarray):
-    pre = x2d @ net.w_hidden.T + net.b_hidden
-    if net.activation == "tanh":
-        return pre, np.tanh(pre)
-    return pre, np.maximum(pre, 0.0)
+def _hidden_activations(net: ToyNet, x2d: np.ndarray) -> np.ndarray:
+    """tanh(x2d @ w_hidden.T + b_hidden), the (B, hidden) hidden layer."""
+    h = x2d @ net.w_hidden.T + net.b_hidden
+    return np.tanh(h, out=h)
 
 
 def _head_logits(net: ToyNet, h: np.ndarray) -> np.ndarray:
@@ -376,20 +378,18 @@ def _head_logits(net: ToyNet, h: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _backward_into(net: ToyNet, x2d, pre, h, dlogits, grads: dict) -> None:
+def _backward_into(net: ToyNet, x2d, h, dlogits, grads: dict) -> None:
     """Write the batch-summed parameter gradients into the arrays of grads.
 
-    pre and h are _hidden_activations(net, x2d); dlogits is (B, 3, nb).
-    The grads arrays must be C-contiguous so the reshapes below are views.
+    h is _hidden_activations(net, x2d); dlogits is (B, 3, nb).  The tanh
+    derivative is 1 - h^2, so the pre-activations are not needed.  The
+    grads arrays must be C-contiguous so the reshapes below are views.
     """
     g = dlogits.reshape(len(x2d), -1)
     np.matmul(g.T, h, out=grads["w_heads"].reshape(g.shape[1], -1))
     np.sum(g, axis=0, out=grads["b_heads"].reshape(-1))
     dpre = g @ net.w_heads.reshape(g.shape[1], -1)
-    if net.activation == "tanh":
-        dpre *= 1.0 - h * h
-    else:
-        dpre *= pre > 0.0
+    dpre *= 1.0 - h * h
     np.matmul(dpre.T, x2d, out=grads["w_hidden"])
     np.sum(dpre, axis=0, out=grads["b_hidden"])
 
@@ -401,7 +401,7 @@ def toynet_forward(net: ToyNet, inputs):
     raw (B, 3, num_bins) logit array.
     """
     x, x2 = _batch_input(net, inputs)
-    logits = _head_logits(net, _hidden_activations(net, x2)[1])
+    logits = _head_logits(net, _hidden_activations(net, x2))
     if x.ndim == 1:
         return AngleHeadOutput(logits[0])
     return logits
@@ -419,7 +419,7 @@ def toynet_backward(net: ToyNet, inputs, dlogits) -> dict:
     if g3.shape != (len(x2), 3, net.num_bins):
         raise ShapeMismatchError(f"dlogits shape {g.shape} vs ({len(x2)}, 3, {net.num_bins})")
     grads = net._views(np.empty_like(net.flat))
-    _backward_into(net, x2, *_hidden_activations(net, x2), g3, grads)
+    _backward_into(net, x2, _hidden_activations(net, x2), g3, grads)
     return grads
 
 
@@ -536,6 +536,8 @@ def train_toy(inputs, targets, config: MultiLossConfig | None = None, epochs: in
         raise ShapeMismatchError(f"targets shape {targets.shape} vs ({len(inputs)}, 3)")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
+    if not (_is_integer(batch_size) and batch_size >= 1):
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError("val_fraction must be in [0, 1)")
     if not (math.isfinite(lr) and lr > 0.0):
@@ -571,12 +573,12 @@ def train_toy(inputs, targets, config: MultiLossConfig | None = None, epochs: in
                 xb = np.asarray(augment(xb, rng), dtype=float)
                 if xb.shape != (len(batch), inputs.shape[1]):
                     raise ShapeMismatchError(f"augment returned shape {xb.shape}")
-            pre, h = _hidden_activations(net, xb)
+            h = _hidden_activations(net, xb)
             loss, dlogits = _batch_loss_and_grad(_head_logits(net, h), target_bins[batch],
                                                  targets[batch], spec, config.alpha)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            _backward_into(net, xb, pre, h, dlogits, grads)
+            _backward_into(net, xb, h, dlogits, grads)
             adam_step({"flat": net.flat}, {"flat": grad_flat}, state)
         if not np.all(np.isfinite(net.flat)):
             raise TrainingDivergedError(f"non-finite parameters after epoch {epoch}")
@@ -589,7 +591,7 @@ def save_toynet(net: ToyNet, path) -> None:
     spec = net.spec
     lines = [
         TOYNET_MAGIC,
-        f"activation {net.activation}",
+        "activation tanh",
         f"bins {spec.min_angle:.17g} {spec.max_angle:.17g} {spec.bin_width:.17g}",
         f"shape {net.input_dim} {net.hidden_size}",
     ]
@@ -602,6 +604,11 @@ def save_toynet(net: ToyNet, path) -> None:
 
 
 def load_toynet(path) -> ToyNet:
+    """Read a save_toynet file; raises ValueError naming the line at fault.
+
+    The header must say "activation tanh", every number must be finite,
+    and nothing but blank lines may follow the b_heads section.
+    """
     lines = Path(path).read_text().splitlines()
 
     def fail(lineno, message):
@@ -619,6 +626,8 @@ def load_toynet(path) -> ToyNet:
         input_dim, hidden_size = int(input_dim), int(hidden_size)
     except (IndexError, ValueError):
         raise ValueError(f"{path}: malformed header") from None
+    if activation != "tanh":
+        fail(2, f"activation {activation!r} is not supported, ToyNet is tanh only")
 
     sections = (
         ("w_hidden", (hidden_size, input_dim)),
@@ -641,13 +650,18 @@ def load_toynet(path) -> ToyNet:
             fail(pos + 1, f"bad number in section {name!r}")
         if data.shape != (n_rows, n_cols):
             fail(pos + 1, f"section {name!r} has shape {data.shape}, expected {(n_rows, n_cols)}")
+        finite_rows = np.isfinite(data).all(axis=1)
+        if not finite_rows.all():
+            fail(pos + 1 + int(np.argmin(finite_rows)), f"non-finite number in section {name!r}")
         arrays[name] = data
         pos += n_rows
+    for lineno in range(pos, len(lines)):
+        if lines[lineno].strip():
+            fail(lineno + 1, f"unexpected content after section {sections[-1][0]!r}")
     return ToyNet(
         arrays["w_hidden"],
         arrays["b_hidden"].ravel(),
         arrays["w_heads"].reshape(3, spec.num_bins, hidden_size),
         arrays["b_heads"],
         spec,
-        activation,
     )

@@ -154,7 +154,7 @@ def test_criterion_03_gradient_exactness():
     # 40 full-network instances
     for i in range(40):
         cfg = MultiLossConfig(alpha=alphas[i % len(alphas)])
-        net = toynet_init(5, 4, spec, seed=100 + i, activation="tanh")
+        net = toynet_init(5, 4, spec, seed=100 + i)
         net.w_heads += rng.normal(scale=0.5, size=net.w_heads.shape)
         net.b_heads += rng.normal(scale=0.5, size=net.b_heads.shape)
         net.b_hidden += rng.normal(scale=0.3, size=net.b_hidden.shape)

@@ -361,9 +361,16 @@ class TestToyNet:
         assert np.array_equal(a.w_hidden, b.w_hidden)
         assert not np.array_equal(a.w_hidden, c.w_hidden)
 
-    def test_bad_activation(self):
-        with pytest.raises(ValueError):
-            toynet_init(5, 4, SMALL, activation="sigmoid")
+    def test_bad_activation(self, tmp_path):
+        # The net is tanh only; a file naming another activation is refused.
+        path = tmp_path / "net.txt"
+        save_toynet(toynet_init(4, 3, SMALL, seed=0), path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "activation tanh"
+        for activation in ("relu", "sigmoid"):
+            path.write_text("\n".join([lines[0], f"activation {activation}", *lines[2:]]) + "\n")
+            with pytest.raises(ValueError, match=f":2: activation '{activation}' is not supported"):
+                load_toynet(path)
 
     def test_forward_single_vs_batch(self):
         net = toynet_init(5, 4, SMALL, seed=0)
@@ -385,15 +392,14 @@ class TestToyNet:
         angles = predict_angles(net, np.random.default_rng(2).normal(size=5))
         assert np.max(np.abs(angles)) < 1e-12
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_backward_matches_finite_differences(self, activation):
+    def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        net = toynet_init(5, 4, SMALL, seed=3, activation=activation)
+        net = toynet_init(5, 4, SMALL, seed=3)
         # non-trivial heads and biases so every gradient path is exercised
         net.w_heads += rng.normal(scale=0.5, size=net.w_heads.shape)
         net.b_heads += rng.normal(scale=0.5, size=net.b_heads.shape)
         net.b_hidden += rng.normal(scale=0.3, size=net.b_hidden.shape)
-        x = rng.normal(size=(3, 5)) + 0.05  # keep relu away from its kink
+        x = rng.normal(size=(3, 5))
         target_bins = rng.integers(0, 6, size=(3, 3))
         target_angles = SMALL.centers[target_bins]
         cfg_alpha = 1.5
@@ -453,19 +459,17 @@ class TestToyNet:
         for a, b in zip(arrays, before):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_matmul_heads_match_einsum_reference(self, activation):
+    def test_matmul_heads_match_einsum_reference(self):
         rng = np.random.default_rng(8)
-        net = toynet_init(7, 5, SMALL, seed=2, activation=activation)
+        net = toynet_init(7, 5, SMALL, seed=2)
         net.flat += rng.normal(scale=0.5, size=net.flat.shape)
         x = rng.normal(size=(6, 7))
         g = rng.normal(size=(6, 3, 6))
 
-        pre = x @ net.w_hidden.T + net.b_hidden
-        h = np.tanh(pre) if activation == "tanh" else np.maximum(pre, 0.0)
+        h = np.tanh(x @ net.w_hidden.T + net.b_hidden)
         logits = np.einsum("anh,bh->ban", net.w_heads, h) + net.b_heads
         dh = np.einsum("ban,anh->bh", g, net.w_heads)
-        dpre = dh * (1.0 - h * h) if activation == "tanh" else dh * (pre > 0.0)
+        dpre = dh * (1.0 - h * h)
         want = {"w_hidden": dpre.T @ x, "b_hidden": dpre.sum(axis=0),
                 "w_heads": np.einsum("ban,bh->anh", g, h), "b_heads": g.sum(axis=0)}
 
@@ -654,6 +658,19 @@ class TestTrainToy:
         assert h_grid == h_flat
         assert np.array_equal(net_grid.flat, net_flat.flat)
 
+    @pytest.mark.parametrize("batch_size", [-4, 0, 2.5, True])
+    def test_batch_size_must_be_positive_integer(self, batch_size):
+        steps = []
+
+        def spy(batch, rng):
+            steps.append(len(batch))
+            return batch
+
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
+            train_toy(*linear_dataset(40), epochs=2, seed=0, hidden_size=8,
+                      batch_size=batch_size, augment=spy)
+        assert steps == []
+
     @pytest.mark.parametrize("lr", [-1e-3, 0.0, math.nan, math.inf])
     def test_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="lr"):
@@ -694,7 +711,6 @@ class TestSaveLoadToyNet:
         assert np.array_equal(back.b_hidden, net.b_hidden)
         assert np.array_equal(back.w_heads, net.w_heads)
         assert np.array_equal(back.b_heads, net.b_heads)
-        assert back.activation == net.activation
         assert back.spec == net.spec
         x = np.random.default_rng(0).normal(size=6)
         assert np.array_equal(predict_angles(back, x), predict_angles(net, x))
@@ -737,4 +753,30 @@ class TestSaveLoadToyNet:
         text = path.read_text().replace("0 ", "x ", 1)
         path.write_text(text)
         with pytest.raises(ValueError):
+            load_toynet(path)
+
+    def test_content_after_last_section(self, tmp_path):
+        path = tmp_path / "net.txt"
+        save_toynet(toynet_init(4, 3, SMALL, seed=0), path)
+        n_lines = len(path.read_text().splitlines())
+        with path.open("a") as out:
+            out.write("\n  \n")
+        assert load_toynet(path).input_dim == 4  # trailing blank lines are allowed
+        with path.open("a") as out:
+            out.write("w_hidden\n1 2 3\ngarbage here\n")
+        with pytest.raises(ValueError, match=f":{n_lines + 3}: unexpected content after "
+                                             "section 'b_heads'"):
+            load_toynet(path)
+
+    def test_non_finite_weight(self, tmp_path):
+        path = tmp_path / "net.txt"
+        save_toynet(toynet_init(4, 3, SMALL, seed=0), path)
+        lines = path.read_text().splitlines()
+        # Line 7 is the second row of w_hidden: header, "w_hidden", row 1, row 2.
+        assert lines[4] == "w_hidden"
+        row = lines[6].split()
+        row[2] = "nan"
+        lines[6] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":7: non-finite number in section 'w_hidden'"):
             load_toynet(path)

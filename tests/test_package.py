@@ -1,4 +1,6 @@
 import ast
+import importlib.util
+import inspect
 import os
 import pkgutil
 import re
@@ -24,6 +26,45 @@ def test_readme_examples_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def perfbench_bindings(source: str) -> list:
+    """(module, name, call) for every attribute a perfbench script reads off a
+    poselab module it imports with "from poselab import ..."; call is the
+    ast.Call when the attribute is called, else None."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "poselab"
+               for alias in node.names}
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return [(node.value.id, node.attr, calls.get(id(node))) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules]
+
+
+def test_benchmark_spans_resolve():
+    # perfbench/spans.py wraps these names; one renamed or deleted here
+    # would fail the benchmark run instead of the tests.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.SPANS) > 20
+    for _, _, module, name in spans.SPANS:
+        assert hasattr(importlib.import_module(f"poselab.{module}"), name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("script", ["kernels.py", "workloads.py"])
+def test_benchmark_calls_resolve(script):
+    # Every poselab name the script reads exists, and every call it makes
+    # binds to the callee's signature (a dropped keyword fails here).
+    bindings = perfbench_bindings((ROOT / "perfbench" / script).read_text())
+    assert len(bindings) > 5
+    for module, name, call in bindings:
+        target = getattr(importlib.import_module(f"poselab.{module}"), name, None)
+        assert target is not None, f"{module}.{name}"
+        if call is not None and not any(isinstance(a, ast.Starred) for a in call.args) \
+                and all(k.arg is not None for k in call.keywords):
+            inspect.signature(target).bind(*call.args, **{k.arg: None for k in call.keywords})
 
 
 def test_modules_found():
