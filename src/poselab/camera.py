@@ -110,8 +110,17 @@ def _behind_camera(depths) -> BehindCameraError:
 
 
 def _pinhole(cam, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Pixel coordinates (..., 2) of camera-frame points (..., 3), depths unchecked."""
-    pixels = np.multiply((intrinsics.fx, intrinsics.fy), cam[..., :2])
-    pixels /= cam[..., 2:]
-    pixels += (intrinsics.cx, intrinsics.cy)
+    """Pixel coordinates (..., 2) of camera-frame points (..., 3), depths unchecked.
+
+    u = fx * x / z + cx and v = fy * y / z + cy are written through (..., N)
+    views, so no operation runs an inner loop along the last axis of two.
+    """
+    pixels = np.empty(cam.shape[:-1] + (2,))
+    z = cam[..., 2]
+    u = np.multiply(intrinsics.fx, cam[..., 0], out=pixels[..., 0])
+    u /= z
+    u += intrinsics.cx
+    v = np.multiply(intrinsics.fy, cam[..., 1], out=pixels[..., 1])
+    v /= z
+    v += intrinsics.cy
     return pixels

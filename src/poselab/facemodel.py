@@ -202,18 +202,17 @@ def _parse_id_lines(path, fields: str) -> dict:
     """Read a landmark file with one whitespace-separated record per line.
 
     fields names the columns, id first (e.g. 'id x y z'); '#' starts a
-    comment.  The file is UTF-8, with or without a byte-order mark.  Returns {id: coordinates} in file order.  Raises ParseError
-    (with the line number) on a malformed line and DuplicateIdError on a
-    repeated id.
+    comment.  The file is UTF-8, with or without a byte-order mark.
+    Returns {id: coordinates} in file order.  Raises ParseError (with the
+    line number) on a malformed line and DuplicateIdError on a repeated id.
     """
     width = len(fields.split())
     text = Path(path).read_text(encoding="utf-8-sig")
     records = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != width:
             raise ParseError(path, lineno, f"expected {width} fields '{fields}', got {len(parts)}")
         try:
@@ -223,10 +222,10 @@ def _parse_id_lines(path, fields: str) -> dict:
         if not 1 <= landmark_id <= 68:
             raise ParseError(path, lineno, f"landmark id {landmark_id} outside 1..68")
         try:
-            coords = [float(p) for p in parts[1:]]
+            coords = list(map(float, parts[1:]))
         except ValueError:
             raise ParseError(path, lineno, "coordinates must be decimal numbers") from None
-        if not all(math.isfinite(c) for c in coords):
+        if not all(map(math.isfinite, coords)):
             raise ParseError(path, lineno, "coordinates must be finite")
         if landmark_id in records:
             raise DuplicateIdError(f"{path}:{lineno}: duplicate landmark id {landmark_id}")

@@ -644,15 +644,21 @@ def load_toynet(path) -> ToyNet:
         block = lines[pos:pos + n_rows]
         if len(block) < n_rows:
             fail(len(lines), f"section {name!r} truncated")
-        try:
-            data = np.array([[float(v) for v in row.split()] for row in block])
-        except ValueError:
-            fail(pos + 1, f"bad number in section {name!r}")
-        if data.shape != (n_rows, n_cols):
+        rows = []
+        for lineno, line in enumerate(block, start=pos + 1):
+            try:
+                row = [float(v) for v in line.split()]
+            except ValueError:
+                fail(lineno, f"bad number in section {name!r}")
+            if len(row) != n_cols:
+                fail(lineno, f"section {name!r} has a row of {len(row)} numbers, "
+                             f"expected {n_cols} for shape {(n_rows, n_cols)}")
+            if not all(map(math.isfinite, row)):
+                fail(lineno, f"non-finite number in section {name!r}")
+            rows.append(row)
+        data = np.array(rows)
+        if data.shape != (n_rows, n_cols):  # a section of no rows
             fail(pos + 1, f"section {name!r} has shape {data.shape}, expected {(n_rows, n_cols)}")
-        finite_rows = np.isfinite(data).all(axis=1)
-        if not finite_rows.all():
-            fail(pos + 1 + int(np.argmin(finite_rows)), f"non-finite number in section {name!r}")
         arrays[name] = data
         pos += n_rows
     for lineno in range(pos, len(lines)):

@@ -29,13 +29,17 @@ mean pose error from about 5e-14 degrees to 6e-13 at 1e-8 and 2e-10 at
 1e-6.  The iteration cap, the damping schedule and the tolerances are
 module constants.
 
-solve_pnp_batch runs the same iteration on many problems at once.  Under
-it, _solve_arrays is the array path the PnP studies call directly: models
-and images in as (B, N, 3) and (B, N, 2) arrays, and the best iterates,
-RMS errors, iteration counts, termination codes and behind-camera rows out
-as arrays, with no PnPProblem or PnPSolution per problem; the studies
-check each block's image points with _check_images, the check PnPProblem
-makes of one problem's.  Both loops carry each accepted trial's whole
+solve_pnp_batch runs the same iteration on many problems at once, up to
+BATCH_POINTS points per stack.  Once at most HANDOFF problems of a stack
+are unfinished, each goes on in the scalar loop: a stacked round costs
+mostly its fixed number of NumPy calls, not its rows, so a few long solves
+would otherwise pay a whole round per damping attempt.  Under it,
+_solve_arrays is the array path the PnP studies call directly: models and
+images in as (B, N, 3) and (B, N, 2) arrays, and the best iterates, RMS
+errors, iteration counts, termination codes and behind-camera rows out as
+arrays, with no PnPProblem or PnPSolution per problem; the studies check
+each block's image points with _check_images, the check PnPProblem makes
+of one problem's.  Both loops carry each accepted trial's whole
 residual evaluation with its iterate: the residuals, the cost and the
 _rigid_parts, that is the rotation with the skew matrix, its square and
 the angle it was built from, the rotated points model @ R^T and the camera
@@ -109,8 +113,11 @@ TERMINATIONS = ("step", "cost", "residual", "max_iterations", "damping_exhausted
 CONVERGED = frozenset(TERMINATIONS[:3])
 # Most points solve_pnp_batch stacks into one loop; larger groups are
 # split.  The stacked Jacobians and their temporaries grow with it, so it
-# bounds the solver's memory (48 problems of 68 points per stack).
-BATCH_POINTS = 3300
+# bounds the solver's memory (97 problems of 68 points per stack).
+BATCH_POINTS = 6600
+# Once a stack has at most this many unfinished problems, each goes on in
+# solve_pnp's own loop (see _solve_stack).
+HANDOFF = 3
 
 
 class DegenerateProblemError(ValueError):
@@ -223,8 +230,8 @@ def _pose_from_params(x: np.ndarray) -> Pose:
 def _euler_rows(x) -> np.ndarray:
     """(B, 3) yaw, pitch and roll in degrees of parameter rows x (B, 6): the
     angles _pose_from_params gives, without its rotation check and Pose."""
-    # Both branches of the Rodrigues series are evaluated (a zero rotation
-    # vector divides 0 by 0 in the unused one), as in _solve_stack.
+    # The general Rodrigues branch is evaluated for every row (a zero rotation
+    # vector divides 0 by 0 there before its row is patched), as in _solve_stack.
     with np.errstate(all="ignore"):
         rotations = _rodrigues_stack(x[:, :3])[0]
     angles = [_euler_from_rotation(rot) for rot in rotations]
@@ -393,7 +400,7 @@ def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: in
         short = slow = tiny = exhausted = False
         while not (short or exhausted):
             system = normal.copy()
-            system[_DIAGONAL, _DIAGONAL] += lam * damping
+            system.reshape(36)[::7] += lam * damping
             # A singular system gives a NaN step, rejected as non-finite.
             step = _linear_solve(system, descent)
             trial = None
@@ -504,11 +511,14 @@ def _solve_arrays(groups, intrinsics) -> tuple:
     return x, rmse, iterations, codes, behind
 
 
-_DIAGONAL = np.arange(6)
 # The gufunc np.linalg.solve wraps, without its checks: under
 # np.errstate(all="ignore") a singular system gives a NaN solution, not a
 # LinAlgError.  Takes systems (..., 6, 6) and right-hand sides (..., 6).
 _linear_solve = _umath_linalg.solve1
+# Termination codes of the tests _termination checks, in its order, and of
+# the iteration cap.
+_STOP_CODES = [TERMINATIONS.index(t) for t in ("step", "cost", "residual", "damping_exhausted")]
+_MAX_ITERATIONS_CODE = TERMINATIONS.index("max_iterations")
 
 
 def _solve_stack(model, image, intrinsics) -> tuple:
@@ -521,12 +531,14 @@ def _solve_stack(model, image, intrinsics) -> tuple:
     rejected step leaves the iterate where it was, so the next round rebuilds
     the same normal equations and solves them with the raised damping; an
     accepted step ends one of its iterations.  The stopping tests are
-    solve_pnp's, with the same operations.  The last unfinished problem goes
-    on in solve_pnp's own loop from its iterate, its evaluation, its damping
-    and iteration count: a round for one problem costs two to two and a half
-    times a scalar attempt, and the longest solves (up to MAX_ITERATIONS)
-    would otherwise end alone in the stack, so the run time would follow how
-    many of them a batch holds.
+    solve_pnp's, with the same operations.  Once at most HANDOFF problems
+    are unfinished, each goes on in solve_pnp's own loop from its iterate,
+    its evaluation, its damping and iteration count.  A round costs mostly
+    its fixed number of NumPy calls, not its rows: a round for two problems
+    costs two and a half to three times a scalar attempt.  The longest
+    solves (up to MAX_ITERATIONS) would otherwise end in a nearly empty
+    stack, one round per attempt, so the run time would follow how many of
+    them a batch holds rather than its work.
 
     Returns the best iterates x (B, 6), their costs, iterations and
     termination codes, and the rows whose start is behind the camera.
@@ -535,12 +547,12 @@ def _solve_stack(model, image, intrinsics) -> tuple:
     x = _start_params(model)
     iterations_out = np.zeros(count, dtype=int)
     codes = np.full(count, TERMINATIONS.index("residual"))
-    # Both branches of the Rodrigues series are evaluated, and a trial step
-    # may be non-finite or put points behind the camera; such values are
-    # never used, so their floating-point warnings are suppressed.
+    # The general Rodrigues branch is evaluated for every row, and a trial
+    # step may be non-finite or put points behind the camera; such values
+    # are never used, so their floating-point warnings are suppressed.
     with np.errstate(all="ignore"):
         residual, cost, parts = _stack_evaluate(model, image, x, intrinsics)
-        behind = np.any(parts[-1][..., 2] <= MIN_DEPTH, axis=1)
+        behind = (parts[-1][..., 2] <= MIN_DEPTH).any(axis=1)
         done = behind | (np.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE)
         x_out, cost_out = x.copy(), cost.copy()  # final for the rows done at the start
 
@@ -552,31 +564,33 @@ def _solve_stack(model, image, intrinsics) -> tuple:
             # Each round updates these arrays in place; finished rows are dropped.
             live, *carried, model, image, lam, iterations = state
             x, residual, cost, *parts = carried
-            if len(live) == 1:
-                j = live[0]
-                # The angle and the cost go as Python floats, as _evaluate gives
-                # them, so _iterate's scalar arithmetic runs on the same types.
-                rot, k, kk, theta, q, cam = (a[0] for a in parts)
-                x_out[j], cost_out[j], iterations_out[j], termination = _iterate(
-                    model[0], image[0], intrinsics, x[0],
-                    (residual[0], float(cost[0]), (rot, k, kk, float(theta), q, cam)),
-                    float(lam[0]), int(iterations[0]))
-                codes[j] = TERMINATIONS.index(termination)
+            if len(live) <= HANDOFF:
+                for i, j in enumerate(live):
+                    # The angle and the cost go as Python floats, as _evaluate
+                    # gives them, so _iterate's scalar arithmetic runs on the
+                    # same types.
+                    rot, k, kk, theta, q, cam = (a[i] for a in parts)
+                    x_out[j], cost_out[j], iterations_out[j], termination = _iterate(
+                        model[i], image[i], intrinsics, x[i],
+                        (residual[i], float(cost[i]), (rot, k, kk, float(theta), q, cam)),
+                        float(lam[i]), int(iterations[i]))
+                    codes[j] = TERMINATIONS.index(termination)
                 break
             jac = _stack_jacobian(parts, intrinsics)
             jac_t = jac.transpose(0, 2, 1)
             systems = jac_t @ jac
             gradient = (jac_t @ residual[:, :, None])[..., 0]
-            damping = np.maximum(systems[:, _DIAGONAL, _DIAGONAL], DIAG_FLOOR)
+            diagonal = systems.reshape(len(live), 36)[:, ::7]
+            damping = np.maximum(diagonal, DIAG_FLOOR)
             step_limit = STEP_TOLERANCE * (np.sqrt(_row_dots(x)) + STEP_TOLERANCE)
-            systems[:, _DIAGONAL, _DIAGONAL] += lam[:, None] * damping
+            diagonal += lam[:, None] * damping
             step = _linear_solve(systems, -gradient)
             trial_x = x + step
             trial_residual, trial_cost, trial_parts = _stack_evaluate(
                 model, image, trial_x, intrinsics)
-            finite = np.all(np.isfinite(step), axis=1)
+            finite = np.isfinite(step).all(axis=1)
             short = finite & (np.sqrt(_row_dots(step)) <= step_limit)
-            accepted = (finite & ~np.any(trial_parts[-1][..., 2] <= MIN_DEPTH, axis=1)
+            accepted = (finite & ~(trial_parts[-1][..., 2] <= MIN_DEPTH).any(axis=1)
                         & (trial_cost < cost))
             slow = accepted & (cost - trial_cost <= COST_TOLERANCE * cost)
             for kept, trial in zip(carried, (trial_x, trial_residual, trial_cost, *trial_parts)):
@@ -591,9 +605,9 @@ def _solve_stack(model, image, intrinsics) -> tuple:
                 ended = live[finished]
                 x_out[ended], cost_out[ended] = x[finished], cost[finished]
                 iterations_out[ended] = iterations[finished]
-                for j in np.flatnonzero(finished):
-                    termination = _termination(short[j], slow[j], tiny[j], exhausted[j])
-                    codes[live[j]] = TERMINATIONS.index(termination or "max_iterations")
+                # _termination's order: the first test that holds names the end.
+                codes[ended] = np.select((short, slow, tiny, exhausted), _STOP_CODES,
+                                         _MAX_ITERATIONS_CODE)[finished]
                 state = [a[~finished] for a in state]
     return x_out, cost_out, iterations_out, codes, behind
 
@@ -603,31 +617,44 @@ def _row_dots(a) -> np.ndarray:
     return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
+# Where _rodrigues_stack puts r and -r in each flattened skew matrix [r]x:
+# k[2, 1], k[0, 2], k[1, 0] = r and k[1, 2], k[2, 0], k[0, 1] = -r.
+_SKEW_AT = np.array([7, 2, 3, 5, 6, 1])
+
+
 def _rodrigues_stack(rvecs) -> tuple:
     """_rodrigues of every row of a (B, 3) array: the rotations (B, 3, 3), the
     skew matrices k, k @ k and the angles (B,), with NaN rotations where
-    r @ r is not finite."""
+    r @ r is not finite.  Every row takes the general branch; rows with an
+    angle below 1e-4 then get the Taylor series in its place."""
     theta2 = _row_dots(rvecs)
     theta = np.sqrt(theta2)
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / theta2
     small = theta < 1e-4
-    a = np.where(small, 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0), np.sin(theta) / theta)
-    b = np.where(small, 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0)),
-                 (1.0 - np.cos(theta)) / theta2)
-    k = np.zeros((len(rvecs), 3, 3))  # skew() of every row
-    k[:, 0, 1], k[:, 0, 2] = -rvecs[:, 2], rvecs[:, 1]
-    k[:, 1, 0], k[:, 1, 2] = rvecs[:, 2], -rvecs[:, 0]
-    k[:, 2, 0], k[:, 2, 1] = -rvecs[:, 1], rvecs[:, 0]
+    if small.any():
+        t2 = theta2[small]
+        a[small] = 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0)
+        b[small] = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0))
+    k = np.zeros((len(rvecs), 9))  # skew() of every row
+    k[:, _SKEW_AT] = np.concatenate((rvecs, -rvecs), axis=1)
+    k = k.reshape(-1, 3, 3)
     kk = k @ k
     return _IDENTITY + a[:, None, None] * k + b[:, None, None] * kk, k, kk, theta
 
 
 def _right_jacobian_stack(k, kk, theta) -> np.ndarray:
-    """_right_jacobian of every row: skew matrices k and kk = k @ k (B, 3, 3), angles theta (B,)."""
-    small = theta < 1e-4
-    a = np.where(small, 0.5 * (1.0 - theta * theta / 12.0), (1.0 - np.cos(theta)) / (theta * theta))
+    """_right_jacobian of every row: skew matrices k and kk = k @ k (B, 3, 3), angles theta (B,).
+    Rows with an angle below 1e-4 get the Taylor series in place of the general branch."""
+    a = (1.0 - np.cos(theta)) / (theta * theta)
     # Python's float power, as in _right_jacobian: NumPy's can differ in the last bit.
     cube = np.array([t ** 3 for t in theta.tolist()])
-    b = np.where(small, (1.0 - theta * theta / 20.0) / 6.0, (theta - np.sin(theta)) / cube)
+    b = (theta - np.sin(theta)) / cube
+    small = theta < 1e-4
+    if small.any():
+        t = theta[small]
+        a[small] = 0.5 * (1.0 - t * t / 12.0)
+        b[small] = (1.0 - t * t / 20.0) / 6.0
     return _IDENTITY - a[:, None, None] * k + b[:, None, None] * kk
 
 

@@ -271,7 +271,7 @@ class TestPnPSweep:
                                                                 cap, block):
         # cap 1 solves one problem per stack, 7 * 68 points stack seven
         # all-68 problems; block 1 solves each trial on its own and block 5
-        # splits the 12 trials 5 + 5 + 2.  The defaults (3300 points, 64
+        # splits the 12 trials 5 + 5 + 2.  The defaults (6600 points, 64
         # trials) are what test_pinned_rows runs.
         from poselab import pnp
 
@@ -283,7 +283,7 @@ class TestPnPSweep:
                 out.append(path.read_bytes())
             return out
 
-        assert (pnp.BATCH_POINTS, harness.TRIAL_BLOCK) == (3300, 64)
+        assert (pnp.BATCH_POINTS, harness.TRIAL_BLOCK) == (6600, 64)
         default = csv_bytes("default")
         monkeypatch.setattr(pnp, "BATCH_POINTS", cap)
         monkeypatch.setattr(harness, "TRIAL_BLOCK", block)

@@ -780,3 +780,21 @@ class TestSaveLoadToyNet:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=":7: non-finite number in section 'w_hidden'"):
             load_toynet(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: [row[0], "x", *row[2:]], "bad number in section 'w_hidden'"),
+        (lambda row: [*row, "1"], "section 'w_hidden' has a row of 5 numbers, expected 4 "
+                                  r"for shape \(3, 4\)"),
+        (lambda row: row[:-1], "section 'w_hidden' has a row of 3 numbers, expected 4 "
+                               r"for shape \(3, 4\)"),
+    ], ids=["bad-number", "extra-column", "missing-column"])
+    def test_bad_row_named_at_its_own_line(self, tmp_path, edit, message):
+        # Line 8 is the third row of w_hidden, not the section's first (line 6).
+        path = tmp_path / "net.txt"
+        save_toynet(toynet_init(4, 3, SMALL, seed=0), path)
+        lines = path.read_text().splitlines()
+        assert lines[4] == "w_hidden"
+        lines[7] = " ".join(edit(lines[7].split()))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f":8: {message}$"):
+            load_toynet(path)

@@ -354,12 +354,14 @@ class TestSolvePnPBatch:
         for problem, got in zip(problems, batch, strict=True):
             assert same_solution(got, solve_pnp(problem))
 
-    def test_last_problem_of_a_stack_goes_on_in_solve_pnp_loop(self, monkeypatch):
-        # A stack never runs a round for one problem: its last unfinished
-        # problem is picked up by solve_pnp's loop mid-solve, with the result
-        # solve_pnp reaches on its own.
+    @pytest.mark.parametrize("handoff", [1, pnp.HANDOFF])
+    def test_last_problem_of_a_stack_goes_on_in_solve_pnp_loop(self, monkeypatch, handoff):
+        # A stack never runs a round for HANDOFF problems or fewer: its last
+        # unfinished problems are picked up by solve_pnp's loop mid-solve, each
+        # with the result solve_pnp reaches on its own.  HANDOFF = 1 hands on
+        # the last problem alone.
         rounds, handed = [], []
-        solve, iterate = pnp._linear_solve, pnp._iterate
+        solve, iterate, stack = pnp._linear_solve, pnp._iterate, pnp._solve_stack
 
         def counted_solve(systems, rhs):
             if np.ndim(systems) == 3:
@@ -367,16 +369,23 @@ class TestSolvePnPBatch:
             return solve(systems, rhs)
 
         def counted_iterate(*args):
-            handed.append(args[-1])  # the iterations already run
+            handed[-1].append(args[-1])  # the iterations already run
             return iterate(*args)
 
+        def counted_stack(*args):
+            handed.append([])
+            return stack(*args)
+
+        monkeypatch.setattr(pnp, "HANDOFF", handoff)
         monkeypatch.setattr(pnp, "_linear_solve", counted_solve)
         monkeypatch.setattr(pnp, "_iterate", counted_iterate)
+        monkeypatch.setattr(pnp, "_solve_stack", counted_stack)
         problems = criterion_scenes(20, seed=3, jitter=5.0)
         batch = solve_pnp_batch(problems)
-        assert min(rounds) >= 2
-        assert 1 <= len(handed) <= 2  # at most one per stack: all-68 and rigid-6
-        assert max(handed) > 0
+        assert min(rounds) > handoff
+        assert len(handed) == 2  # one stack each: all-68 and rigid-6
+        assert all(len(stack_handed) <= handoff for stack_handed in handed)
+        assert max(max(stack_handed, default=0) for stack_handed in handed) > 0
         for problem, got in zip(problems, batch, strict=True):
             assert same_solution(got, solve_pnp(problem))
 
