@@ -1,4 +1,4 @@
-"""Procedural 68-landmark mean face, perturbations, and synthetic scenes.
+"""Procedural 68-landmark mean face and its perturbations.
 
 Landmark ids follow the common 68-point facial annotation layout: jaw
 1-17 (chin at 9), brows 18-27, nose 28-36 (bridge 28-31, base row 32-36
@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Pose, project
-
 __all__ = [
     "DuplicateIdError",
     "FaceModel",
@@ -23,13 +21,11 @@ __all__ = [
     "MOUTH_JAW_IDS",
     "ParseError",
     "ScaleOutOfRangeError",
-    "SyntheticScene",
     "WrongCountError",
     "builtin_mean_face",
     "deform_subject",
     "jitter_landmarks",
     "load_face_model",
-    "make_scene",
     "named_subsets",
     "save_face_model",
     "stretch_model",
@@ -101,17 +97,6 @@ class KeypointSubset:
     def rows(self) -> np.ndarray:
         """Zero-based row indices into a (68, ...) landmark array."""
         return np.array(self.ids, dtype=int) - 1
-
-
-@dataclass(frozen=True, eq=False)
-class SyntheticScene:
-    """Ground-truth pose plus the uncorrupted projection that produced it."""
-
-    true_pose: Pose
-    truth_model: FaceModel
-    image_points: np.ndarray
-    intrinsics: CameraIntrinsics
-    seed: int
 
 
 def _procedural_mean_face() -> np.ndarray:
@@ -258,8 +243,15 @@ def jitter_landmarks(points2d, magnitude: float, rng_seed) -> np.ndarray:
     if not (math.isfinite(magnitude) and magnitude >= 0):
         raise ValueError(f"jitter magnitude must be finite and >= 0, got {magnitude}")
     pts = np.asarray(points2d, dtype=float)
-    rng = np.random.default_rng(rng_seed)
-    return pts + rng.uniform(-magnitude, magnitude, size=pts.shape)
+    return pts + _scaled_uniform(np.random.default_rng(rng_seed).random(pts.shape), magnitude)
+
+
+def _scaled_uniform(unit, magnitude: float) -> np.ndarray:
+    """Draws unit in [0, 1) moved to [-magnitude, +magnitude) with the
+    arithmetic of Generator.uniform(-magnitude, magnitude), so the same bits
+    as that call on the generator that drew unit.  One unit draw serves
+    every magnitude of a sweep."""
+    return -magnitude + (magnitude - -magnitude) * unit
 
 
 def deform_subject(model: FaceModel, rigid_sigma: float, nonrigid_sigma: float, rng_seed) -> FaceModel:
@@ -281,12 +273,6 @@ def deform_subject(model: FaceModel, rigid_sigma: float, nonrigid_sigma: float, 
     pts[0:17] += nonrigid_sigma * rng.standard_normal(3)    # jaw ids 1-17
     pts[48:68] += nonrigid_sigma * rng.standard_normal(3)   # mouth ids 49-68
     return FaceModel(pts)
-
-
-def make_scene(truth_model: FaceModel, pose: Pose, intrinsics: CameraIntrinsics, seed=0) -> SyntheticScene:
-    """Project the model at the given pose; keeps the uncorrupted landmarks."""
-    image_points = project(truth_model.points, pose, intrinsics)
-    return SyntheticScene(pose, truth_model, image_points, intrinsics, int(seed))
 
 
 def named_subsets() -> list:

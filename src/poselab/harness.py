@@ -33,9 +33,9 @@ import numpy as np
 from .camera import BehindCameraError, Pose, default_intrinsics, project
 from .facemodel import (
     _parse_id_lines,
+    _scaled_uniform,
     builtin_mean_face,
     deform_subject,
-    jitter_landmarks,
     stretch_model,
     subset_by_name,
 )
@@ -231,12 +231,12 @@ def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyRes
     (N, 2).  Trials run in blocks of TRIAL_BLOCK.  Each label's model is
     checked by one PnPProblem per block, on the block's first kept trial;
     the block's image rows are stacked and checked per label by
-    _check_images, solved by one _solve_arrays call, converted to Euler
-    angles and scored against their trials' true angles before the next
-    block starts.  A trial whose projection raises BehindCameraError is
-    excluded at every label; a degenerate model excludes its label from
-    every trial, and a solve that starts behind the camera excludes that
-    trial at that label.
+    _check_images and solved by one _solve_arrays call, whose rotations
+    are converted to Euler angles and scored against their trials' true
+    angles before the next block starts.  A trial whose projection raises
+    BehindCameraError is excluded at every label; a degenerate model
+    excludes its label from every trial, and a solve that starts behind
+    the camera excludes that trial at that label.
     """
     labels = tuple(models)
     errors = {label: [np.empty((0, 3))] for label in labels}
@@ -269,14 +269,14 @@ def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyRes
                 solved.append(label)
 
         # Every scene has the same camera (see _scenes).
-        x, _, _, _, behind = _solve_arrays(
+        _, rot, _, _, _, behind = _solve_arrays(
             [(models[label], _check_images(images[label], len(models[label])))
              for label in solved], intrinsics)
         truths = np.array(truths)
         for k, label in enumerate(solved):
             part = slice(k * len(truths), (k + 1) * len(truths))
             kept = ~behind[part]
-            errors[label].append(angle_error(_euler_rows(x[part][kept]), truths[kept]))
+            errors[label].append(angle_error(_euler_rows(rot[part][kept]), truths[kept]))
             excluded[label] += int(behind[part].sum())
 
     return StudyResult(study, tuple(_finish_row(label, np.concatenate(errors[label]),
@@ -303,9 +303,10 @@ def run_subset_study(config: StudyConfig | None = None) -> StudyResult:
 def run_jitter_study(config: StudyConfig | None = None, subset_name: str = "all-68") -> StudyResult:
     """MAE versus uniform landmark jitter magnitude for one subset.
 
-    Each trial reuses one jitter seed across all magnitudes, so the
-    noise direction is shared and only its amplitude grows along the
-    sweep (common random numbers).
+    Each trial draws its unit noise once, from its jitter seed, and scales
+    it to every magnitude, so the noise direction is shared and only its
+    amplitude grows along the sweep (common random numbers).  Each row is
+    bitwise jitter_landmarks(clean, m, jitter_seed).
     """
     config = config or StudyConfig()
     model = builtin_mean_face()
@@ -316,7 +317,8 @@ def run_jitter_study(config: StudyConfig | None = None, subset_name: str = "all-
     def trial(rng, pose, intrinsics):
         jitter_seed = int(rng.integers(2 ** 63))
         clean = project(model.points, pose, intrinsics)[rows]
-        return {m: jitter_landmarks(clean, m, jitter_seed) for m in magnitudes}
+        unit = np.random.default_rng(jitter_seed).random(clean.shape)
+        return {m: clean + _scaled_uniform(unit, m) for m in magnitudes}
 
     models = dict.fromkeys(magnitudes, model.points[rows])
     return _pnp_sweep(config, f"jitter-{subset.name}", model, models, trial)

@@ -606,8 +606,9 @@ def save_toynet(net: ToyNet, path) -> None:
 def load_toynet(path) -> ToyNet:
     """Read a save_toynet file; raises ValueError naming the line at fault.
 
-    The header must say "activation tanh", every number must be finite,
-    and nothing but blank lines may follow the b_heads section.
+    The header must say "activation tanh" and give sizes >= 1, every number
+    must be finite, and nothing but blank lines may follow the b_heads
+    section.
     """
     lines = Path(path).read_text().splitlines()
 
@@ -628,6 +629,8 @@ def load_toynet(path) -> ToyNet:
         raise ValueError(f"{path}: malformed header") from None
     if activation != "tanh":
         fail(2, f"activation {activation!r} is not supported, ToyNet is tanh only")
+    if input_dim < 1 or hidden_size < 1:
+        fail(4, f"shape {input_dim} {hidden_size}: input_dim and hidden_size must be >= 1")
 
     sections = (
         ("w_hidden", (hidden_size, input_dim)),

@@ -35,19 +35,22 @@ are unfinished, each goes on in the scalar loop: a stacked round costs
 mostly its fixed number of NumPy calls, not its rows, so a few long solves
 would otherwise pay a whole round per damping attempt.  Under it,
 _solve_arrays is the array path the PnP studies call directly: models and
-images in as (B, N, 3) and (B, N, 2) arrays, and the best iterates, RMS
-errors, iteration counts, termination codes and behind-camera rows out as
-arrays, with no PnPProblem or PnPSolution per problem; the studies check
-each block's image points with _check_images, the check PnPProblem makes
-of one problem's.  Both loops carry each accepted trial's whole
-residual evaluation with its iterate: the residuals, the cost and the
-_rigid_parts, that is the rotation with the skew matrix, its square and
-the angle it was built from, the rotated points model @ R^T and the camera
-points.  _evaluate makes it for the scalar loop (_iterate, under
-solve_pnp) and _stack_evaluate for every row of the stacked loop, so
-Rodrigues runs once per residual evaluation and never for a Jacobian, and
-_pinhole_jacobian builds both loops' Jacobians from these parts.  Both
-loops solve the damped normal equations with the LAPACK gufunc under
+images in as (B, N, 3) and (B, N, 2) arrays, and the best iterates with
+their rotations, RMS errors, iteration counts, termination codes and
+behind-camera rows out as arrays, with no PnPProblem or PnPSolution per
+problem; the studies check each block's image points with _check_images,
+the check PnPProblem makes of one problem's.  Both loops carry each
+accepted trial's whole residual evaluation with its iterate: the
+residuals, the cost and the _rigid_parts, that is the rotation with the
+skew matrix, its square and the angle it was built from, the rotated
+points model @ R^T and the camera points.  _evaluate makes it for the
+scalar loop (_iterate, under solve_pnp) and _stack_evaluate for every row
+of the stacked loop, so Rodrigues runs once per residual evaluation and
+never for a Jacobian, and _pinhole_jacobian builds both loops' Jacobians
+from these parts.  Each loop returns the rotation of its best iterate, the
+one that iterate's evaluation built, and a solution's Euler angles are
+read off it, so no Rodrigues runs after a loop.  Both loops solve the
+damped normal equations with the LAPACK gufunc under
 np.linalg.solve, with floating-point errors ignored: a singular system
 gives a NaN step, which is rejected as non-finite, and a trial that puts a
 point behind the camera or overflows its rotation is rejected too.
@@ -222,18 +225,9 @@ def _params_from_pose(pose: Pose) -> np.ndarray:
     return np.concatenate([rvec, pose.translation])
 
 
-def _pose_from_params(x: np.ndarray) -> Pose:
-    angles = rotation_to_euler(axis_angle_to_rotation(x[:3]))
-    return Pose(angles, x[3:].copy())
-
-
-def _euler_rows(x) -> np.ndarray:
-    """(B, 3) yaw, pitch and roll in degrees of parameter rows x (B, 6): the
-    angles _pose_from_params gives, without its rotation check and Pose."""
-    # The general Rodrigues branch is evaluated for every row (a zero rotation
-    # vector divides 0 by 0 there before its row is patched), as in _solve_stack.
-    with np.errstate(all="ignore"):
-        rotations = _rodrigues_stack(x[:, :3])[0]
+def _euler_rows(rotations) -> np.ndarray:
+    """(B, 3) yaw, pitch and roll in degrees of rotations (B, 3, 3): the
+    angles rotation_to_euler gives, without its rotation check."""
     angles = [_euler_from_rotation(rot) for rot in rotations]
     return np.array(angles, dtype=float).reshape(-1, 3)
 
@@ -365,7 +359,7 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
         if evaluation is None:
             raise _behind_start(model, x)
         if math.sqrt(evaluation[1] / n_points) <= RESIDUAL_TOLERANCE:
-            result = x, evaluation[1], 0, "residual"
+            result = x, evaluation[2][0], evaluation[1], 0, "residual"
         else:
             result = _iterate(model, image, intrinsics, x, evaluation, INITIAL_DAMPING, 0)
     return _solution(n_points, *result)
@@ -385,8 +379,8 @@ def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: in
 
     Each accepted trial's evaluation rides with the iterate, so its Jacobian
     takes the rotation, the rotated and the camera points that trial built.
-    Returns the best iterate x, its cost, the iterations run and the
-    termination.
+    Returns the best iterate x, its rotation, its cost, the iterations run
+    and the termination.
     """
     residual, cost, parts = evaluation
     n_points = len(model)
@@ -420,7 +414,7 @@ def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: in
         iterations += 1
         termination = _termination(short, slow, tiny, exhausted)
 
-    return x, cost, iterations, termination or "max_iterations"
+    return x, parts[0], cost, iterations, termination or "max_iterations"
 
 
 def _termination(short, slow, tiny, exhausted) -> str | None:
@@ -441,8 +435,11 @@ def _termination(short, slow, tiny, exhausted) -> str | None:
     return None
 
 
-def _solution(n_points: int, x, cost: float, iterations: int, termination: str) -> PnPSolution:
-    return PnPSolution(_pose_from_params(x), math.sqrt(cost / n_points), iterations, termination)
+def _solution(n_points: int, x, rot, cost: float, iterations: int,
+              termination: str) -> PnPSolution:
+    """The PnPSolution of a best iterate x with its rotation rot, as a loop returns them."""
+    return PnPSolution(Pose(rotation_to_euler(rot), x[3:].copy()), math.sqrt(cost / n_points),
+                       iterations, termination)
 
 
 def solve_pnp_batch(problems) -> list:
@@ -464,15 +461,16 @@ def solve_pnp_batch(problems) -> list:
     for i, problem in enumerate(problems):
         cameras.setdefault(problem.intrinsics, []).append(i)
     for intrinsics, members in cameras.items():
-        x, rmse, iterations, codes, behind = _solve_arrays(
+        x, rot, rmse, iterations, codes, behind = _solve_arrays(
             [(problems[i].model_points, problems[i].image_points[None]) for i in members],
             intrinsics)
         for k, i in enumerate(members):
             if behind[k]:
                 results[i] = _behind_start(problems[i].model_points, x[k])
             else:
-                results[i] = PnPSolution(_pose_from_params(x[k]), float(rmse[k]),
-                                         int(iterations[k]), TERMINATIONS[codes[k]])
+                results[i] = PnPSolution(Pose(rotation_to_euler(rot[k]), x[k, 3:].copy()),
+                                         float(rmse[k]), int(iterations[k]),
+                                         TERMINATIONS[codes[k]])
     return results
 
 
@@ -484,14 +482,15 @@ def _solve_arrays(groups, intrinsics) -> tuple:
     checked as PnPProblem checks them and all imaged by intrinsics.  The
     problems of all groups with the same point count are stacked in group
     order, at most BATCH_POINTS points per stack.  Returns arrays with one
-    row per problem in group order: the best iterates x (P, 6), their RMS
-    reprojection errors, iteration counts and termination codes (indices
-    into TERMINATIONS), and behind, True where the start puts a point on
-    or behind the camera (x is then that start, and the rest means nothing).
+    row per problem in group order: the best iterates x (P, 6), their
+    rotations (P, 3, 3), RMS reprojection errors, iteration counts and
+    termination codes (indices into TERMINATIONS), and behind, True where
+    the start puts a point on or behind the camera (x is then that start,
+    and the rest means nothing).
     """
     offsets = np.cumsum([0, *(len(images) for _, images in groups)])
     total = int(offsets[-1])
-    x, rmse = np.empty((total, 6)), np.empty(total)
+    x, rot, rmse = np.empty((total, 6)), np.empty((total, 3, 3)), np.empty(total)
     iterations, codes = np.empty(total, dtype=int), np.empty(total, dtype=int)
     behind = np.empty(total, dtype=bool)
     pools = {}
@@ -505,10 +504,10 @@ def _solve_arrays(groups, intrinsics) -> tuple:
         size = max(1, BATCH_POINTS // n_points)
         for start in range(0, len(rows), size):
             chunk, stack = rows[start:start + size], slice(start, start + size)
-            x[chunk], cost, iterations[chunk], codes[chunk], behind[chunk] = _solve_stack(
-                model[stack], image[stack], intrinsics)
+            x[chunk], rot[chunk], cost, iterations[chunk], codes[chunk], behind[chunk] = (
+                _solve_stack(model[stack], image[stack], intrinsics))
             rmse[chunk] = np.sqrt(cost / n_points)
-    return x, rmse, iterations, codes, behind
+    return x, rot, rmse, iterations, codes, behind
 
 
 # The gufunc np.linalg.solve wraps, without its checks: under
@@ -540,8 +539,9 @@ def _solve_stack(model, image, intrinsics) -> tuple:
     stack, one round per attempt, so the run time would follow how many of
     them a batch holds rather than its work.
 
-    Returns the best iterates x (B, 6), their costs, iterations and
-    termination codes, and the rows whose start is behind the camera.
+    Returns the best iterates x (B, 6) with the rotations (B, 3, 3) their
+    evaluations built, their costs, iterations and termination codes, and
+    the rows whose start is behind the camera.
     """
     count, n_points = model.shape[:2]
     x = _start_params(model)
@@ -554,7 +554,8 @@ def _solve_stack(model, image, intrinsics) -> tuple:
         residual, cost, parts = _stack_evaluate(model, image, x, intrinsics)
         behind = (parts[-1][..., 2] <= MIN_DEPTH).any(axis=1)
         done = behind | (np.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE)
-        x_out, cost_out = x.copy(), cost.copy()  # final for the rows done at the start
+        # Final for the rows done at the start.
+        x_out, rot_out, cost_out = x.copy(), parts[0].copy(), cost.copy()
 
         keep = ~done
         live = np.flatnonzero(keep)  # stack positions still iterating
@@ -570,7 +571,7 @@ def _solve_stack(model, image, intrinsics) -> tuple:
                     # gives them, so _iterate's scalar arithmetic runs on the
                     # same types.
                     rot, k, kk, theta, q, cam = (a[i] for a in parts)
-                    x_out[j], cost_out[j], iterations_out[j], termination = _iterate(
+                    x_out[j], rot_out[j], cost_out[j], iterations_out[j], termination = _iterate(
                         model[i], image[i], intrinsics, x[i],
                         (residual[i], float(cost[i]), (rot, k, kk, float(theta), q, cam)),
                         float(lam[i]), int(iterations[i]))
@@ -603,13 +604,14 @@ def _solve_stack(model, image, intrinsics) -> tuple:
             finished = short | slow | tiny | exhausted | (iterations >= MAX_ITERATIONS)
             if finished.any():
                 ended = live[finished]
-                x_out[ended], cost_out[ended] = x[finished], cost[finished]
+                x_out[ended], rot_out[ended], cost_out[ended] = (
+                    x[finished], parts[0][finished], cost[finished])
                 iterations_out[ended] = iterations[finished]
                 # _termination's order: the first test that holds names the end.
                 codes[ended] = np.select((short, slow, tiny, exhausted), _STOP_CODES,
                                          _MAX_ITERATIONS_CODE)[finished]
                 state = [a[~finished] for a in state]
-    return x_out, cost_out, iterations_out, codes, behind
+    return x_out, rot_out, cost_out, iterations_out, codes, behind
 
 
 def _row_dots(a) -> np.ndarray:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from poselab import facemodel
-from poselab.camera import default_intrinsics
 from poselab.facemodel import (
     MOUTH_JAW_IDS,
     DuplicateIdError,
@@ -17,13 +16,11 @@ from poselab.facemodel import (
     deform_subject,
     jitter_landmarks,
     load_face_model,
-    make_scene,
     named_subsets,
     save_face_model,
     stretch_model,
     subset_by_name,
 )
-from poselab.rotmath import EulerAngles
 
 # 0-based row pairs that mirror across the x = 0 plane
 MIRROR_PAIRS = (
@@ -218,6 +215,17 @@ class TestJitter:
         with pytest.raises(ValueError, match="finite"):
             jitter_landmarks(np.zeros((4, 2)), magnitude, 0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 63 - 1])
+    def test_one_unit_draw_scaled_to_every_magnitude(self, seed):
+        # The jitter study draws unit noise once per trial and scales it to
+        # each magnitude: the bits of jitter_landmarks, and of uniform(-m, m).
+        uv = np.random.default_rng(99).uniform(0.0, 450.0, (68, 2))
+        unit = np.random.default_rng(seed).random(uv.shape)
+        for m in (0.0, 1e-3, 0.5, 1.0, 3.0, 7.5, 10.0, 1e6):
+            noise = facemodel._scaled_uniform(unit, m)
+            assert np.array_equal(noise, np.random.default_rng(seed).uniform(-m, m, uv.shape))
+            assert np.array_equal(uv + noise, jitter_landmarks(uv, m, seed))
+
 
 class TestDeform:
     def test_zero_sigmas_identity(self):
@@ -287,16 +295,3 @@ class TestSubsets:
             KeypointSubset("range", (0, 1, 2, 3))
         s = KeypointSubset("ok", (4, 2, 8, 6))
         assert s.ids == (2, 4, 6, 8)
-
-
-class TestMakeScene:
-    def test_projects_truth(self):
-        from poselab.camera import Pose, project
-
-        model = builtin_mean_face()
-        k = default_intrinsics(450, 450)
-        pose = Pose(EulerAngles(12.0, -6.0, 4.0), np.array([0.0, 0.0, 5.0]))
-        scene = make_scene(model, pose, k, seed=42)
-        assert scene.seed == 42
-        assert scene.true_pose is pose
-        assert np.array_equal(scene.image_points, project(model.points, pose, k))

@@ -331,10 +331,10 @@ class TestPnPSweep:
         calls = []
 
         def solve(groups, intrinsics):
-            x, rmse, iterations, codes, behind = real_solve(groups, intrinsics)
+            x, rot, rmse, iterations, codes, behind = real_solve(groups, intrinsics)
             calls.append(len(x))
             behind[0] = True
-            return x, rmse, iterations, codes, behind
+            return x, rot, rmse, iterations, codes, behind
 
         monkeypatch.setattr(harness, "_solve_arrays", solve)
         monkeypatch.setattr(harness, "TRIAL_BLOCK", 2)

@@ -746,6 +746,19 @@ class TestSaveLoadToyNet:
         with pytest.raises(ValueError, match="malformed header"):
             load_toynet(path)
 
+    @pytest.mark.parametrize("shape", ["4 0", "4 -1", "0 3"])
+    def test_header_sizes_positive(self, tmp_path, shape):
+        # Rejected on the header line, not later in a section sized by it.
+        path = tmp_path / "net.txt"
+        save_toynet(toynet_init(4, 3, SMALL, seed=0), path)
+        lines = path.read_text().splitlines()
+        assert lines[3] == "shape 4 3"
+        lines[3] = f"shape {shape}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f":4: shape {shape}: input_dim and hidden_size "
+                                             "must be >= 1$"):
+            load_toynet(path)
+
     def test_corrupt_number(self, tmp_path):
         net = toynet_init(4, 3, SMALL, seed=0)
         path = tmp_path / "net.txt"

@@ -16,7 +16,8 @@ from poselab.pnp import (
     solve_pnp,
     solve_pnp_batch,
 )
-from poselab.rotmath import EulerAngles, angle_error
+from poselab.harness import StudyConfig, run_jitter_study
+from poselab.rotmath import EulerAngles, angle_error, axis_angle_to_rotation
 
 K = default_intrinsics(450, 450)
 
@@ -444,7 +445,8 @@ class TestSolvePnPBatch:
             axis /= np.linalg.norm(axis, axis=1, keepdims=True)
             x[:4, :3] = np.array([0.0, 3e-5, 9.9e-5, math.pi - 1e-7])[:, None] * axis
             x[4, 5] = -x[4, 5]
-            # The stacked loop evaluates both branches under np.errstate, as here.
+            # The stacked loop evaluates the general branch for every row and
+            # patches the small-angle rows, under np.errstate, as here.
             with np.errstate(all="ignore"):
                 residual, cost, parts = pnp._stack_evaluate(
                     model, np.stack([p.image_points for p in group]), x, K)
@@ -529,8 +531,8 @@ class TestSolveArrays:
 
     @staticmethod
     def assert_matches_solve_pnp(problems, solved):
-        x, rmse, iterations, codes, behind = solved
-        angles = pnp._euler_rows(x)
+        x, rot, rmse, iterations, codes, behind = solved
+        angles = pnp._euler_rows(rot)
         assert not behind.any()
         for k, problem in enumerate(problems):
             want = solve_pnp(problem)
@@ -567,7 +569,9 @@ class TestSolveArrays:
         # Each accepted step's Jacobian reuses the rotation its trial residuals
         # built, in the stacked loop and in solve_pnp's loop it hands off to;
         # the hand-off takes the stack's evaluation of its last row, so the
-        # scalar loop evaluates only the finite steps it solves for.
+        # scalar loop evaluates only the finite steps it solves for.  Both
+        # loops return the rotation of their best iterate, so no Rodrigues
+        # runs after a loop: not in solve_pnp, not in a PnP study.
         counts = dict.fromkeys(("rodrigues_stack", "stack_evaluate", "stack_jacobian",
                                 "rodrigues", "evaluate", "jacobian", "public_rodrigues",
                                 "finite_scalar_steps"), 0)
@@ -595,10 +599,24 @@ class TestSolveArrays:
                            ("public_rodrigues", "axis_angle_to_rotation")):
             monkeypatch.setattr(pnp, attr, counted(name, getattr(pnp, attr)))
         problems = criterion_scenes(20, seed=3, jitter=5.0)[0::2]
-        pnp._solve_arrays([(problems[0].model_points,
-                            np.stack([p.image_points for p in problems]))], K)
+        x, rot, *_ = pnp._solve_arrays([(problems[0].model_points,
+                                         np.stack([p.image_points for p in problems]))], K)
         assert counts["stack_jacobian"] > 0 and counts["jacobian"] > 0
         assert counts["rodrigues_stack"] == counts["stack_evaluate"]
         assert counts["rodrigues"] == counts["evaluate"]
         assert counts["evaluate"] == counts["finite_scalar_steps"] > 0
+        assert counts["public_rodrigues"] == 0
+        for xk, rk in zip(x, rot, strict=True):
+            assert np.array_equal(rk, axis_angle_to_rotation(xk[:3]))
+
+        counts.update(dict.fromkeys(counts, 0))
+        solve_pnp(problems[0])
+        assert counts["jacobian"] > 0 and counts["rodrigues"] == counts["evaluate"]
+        assert counts["public_rodrigues"] == 0
+
+        counts.update(dict.fromkeys(counts, 0))
+        run_jitter_study(StudyConfig(trials=2), "all-68")
+        assert counts["stack_jacobian"] > 0
+        assert counts["rodrigues_stack"] == counts["stack_evaluate"]
+        assert counts["rodrigues"] == counts["evaluate"]
         assert counts["public_rodrigues"] == 0
