@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .rotmath import _is_integer
+
 __all__ = [
     "DuplicateIdError",
     "FaceModel",
@@ -85,6 +87,8 @@ class KeypointSubset:
     ids: tuple
 
     def __post_init__(self):
+        if not all(_is_integer(i) for i in self.ids):
+            raise ValueError(f"subset {self.name!r} has non-integer ids: {tuple(self.ids)!r}")
         ids = tuple(sorted(int(i) for i in self.ids))
         if len(ids) < 4:
             raise ValueError(f"subset {self.name!r} needs >= 4 ids, got {len(ids)}")

@@ -42,7 +42,6 @@ from .facemodel import (
 from .multiloss import (
     MultiLossConfig,
     TrainingDivergedError,
-    _is_integer,
     predict_angles,
     train_toy,
 )
@@ -64,7 +63,7 @@ from .raster import (
     degrade_stack,
     rasterize_stack,
 )
-from .rotmath import EulerAngles, angle_error
+from .rotmath import EulerAngles, _is_integer, angle_error
 
 __all__ = [
     "CSV_HEADER",
@@ -270,8 +269,8 @@ def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyRes
 
         # Every scene has the same camera (see _scenes).
         _, rot, _, _, _, behind = _solve_arrays(
-            [(models[label], _check_images(images[label], len(models[label])))
-             for label in solved], intrinsics)
+            [(models[label], _check_images(images[label], len(models[label])), intrinsics)
+             for label in solved])
         truths = np.array(truths)
         for k, label in enumerate(solved):
             part = slice(k * len(truths), (k + 1) * len(truths))

@@ -25,13 +25,12 @@ train_toy's history holds only the held-out MAE per epoch.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .rotmath import EulerAngles
+from .rotmath import EulerAngles, _is_integer
 
 __all__ = [
     "AdamState",
@@ -138,11 +137,6 @@ class AngleLossTerms:
     cross_entropy: float
     squared_error: float
     total: float
-
-
-def _is_integer(value) -> bool:
-    # bool is an Integral, but True is no count, seed, size or factor.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _bin_indices(angles, spec: BinSpec) -> np.ndarray:
@@ -334,8 +328,8 @@ def toynet_init(input_dim: int, hidden_size: int, spec: BinSpec, seed=0) -> ToyN
     decodes to the center of mass of the bins (0 degrees for a
     symmetric spec).
     """
-    if input_dim < 1 or hidden_size < 1:
-        raise ValueError("input_dim and hidden_size must be >= 1")
+    _check_count("input_dim", input_dim, 1)
+    _check_count("hidden_size", hidden_size, 1)
     rng = np.random.default_rng(seed)
     bound = math.sqrt(6.0 / (input_dim + hidden_size))
     w_hidden = rng.uniform(-bound, bound, size=(hidden_size, input_dim))
@@ -346,6 +340,12 @@ def toynet_init(input_dim: int, hidden_size: int, spec: BinSpec, seed=0) -> ToyN
         np.zeros((3, spec.num_bins)),
         spec,
     )
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError naming the argument unless value is an integer >= least."""
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _batch_input(net: ToyNet, inputs):
@@ -534,10 +534,8 @@ def train_toy(inputs, targets, config: MultiLossConfig | None = None, epochs: in
         raise ValueError(f"inputs must be a nonempty (B, ...) array, got shape {inputs.shape}")
     if targets.shape != (len(inputs), 3):
         raise ShapeMismatchError(f"targets shape {targets.shape} vs ({len(inputs)}, 3)")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if not (_is_integer(batch_size) and batch_size >= 1):
-        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    _check_count("epochs", epochs, 0)
+    _check_count("batch_size", batch_size, 1)
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError("val_fraction must be in [0, 1)")
     if not (math.isfinite(lr) and lr > 0.0):

@@ -34,26 +34,31 @@ BATCH_POINTS points per stack.  Once at most HANDOFF problems of a stack
 are unfinished, each goes on in the scalar loop: a stacked round costs
 mostly its fixed number of NumPy calls, not its rows, so a few long solves
 would otherwise pay a whole round per damping attempt.  Under it,
-_solve_arrays is the array path the PnP studies call directly: models and
-images in as (B, N, 3) and (B, N, 2) arrays, and the best iterates with
-their rotations, RMS errors, iteration counts, termination codes and
-behind-camera rows out as arrays, with no PnPProblem or PnPSolution per
-problem; the studies check each block's image points with _check_images,
-the check PnPProblem makes of one problem's.  Both loops carry each
-accepted trial's whole residual evaluation with its iterate: the
-residuals, the cost and the _rigid_parts, that is the rotation with the
-skew matrix, its square and the angle it was built from, the rotated
-points model @ R^T and the camera points.  _evaluate makes it for the
-scalar loop (_iterate, under solve_pnp) and _stack_evaluate for every row
-of the stacked loop, so Rodrigues runs once per residual evaluation and
-never for a Jacobian, and _pinhole_jacobian builds both loops' Jacobians
-from these parts.  Each loop returns the rotation of its best iterate, the
-one that iterate's evaluation built, and a solution's Euler angles are
-read off it, so no Rodrigues runs after a loop.  Both loops solve the
-damped normal equations with the LAPACK gufunc under
-np.linalg.solve, with floating-point errors ignored: a singular system
-gives a NaN step, which is rejected as non-finite, and a trial that puts a
-point behind the camera or overflows its rotation is rejected too.
+_solve_arrays is the array path the PnP studies call directly:
+(model, images, intrinsics) groups in, arrays out, with no PnPProblem or
+PnPSolution per problem; its caller checks the problems, the studies each
+block's image points with _check_images, the check PnPProblem makes of
+one problem's.  Both loops carry each accepted trial's whole residual
+evaluation with its iterate: the residuals, the cost and the
+_rigid_parts, that is the rotation with the skew matrix, its square and
+the angle it was built from, the rotated points model @ R^T and the
+camera points.  _evaluate makes it for the scalar loop (_iterate, under
+solve_pnp) and _stack_evaluate for every row of the stacked loop, so
+Rodrigues runs once per residual evaluation and never for a Jacobian, and
+_pinhole_jacobian builds both loops' Jacobians from these parts.
+
+Both loops return one kind of result per problem: the best iterate, the
+rotation its evaluation built, its cost, the iterations run and the
+termination code (an index into TERMINATIONS) of the first test in the
+one _STOP_CODES table that holds.  Each runs the residual test on its own
+start: _iterate on the evaluation it is given, _solve_stack on its
+stacked one.  _solution makes every PnPSolution from such a result,
+reading the Euler angles off the rotation, so no Rodrigues runs after a
+loop.  Both loops solve the damped normal equations with the LAPACK
+gufunc under np.linalg.solve, with floating-point errors ignored: a
+singular system gives a NaN step, which is rejected as non-finite, and a
+trial that puts a point behind the camera or overflows its rotation is
+rejected too.
 """
 
 import math
@@ -114,6 +119,11 @@ RESIDUAL_TOLERANCE = 1e-12
 # Reasons a solve stops; the first three mean it converged.
 TERMINATIONS = ("step", "cost", "residual", "max_iterations", "damping_exhausted")
 CONVERGED = frozenset(TERMINATIONS[:3])
+# The termination codes of the tests both loops check after an iteration, in
+# the order they check them: the step, cost and residual tests, exhausted
+# damping and the iteration cap.  The first test that holds names the end.
+_STOP_CODES = tuple(TERMINATIONS.index(t) for t in
+                    ("step", "cost", "residual", "damping_exhausted", "max_iterations"))
 # Most points solve_pnp_batch stacks into one loop; larger groups are
 # split.  The stacked Jacobians and their temporaries grow with it, so it
 # bounds the solver's memory (97 problems of 68 points per stack).
@@ -350,7 +360,6 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
     and residual.
     """
     model, image, intrinsics = problem.model_points, problem.image_points, problem.intrinsics
-    n_points = len(model)
     x = _start_params(model[None])[0] if init is None else _params_from_pose(init)
     # As in _solve_stack: a cost that overflows to inf is compared, not
     # used, so the floating-point warnings on the way are suppressed.
@@ -358,11 +367,9 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
         evaluation = _evaluate(model, image, x, intrinsics)
         if evaluation is None:
             raise _behind_start(model, x)
-        if math.sqrt(evaluation[1] / n_points) <= RESIDUAL_TOLERANCE:
-            result = x, evaluation[2][0], evaluation[1], 0, "residual"
-        else:
-            result = _iterate(model, image, intrinsics, x, evaluation, INITIAL_DAMPING, 0)
-    return _solution(n_points, *result)
+        x, rot, cost, iterations, code = _iterate(model, image, intrinsics, x, evaluation,
+                                                  INITIAL_DAMPING, 0)
+    return _solution(x, rot, math.sqrt(cost / len(model)), iterations, code)
 
 
 def _behind_start(model, x) -> BehindCameraError:
@@ -377,15 +384,19 @@ def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: in
     points, from parameters x with their _evaluate result, damping lam and
     the iterations already run, until a stopping test ends them.
 
-    Each accepted trial's evaluation rides with the iterate, so its Jacobian
-    takes the rotation, the rotated and the camera points that trial built.
-    Returns the best iterate x, its rotation, its cost, the iterations run
-    and the termination.
+    The residual test runs first, on the evaluation given, so a start that
+    already fits ends with no iteration.  Each accepted trial's evaluation
+    rides with the iterate, so its Jacobian takes the rotation, the rotated
+    and the camera points that trial built.  Returns what a _solve_stack
+    row holds: the best iterate x, its rotation, its cost, the iterations
+    run and the termination code.
     """
     residual, cost, parts = evaluation
     n_points = len(model)
-    termination = None
-    while termination is None and iterations < MAX_ITERATIONS:
+    # The stopping tests in _STOP_CODES order.
+    stops = (False, False, math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE, False,
+             iterations >= MAX_ITERATIONS)
+    while not any(stops):
         jac = _jacobian_analytic(parts, intrinsics)
         normal = jac.T @ jac
         descent = -(jac.T @ residual)
@@ -412,34 +423,16 @@ def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: in
             lam *= DAMPING_UP
             exhausted = lam > MAX_DAMPING
         iterations += 1
-        termination = _termination(short, slow, tiny, exhausted)
+        stops = (short, slow, tiny, exhausted, iterations >= MAX_ITERATIONS)
 
-    return x, parts[0], cost, iterations, termination or "max_iterations"
-
-
-def _termination(short, slow, tiny, exhausted) -> str | None:
-    """The test that ends the solve after an iteration, or None to go on.
-
-    short: the last step was short (accepted or not); slow and tiny: an
-    accepted step barely lowered the cost or left a negligible residual;
-    exhausted: damping passed MAX_DAMPING.
-    """
-    if short:
-        return "step"
-    if slow:
-        return "cost"
-    if tiny:
-        return "residual"
-    if exhausted:
-        return "damping_exhausted"
-    return None
+    return x, parts[0], cost, iterations, _STOP_CODES[stops.index(True)]
 
 
-def _solution(n_points: int, x, rot, cost: float, iterations: int,
-              termination: str) -> PnPSolution:
-    """The PnPSolution of a best iterate x with its rotation rot, as a loop returns them."""
-    return PnPSolution(Pose(rotation_to_euler(rot), x[3:].copy()), math.sqrt(cost / n_points),
-                       iterations, termination)
+def _solution(x, rot, rmse, iterations, code) -> PnPSolution:
+    """The PnPSolution of a loop's result: the best iterate x (6,) with its
+    rotation rot, RMS error, iterations and termination code."""
+    return PnPSolution(Pose(rotation_to_euler(rot), x[3:].copy()), float(rmse),
+                       int(iterations), TERMINATIONS[code])
 
 
 def solve_pnp_batch(problems) -> list:
@@ -456,47 +449,37 @@ def solve_pnp_batch(problems) -> list:
     depends only on its own problem, not on the others passed with it.
     """
     problems = list(problems)
-    results = [None] * len(problems)
-    cameras = {}
-    for i, problem in enumerate(problems):
-        cameras.setdefault(problem.intrinsics, []).append(i)
-    for intrinsics, members in cameras.items():
-        x, rot, rmse, iterations, codes, behind = _solve_arrays(
-            [(problems[i].model_points, problems[i].image_points[None]) for i in members],
-            intrinsics)
-        for k, i in enumerate(members):
-            if behind[k]:
-                results[i] = _behind_start(problems[i].model_points, x[k])
-            else:
-                results[i] = PnPSolution(Pose(rotation_to_euler(rot[k]), x[k, 3:].copy()),
-                                         float(rmse[k]), int(iterations[k]),
-                                         TERMINATIONS[codes[k]])
-    return results
+    x, rot, rmse, iterations, codes, behind = _solve_arrays(
+        [(p.model_points, p.image_points[None], p.intrinsics) for p in problems])
+    return [_behind_start(p.model_points, x[k]) if behind[k]
+            else _solution(x[k], rot[k], rmse[k], iterations[k], codes[k])
+            for k, p in enumerate(problems)]
 
 
-def _solve_arrays(groups, intrinsics) -> tuple:
+def _solve_arrays(groups) -> tuple:
     """solve_pnp_batch on arrays: every problem of every group, solved from its default start.
 
-    groups is a sequence of (model, images) pairs: images (B, N, 2) and the
-    model points (B, N, 3) of each problem, or (N, 3) shared by the group,
-    checked as PnPProblem checks them and all imaged by intrinsics.  The
-    problems of all groups with the same point count are stacked in group
-    order, at most BATCH_POINTS points per stack.  Returns arrays with one
-    row per problem in group order: the best iterates x (P, 6), their
-    rotations (P, 3, 3), RMS reprojection errors, iteration counts and
-    termination codes (indices into TERMINATIONS), and behind, True where
-    the start puts a point on or behind the camera (x is then that start,
-    and the rest means nothing).
+    groups is a sequence of (model, images, intrinsics) triples: images
+    (B, N, 2) and the model points (B, N, 3) of each problem, or (N, 3)
+    shared by the group, all imaged by intrinsics.  The caller checks them
+    as PnPProblem would.  The problems of all groups with the same point
+    count and intrinsics are stacked in group order, at most BATCH_POINTS
+    points per stack.  Returns arrays with one row per problem in group
+    order: _solve_stack's results with RMS reprojection errors in place of
+    the costs, that is the best iterates x (P, 6), their rotations
+    (P, 3, 3), RMS errors, iteration counts and termination codes, and
+    behind, True where the start puts a point on or behind the camera (x is
+    then that start, and the rest means nothing).
     """
-    offsets = np.cumsum([0, *(len(images) for _, images in groups)])
+    offsets = np.cumsum([0, *(len(images) for _, images, _ in groups)])
     total = int(offsets[-1])
     x, rot, rmse = np.empty((total, 6)), np.empty((total, 3, 3)), np.empty(total)
     iterations, codes = np.empty(total, dtype=int), np.empty(total, dtype=int)
     behind = np.empty(total, dtype=bool)
     pools = {}
-    for g, (_, images) in enumerate(groups):
-        pools.setdefault(images.shape[1], []).append(g)
-    for n_points, members in pools.items():
+    for g, (_, images, intrinsics) in enumerate(groups):
+        pools.setdefault((images.shape[1], intrinsics), []).append(g)
+    for (n_points, intrinsics), members in pools.items():
         rows = np.concatenate([np.arange(offsets[g], offsets[g + 1]) for g in members])
         model = np.concatenate([np.broadcast_to(groups[g][0], groups[g][1].shape[:2] + (3,))
                                 for g in members])
@@ -514,10 +497,6 @@ def _solve_arrays(groups, intrinsics) -> tuple:
 # np.errstate(all="ignore") a singular system gives a NaN solution, not a
 # LinAlgError.  Takes systems (..., 6, 6) and right-hand sides (..., 6).
 _linear_solve = _umath_linalg.solve1
-# Termination codes of the tests _termination checks, in its order, and of
-# the iteration cap.
-_STOP_CODES = [TERMINATIONS.index(t) for t in ("step", "cost", "residual", "damping_exhausted")]
-_MAX_ITERATIONS_CODE = TERMINATIONS.index("max_iterations")
 
 
 def _solve_stack(model, image, intrinsics) -> tuple:
@@ -539,14 +518,15 @@ def _solve_stack(model, image, intrinsics) -> tuple:
     stack, one round per attempt, so the run time would follow how many of
     them a batch holds rather than its work.
 
-    Returns the best iterates x (B, 6) with the rotations (B, 3, 3) their
-    evaluations built, their costs, iterations and termination codes, and
-    the rows whose start is behind the camera.
+    Returns _iterate's result of every row as arrays, the best iterates
+    x (B, 6) with the rotations (B, 3, 3) their evaluations built, their
+    costs, iterations and termination codes, and the rows whose start is
+    behind the camera.
     """
     count, n_points = model.shape[:2]
     x = _start_params(model)
     iterations_out = np.zeros(count, dtype=int)
-    codes = np.full(count, TERMINATIONS.index("residual"))
+    codes = np.full(count, _STOP_CODES[2])  # the residual test's, for a start that fits
     # The general Rodrigues branch is evaluated for every row, and a trial
     # step may be non-finite or put points behind the camera; such values
     # are never used, so their floating-point warnings are suppressed.
@@ -571,11 +551,10 @@ def _solve_stack(model, image, intrinsics) -> tuple:
                     # gives them, so _iterate's scalar arithmetic runs on the
                     # same types.
                     rot, k, kk, theta, q, cam = (a[i] for a in parts)
-                    x_out[j], rot_out[j], cost_out[j], iterations_out[j], termination = _iterate(
+                    x_out[j], rot_out[j], cost_out[j], iterations_out[j], codes[j] = _iterate(
                         model[i], image[i], intrinsics, x[i],
                         (residual[i], float(cost[i]), (rot, k, kk, float(theta), q, cam)),
                         float(lam[i]), int(iterations[i]))
-                    codes[j] = TERMINATIONS.index(termination)
                 break
             jac = _stack_jacobian(parts, intrinsics)
             jac_t = jac.transpose(0, 2, 1)
@@ -601,15 +580,15 @@ def _solve_stack(model, image, intrinsics) -> tuple:
                               lam * DAMPING_UP)
             exhausted = ~accepted & (lam > MAX_DAMPING)
             iterations += accepted | short | exhausted
-            finished = short | slow | tiny | exhausted | (iterations >= MAX_ITERATIONS)
+            capped = iterations >= MAX_ITERATIONS
+            finished = short | slow | tiny | exhausted | capped
             if finished.any():
                 ended = live[finished]
                 x_out[ended], rot_out[ended], cost_out[ended] = (
                     x[finished], parts[0][finished], cost[finished])
                 iterations_out[ended] = iterations[finished]
-                # _termination's order: the first test that holds names the end.
-                codes[ended] = np.select((short, slow, tiny, exhausted), _STOP_CODES,
-                                         _MAX_ITERATIONS_CODE)[finished]
+                codes[ended] = np.select((short, slow, tiny, exhausted, capped),
+                                         _STOP_CODES)[finished]
                 state = [a[~finished] for a in state]
     return x_out, rot_out, cost_out, iterations_out, codes, behind
 

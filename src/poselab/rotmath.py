@@ -16,6 +16,7 @@ pitch in [-90, 90], roll in [-180, 180).
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +40,12 @@ __all__ = [
 # LM residual and Jacobian.  Read-only, because every caller shares it.
 _IDENTITY = np.eye(3)
 _IDENTITY.setflags(write=False)
+
+
+def _is_integer(value) -> bool:
+    # bool is an Integral, but True is no count, seed, size, factor or id.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 # check_rotation's bound on |M'M - I| and on |det M - 1|.
 ROTATION_TOLERANCE = 1e-9

@@ -286,6 +286,17 @@ class TestSubsets:
         with pytest.raises(ValueError, match="all-69"):
             subset_by_name("all-69")
 
+    @pytest.mark.parametrize("ids", [(1, 2, 3, 4.9), (1, 2, 3, 4.0), (1, 2, 3, True),
+                                     (1, 2, 3, "5")])
+    def test_subset_ids_must_be_integers(self, ids):
+        # Once truncated or converted without a word: (1, 2, 3, 4.9) gave
+        # ids (1, 2, 3, 4).
+        with pytest.raises(ValueError, match="subset 'x' has non-integer ids"):
+            KeypointSubset("x", ids)
+
+    def test_subset_takes_numpy_integer_ids(self):
+        assert KeypointSubset("x", np.arange(6, 2, -1)).ids == (3, 4, 5, 6)
+
     def test_subset_validation(self):
         with pytest.raises(ValueError):
             KeypointSubset("tiny", (1, 2, 3))

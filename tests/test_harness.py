@@ -330,8 +330,8 @@ class TestPnPSweep:
         real_solve = harness._solve_arrays
         calls = []
 
-        def solve(groups, intrinsics):
-            x, rot, rmse, iterations, codes, behind = real_solve(groups, intrinsics)
+        def solve(groups):
+            x, rot, rmse, iterations, codes, behind = real_solve(groups)
             calls.append(len(x))
             behind[0] = True
             return x, rot, rmse, iterations, codes, behind

@@ -343,6 +343,14 @@ class TestMultiLossGradient:
 
 
 class TestToyNet:
+    @pytest.mark.parametrize("argument, value", [
+        ("input_dim", 2.5), ("input_dim", True), ("input_dim", 0),
+        ("hidden_size", 2.5), ("hidden_size", True), ("hidden_size", 0)])
+    def test_init_sizes_must_be_integers(self, argument, value):
+        sizes = {"input_dim": 4, "hidden_size": 3, argument: value}
+        with pytest.raises(ValueError, match=f"^{argument} must be an integer >= 1, got "):
+            toynet_init(spec=SMALL, **sizes)
+
     def test_init_shapes_and_zero_heads(self):
         net = toynet_init(10, 8, SMALL, seed=0)
         assert net.w_hidden.shape == (8, 10)
@@ -669,6 +677,23 @@ class TestTrainToy:
         with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
             train_toy(*linear_dataset(40), epochs=2, seed=0, hidden_size=8,
                       batch_size=batch_size, augment=spy)
+        assert steps == []
+
+    @pytest.mark.parametrize("argument, value", [
+        ("epochs", 2.5), ("epochs", True), ("epochs", -1),
+        ("hidden_size", 2.5), ("hidden_size", True), ("hidden_size", 0)])
+    def test_sizes_must_be_integers(self, argument, value):
+        # Once a float failed inside range or rng.uniform with a TypeError,
+        # and epochs=True trained one epoch.
+        steps = []
+
+        def spy(batch, rng):
+            steps.append(len(batch))
+            return batch
+
+        sizes = {"epochs": 2, "hidden_size": 8, argument: value}
+        with pytest.raises(ValueError, match=f"^{argument} must be an integer >= "):
+            train_toy(*linear_dataset(40), seed=0, augment=spy, **sizes)
         assert steps == []
 
     @pytest.mark.parametrize("lr", [-1e-3, 0.0, math.nan, math.inf])

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import poselab
+from poselab import pnp
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(poselab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +27,17 @@ def test_readme_examples_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_termination_table_matches_pnp():
+    # The README's table of stopping tests lists TERMINATIONS in order and
+    # says "yes" under converged for exactly those in CONVERGED.
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("| `termination` | when | `converged` |"):].split("\n\n")[0]
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in table.splitlines()[2:]]
+    assert [name for name, _, _ in rows] == [f"`{t}`" for t in pnp.TERMINATIONS]
+    assert {name.strip("`") for name, _, converged in rows if converged == "yes"} == pnp.CONVERGED
+    assert {converged for _, _, converged in rows} == {"yes", "no"}
 
 
 def perfbench_bindings(source: str) -> list:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from poselab import pnp
-from poselab.camera import MIN_DEPTH, BehindCameraError, Pose, default_intrinsics, project
+from poselab.camera import (
+    MIN_DEPTH,
+    BehindCameraError,
+    CameraIntrinsics,
+    Pose,
+    default_intrinsics,
+    project,
+)
 from poselab.facemodel import builtin_mean_face, stretch_model, subset_by_name
 from poselab.pnp import (
     DegenerateProblemError,
@@ -505,6 +512,42 @@ class TestSolvePnPBatch:
         assert max(angle_error(batch[1].pose.rotation.as_array(),
                                truth.rotation.as_array())) < 1e-6
 
+    def test_mixed_cameras_and_point_counts_in_input_order(self, monkeypatch):
+        # Three cameras and two point counts, interleaved: each camera's
+        # all-68 and rigid-6 problems make a stack of their own.  One
+        # problem's default start is its exact answer.
+        model = builtin_mean_face().points
+        rows6 = subset_by_name("rigid-6").rows()
+        cameras = (K, default_intrinsics(640, 480), CameraIntrinsics(800.0, 760.0, 300.0, 260.0))
+        rng = np.random.default_rng(9)
+        problems = []
+        for i in range(12):
+            camera = cameras[i % 3]
+            pose = Pose(EulerAngles(*rng.uniform(-40.0, 40.0, 3)),
+                        np.array([*rng.uniform(-0.2, 0.2, 2), rng.uniform(4.0, 6.0)]))
+            image = project(model, pose, camera) + rng.uniform(-2.0, 2.0, (68, 2))
+            rows = slice(None) if i % 2 else rows6
+            problems.append(PnPProblem(model[rows], image[rows], camera))
+        start = default_init(PnPProblem(model, np.zeros((68, 2)), cameras[1]))
+        exact = PnPProblem(model, project(model, start, cameras[1]), cameras[1])
+        problems.insert(5, exact)
+
+        stacks = []
+        stack = pnp._solve_stack
+
+        def counted_stack(model, image, intrinsics):
+            stacks.append((model.shape[1], intrinsics))
+            return stack(model, image, intrinsics)
+
+        monkeypatch.setattr(pnp, "_solve_stack", counted_stack)
+        batch = solve_pnp_batch(problems)
+        assert len(stacks) == 6
+        assert set(stacks) == {(n, camera) for n in (68, 6) for camera in cameras}
+        for problem, got in zip(problems, batch, strict=True):
+            assert same_solution(got, solve_pnp(problem))
+        for got in (batch[5], solve_pnp(exact)):
+            assert (got.iterations, got.termination) == (0, "residual")
+
     def test_behind_camera_start_reported_for_that_problem_only(self):
         good, _ = make_problem((10.0, -5.0, 3.0), (0.0, 0.0, 5.0))
         other, _ = make_problem((-20.0, 15.0, 0.0), (0.1, 0.0, 4.0))
@@ -549,8 +592,8 @@ class TestSolveArrays:
         problems = criterion_scenes(60, jitter=jitter)
         groups = [problems[0::2], problems[1::2]]
         solved = pnp._solve_arrays(
-            [(group[0].model_points, np.stack([p.image_points for p in group]))
-             for group in groups], K)
+            [(group[0].model_points, np.stack([p.image_points for p in group]), K)
+             for group in groups])
         self.assert_matches_solve_pnp(groups[0] + groups[1], solved)
 
     @pytest.mark.parametrize("jitter", [0.0, 5.0])
@@ -562,7 +605,7 @@ class TestSolveArrays:
                     for p in criterion_scenes(40, jitter=jitter)[0::2]]
         solved = pnp._solve_arrays(
             [(np.stack([p.model_points for p in problems]),
-              np.stack([p.image_points for p in problems]))], K)
+              np.stack([p.image_points for p in problems]), K)])
         self.assert_matches_solve_pnp(problems, solved)
 
     def test_rotation_built_once_per_residual_evaluation(self, monkeypatch):
@@ -600,7 +643,7 @@ class TestSolveArrays:
             monkeypatch.setattr(pnp, attr, counted(name, getattr(pnp, attr)))
         problems = criterion_scenes(20, seed=3, jitter=5.0)[0::2]
         x, rot, *_ = pnp._solve_arrays([(problems[0].model_points,
-                                         np.stack([p.image_points for p in problems]))], K)
+                                         np.stack([p.image_points for p in problems]), K)])
         assert counts["stack_jacobian"] > 0 and counts["jacobian"] > 0
         assert counts["rodrigues_stack"] == counts["stack_evaluate"]
         assert counts["rodrigues"] == counts["evaluate"]
