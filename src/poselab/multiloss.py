@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rotmath import EulerAngles, _is_integer
+from .rotmath import EulerAngles, _check_count, _is_integer
 
 __all__ = [
     "AdamState",
@@ -187,6 +187,8 @@ def cross_entropy(probabilities, target_bin: int) -> float:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"expected a 1-D probability vector, got shape {p.shape}")
+    if not _is_integer(target_bin):
+        raise ValueError(f"target_bin must be an integer, got {target_bin!r}")
     if not 0 <= target_bin < p.shape[0]:
         raise ValueError(f"target bin {target_bin} outside [0, {p.shape[0]})")
     # numpy's log, like the loss core: math.log can differ in the last bit
@@ -340,12 +342,6 @@ def toynet_init(input_dim: int, hidden_size: int, spec: BinSpec, seed=0) -> ToyN
         np.zeros((3, spec.num_bins)),
         spec,
     )
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ValueError naming the argument unless value is an integer >= least."""
-    if not (_is_integer(value) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _batch_input(net: ToyNet, inputs):

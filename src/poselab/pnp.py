@@ -40,12 +40,12 @@ PnPSolution per problem; its caller checks the problems, the studies each
 block's image points with _check_images, the check PnPProblem makes of
 one problem's.  Both loops carry each accepted trial's whole residual
 evaluation with its iterate: the residuals, the cost and the
-_rigid_parts, that is the rotation with the skew matrix, its square and
-the angle it was built from, the rotated points model @ R^T and the
-camera points.  _evaluate makes it for the scalar loop (_iterate, under
-solve_pnp) and _stack_evaluate for every row of the stacked loop, so
-Rodrigues runs once per residual evaluation and never for a Jacobian, and
-_pinhole_jacobian builds both loops' Jacobians from these parts.
+_rigid_parts, that is the rotation and its left Jacobian, the rotated
+points model @ R^T and the camera points.  _evaluate makes it for the
+scalar loop (_iterate, under solve_pnp) and _stack_evaluate for every row
+of the stacked loop, so Rodrigues runs once per residual evaluation and
+never for a Jacobian, and _jacobian builds both loops' Jacobians from
+these parts.
 
 Both loops return one kind of result per problem: the best iterate, the
 rotation its evaluation built, its cost, the iterations run and the
@@ -244,10 +244,10 @@ def _euler_rows(rotations) -> np.ndarray:
 
 def _rigid_parts(model, x, rodrigues):
     """What the residuals and the Jacobian at parameters x (6,) or (B, 6)
-    share: the tuple (R, k, k @ k, |r|, q, cam).  rodrigues gives the first
-    four, Rodrigues' matrix R of r = x[..., :3] with the skew matrix k = [r]x,
-    k @ k and the angle |r| it was built from; q = model @ R^T are the
-    rotated points and cam = q + x[..., 3:] the camera points."""
+    share: the tuple (R, J, q, cam).  rodrigues gives the first two,
+    Rodrigues' matrix R of r = x[..., :3] and its left Jacobian J;
+    q = model @ R^T are the rotated points and cam = q + x[..., 3:] the
+    camera points."""
     q = model @ rodrigues[0].swapaxes(-1, -2)
     return (*rodrigues, q, q + x[..., None, 3:])
 
@@ -270,33 +270,17 @@ def _evaluate(model, image, x, intrinsics):
     return residual, float(residual @ residual), parts
 
 
-def _right_jacobian(k, kk, theta: float) -> np.ndarray:
-    """J_r(r) = I - (1-cos t)/t^2 [r]x + (t-sin t)/t^3 [r]x^2 of the rotation
-    vector r, from k = [r]x, kk = k @ k and t = |r|; Taylor near 0."""
-    if theta < 1e-4:
-        a = 0.5 * (1.0 - theta * theta / 12.0)
-        b = (1.0 - theta * theta / 20.0) / 6.0
-    else:
-        a = (1.0 - math.cos(theta)) / (theta * theta)
-        b = (theta - math.sin(theta)) / (theta ** 3)
-    return _IDENTITY - a * k + b * kk
-
-
-def _jacobian_analytic(parts, intrinsics) -> np.ndarray:
-    """The (2N, 6) Jacobian at the parameters whose _rigid_parts are parts."""
-    rot, k, kk, theta, q, cam = parts
-    return _pinhole_jacobian(q, cam, rot @ _right_jacobian(k, kk, theta), intrinsics)
-
-
-def _pinhole_jacobian(q, cam, rot_jr, intrinsics) -> np.ndarray:
-    """The residual Jacobians (..., 2N, 6) at rotated points q = R p (..., N, 3),
-    camera points cam = q + t and rot_jr = R J_r (..., 3, 3), for any leading shape.
+def _jacobian(parts, intrinsics) -> np.ndarray:
+    """The residual Jacobians (..., 2N, 6) at the parameters whose _rigid_parts
+    are parts, for any leading shape: (2N, 6) from _evaluate's, (B, 2N, 6)
+    from _stack_evaluate's.
 
     With P the pinhole derivative d(pixel)/d(camera point), a (2, 3) block
     per point, the derivative by the translation is P, and by the rotation
-    vector it is -P R [p]x J_r = -P [q]x (R J_r): the (..., N, 2, 3) blocks
-    lever = -P [q]x times rot_jr, one (2N, 3) @ (3, 3) product per problem.
+    vector it is -P [q]x J, J the left Jacobian: the (..., N, 2, 3) blocks
+    lever = -P [q]x times J, one (2N, 3) @ (3, 3) product per problem.
     """
+    _, left, q, cam = parts
     lever = np.empty(q.shape[:-1] + (2, 3))
     full = np.zeros(q.shape[:-1] + (2, 6))
     iz = 1.0 / cam[..., 2]
@@ -316,7 +300,7 @@ def _pinhole_jacobian(q, cam, rot_jr, intrinsics) -> np.ndarray:
     np.multiply(-d, q1, out=lever[..., 1, 1])
     np.multiply(b, q1, out=lever[..., 1, 2])
     rows = q.shape[:-2] + (2 * q.shape[-2],)
-    np.matmul(lever.reshape(rows + (3,)), rot_jr, out=full.reshape(rows + (6,))[..., :3])
+    np.matmul(lever.reshape(rows + (3,)), left, out=full.reshape(rows + (6,))[..., :3])
     return full.reshape(rows + (6,))
 
 
@@ -346,7 +330,7 @@ def jacobian(problem: PnPProblem, pose: Pose, mode: str = "analytic") -> np.ndar
     x = _params_from_pose(pose)
     if mode == "analytic":
         parts = _rigid_parts(problem.model_points, x, _rodrigues(x[:3]))
-        return _jacobian_analytic(parts, problem.intrinsics)
+        return _jacobian(parts, problem.intrinsics)
     if mode == "numeric":
         return _jacobian_numeric(problem, x)
     raise ValueError(f"unknown jacobian mode {mode!r}")
@@ -397,7 +381,7 @@ def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: in
     stops = (False, False, math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE, False,
              iterations >= MAX_ITERATIONS)
     while not any(stops):
-        jac = _jacobian_analytic(parts, intrinsics)
+        jac = _jacobian(parts, intrinsics)
         normal = jac.T @ jac
         descent = -(jac.T @ residual)
         damping = np.maximum(normal.diagonal(), DIAG_FLOOR)
@@ -547,16 +531,14 @@ def _solve_stack(model, image, intrinsics) -> tuple:
             x, residual, cost, *parts = carried
             if len(live) <= HANDOFF:
                 for i, j in enumerate(live):
-                    # The angle and the cost go as Python floats, as _evaluate
-                    # gives them, so _iterate's scalar arithmetic runs on the
-                    # same types.
-                    rot, k, kk, theta, q, cam = (a[i] for a in parts)
+                    # The cost goes as a Python float, as _evaluate gives it,
+                    # so _iterate's scalar arithmetic runs on the same type.
                     x_out[j], rot_out[j], cost_out[j], iterations_out[j], codes[j] = _iterate(
                         model[i], image[i], intrinsics, x[i],
-                        (residual[i], float(cost[i]), (rot, k, kk, float(theta), q, cam)),
+                        (residual[i], float(cost[i]), tuple(a[i] for a in parts)),
                         float(lam[i]), int(iterations[i]))
                 break
-            jac = _stack_jacobian(parts, intrinsics)
+            jac = _jacobian(parts, intrinsics)
             jac_t = jac.transpose(0, 2, 1)
             systems = jac_t @ jac
             gradient = (jac_t @ residual[:, :, None])[..., 0]
@@ -604,39 +586,29 @@ _SKEW_AT = np.array([7, 2, 3, 5, 6, 1])
 
 
 def _rodrigues_stack(rvecs) -> tuple:
-    """_rodrigues of every row of a (B, 3) array: the rotations (B, 3, 3), the
-    skew matrices k, k @ k and the angles (B,), with NaN rotations where
-    r @ r is not finite.  Every row takes the general branch; rows with an
-    angle below 1e-4 then get the Taylor series in its place."""
+    """_rodrigues of every row of a (B, 3) array: the rotations and their left
+    Jacobians (B, 3, 3), NaN where r @ r is not finite.  Every row takes the
+    general branch; rows with an angle below 1e-4 then get the Taylor series
+    in its place."""
     theta2 = _row_dots(rvecs)
     theta = np.sqrt(theta2)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta2
+    sin = np.sin(theta)
+    half = np.sin(0.5 * theta) / theta  # _rodrigues' 1 - cos t = 2 sin(t/2)^2
+    a = sin / theta
+    b = 2.0 * half * half
+    c = (theta - sin) / (theta2 * theta)
     small = theta < 1e-4
     if small.any():
         t2 = theta2[small]
         a[small] = 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0)
         b[small] = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0))
+        c[small] = (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0
     k = np.zeros((len(rvecs), 9))  # skew() of every row
     k[:, _SKEW_AT] = np.concatenate((rvecs, -rvecs), axis=1)
     k = k.reshape(-1, 3, 3)
     kk = k @ k
-    return _IDENTITY + a[:, None, None] * k + b[:, None, None] * kk, k, kk, theta
-
-
-def _right_jacobian_stack(k, kk, theta) -> np.ndarray:
-    """_right_jacobian of every row: skew matrices k and kk = k @ k (B, 3, 3), angles theta (B,).
-    Rows with an angle below 1e-4 get the Taylor series in place of the general branch."""
-    a = (1.0 - np.cos(theta)) / (theta * theta)
-    # Python's float power, as in _right_jacobian: NumPy's can differ in the last bit.
-    cube = np.array([t ** 3 for t in theta.tolist()])
-    b = (theta - np.sin(theta)) / cube
-    small = theta < 1e-4
-    if small.any():
-        t = theta[small]
-        a[small] = 0.5 * (1.0 - t * t / 12.0)
-        b[small] = (1.0 - t * t / 20.0) / 6.0
-    return _IDENTITY - a[:, None, None] * k + b[:, None, None] * kk
+    a, b, c = a[:, None, None], b[:, None, None], c[:, None, None]
+    return _IDENTITY + a * k + b * kk, _IDENTITY + b * k + c * kk
 
 
 def _stack_evaluate(model, image, x, intrinsics):
@@ -646,9 +618,3 @@ def _stack_evaluate(model, image, x, intrinsics):
     parts = _rigid_parts(model, x, _rodrigues_stack(x[:, :3]))
     residual = (_pinhole(parts[-1], intrinsics) - image).reshape(len(x), -1)
     return residual, _row_dots(residual), parts
-
-
-def _stack_jacobian(parts, intrinsics) -> np.ndarray:
-    """_jacobian_analytic of stacked problems: (B, 2N, 6) from their stacked _rigid_parts."""
-    rot, k, kk, theta, q, cam = parts
-    return _pinhole_jacobian(q, cam, rot @ _right_jacobian_stack(k, kk, theta), intrinsics)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .rotmath import _check_count
+
 __all__ = [
     "Raster",
     "UnknownSchemeError",
@@ -41,15 +43,16 @@ class UnknownSchemeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Raster:
-    """Grayscale grid; values has shape (height, width), entries in [0, 1]."""
+    """Grayscale grid of integer width and height >= 1; values has shape
+    (height, width), entries in [0, 1]."""
 
     width: int
     height: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"raster dimensions must be >= 1, got {self.width}x{self.height}")
+        _check_count("width", self.width, 1)
+        _check_count("height", self.height, 1)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.height, self.width):
             raise ValueError(f"values shape {vals.shape} vs (height, width) = "
@@ -82,8 +85,8 @@ def rasterize_stack(points, width: int, height: int) -> np.ndarray:
     which add nothing to any pixel's sum.  At most SPLAT_BLOCK images are
     splatted at a time, so the profiles stay small.
     """
-    if width < 1 or height < 1:
-        raise ValueError(f"raster dimensions must be >= 1, got {width}x{height}")
+    _check_count("width", width, 1)
+    _check_count("height", height, 1)
     points = np.asarray(points, dtype=float)
     if points.ndim != 3 or points.shape[2] != 2:
         raise ValueError(f"expected a (B, N, 2) stack of points, got shape {points.shape}")

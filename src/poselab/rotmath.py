@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 
-# The 3x3 identity, built once: the Rodrigues formulas add to it on every
-# LM residual and Jacobian.  Read-only, because every caller shares it.
+# The 3x3 identity, built once: the Rodrigues formulas add it to every
+# rotation and left Jacobian they build.  Read-only, because every caller shares it.
 _IDENTITY = np.eye(3)
 _IDENTITY.setflags(write=False)
 
@@ -45,6 +45,12 @@ _IDENTITY.setflags(write=False)
 def _is_integer(value) -> bool:
     # bool is an Integral, but True is no count, seed, size, factor or id.
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError naming the argument unless value is an integer >= least."""
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # check_rotation's bound on |M'M - I| and on |det M - 1|.
@@ -175,23 +181,34 @@ def axis_angle_to_rotation(rvec) -> np.ndarray:
 
 
 def _rodrigues(r):
-    """axis_angle_to_rotation of an unchecked float (3,) vector r, with what it
-    was built from: (rotation, k = skew(r), k @ k, |r|).  None where r @ r is
-    not finite."""
+    """axis_angle_to_rotation of an unchecked float (3,) vector r, with its
+    left Jacobian: (R, J), None where r @ r is not finite.
+
+    With k = skew(r) and t = |r|, J = I + (1-cos t)/t^2 k + (t-sin t)/t^3 k @ k,
+    so that Exp(r + d) = Exp(J d) @ Exp(r) to first order in d, Exp this
+    map.  J equals R times the right Jacobian of r (Sola, Deray &
+    Atchuthan, A micro Lie theory for state estimation in robotics, 2018).
+    """
     theta2 = float(r @ r)
     theta = math.sqrt(theta2)
     if theta < 1e-4:
-        # Series for sin(t)/t and (1-cos t)/t^2; exact through O(t^4).
+        # Series for sin(t)/t, (1-cos t)/t^2 and (t-sin t)/t^3; exact through O(t^4).
         a = 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0)
         b = 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0))
+        c = (1.0 - theta2 / 20.0 * (1.0 - theta2 / 42.0)) / 6.0
     elif theta < math.inf:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta2
+        # 1 - cos t as 2 sin(t/2)^2: the difference loses up to 8 digits
+        # near the switch, and J multiplies this coefficient by k, not k @ k.
+        sin = math.sin(theta)
+        half = math.sin(0.5 * theta) / theta
+        a = sin / theta
+        b = 2.0 * half * half
+        c = (theta - sin) / (theta2 * theta)
     else:
         return None
     k = skew(r)
     kk = k @ k
-    return _IDENTITY + a * k + b * kk, k, kk, theta
+    return _IDENTITY + a * k + b * kk, _IDENTITY + b * k + c * kk
 
 
 def rotation_to_axis_angle(m) -> np.ndarray:

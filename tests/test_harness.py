@@ -176,65 +176,68 @@ class TestPnPSweep:
     CONFIG = StudyConfig(trials=12, master_seed=3)
 
     # (sweep, yaw, pitch, roll, mean) MAE per row, computed by _pnp_sweep
-    # with the step and cost stopping tests.  They replaced values from the
-    # per-study loops _pnp_sweep replaced, which were at most 2.3e-7 degrees
-    # away.
+    # with the step and cost stopping tests and the rotation's left
+    # Jacobian.  They replaced values computed with R times the right
+    # Jacobian, which were at most 2.0e-7 degrees away.
     PINNED = {
         "subset": (
-            ("rigid-6", 31.78762877256787, 11.505237365487679,
-             7.080496696516213, 16.791120944857255),
-            ("core-12", 12.649537796853373, 10.395518825338858,
-             6.045988038934552, 9.697014887042261),
-            ("no-mouth-48", 14.492895679850278, 10.464614887250347,
-             5.924351539793395, 10.29395403563134),
-            ("all-68", 31.34575888044253, 20.22020277773282, 9.336636267976088, 20.300865975383815),
+            ("rigid-6", 31.7876288725802, 11.505237302694178,
+             7.080496719555956, 16.791120964943445),
+            ("core-12", 12.649537785271091, 10.395518969526853,
+             6.045988072776858, 9.697014942524934),
+            ("no-mouth-48", 14.492895852717467, 10.464615086890799,
+             5.9243516641574345, 10.293954201255234),
+            ("all-68", 31.345758880442872, 20.220202777732712,
+             9.33663626797584, 20.300865975383807),
         ),
         "jitter-rigid-6": (
-            ("0.0", 4.3816802038539514e-14, 3.395316435413539e-14,
-             4.796163466380676e-14, 4.191053368549389e-14),
-            ("1.0", 0.7690626993814954, 0.4566027007373244, 0.482794179549592, 0.5694865265561373),
-            ("2.0", 1.5445327223516412, 0.9028623650889095, 0.9720359160018303, 1.1398103344807937),
-            ("3.0", 2.3253487383279308, 1.3367433219325011, 1.4681633376839744, 1.7100851326481354),
-            ("4.0", 3.1111407728177354, 1.755990227034965, 1.9718600818591732, 2.279663693903958),
-            ("5.0", 3.9023679252051884, 2.1582712286715133, 2.484038621184599, 2.8482259250204334),
-            ("6.0", 4.700332235246218, 2.5435445748080756, 3.0057908912902476, 3.4165559004481802),
-            ("7.0", 5.507064492653292, 2.908886467295685, 3.538334532040062, 3.9847618306630133),
-            ("8.0", 6.325112179071805, 3.2511041928078743, 4.0829727042446216, 4.553063025374767),
-            ("9.0", 7.15723595869303, 3.5676339295023056, 4.6410534929324205, 5.121974460375919),
-            ("10.0", 8.00599228909788, 3.8565197596083856, 5.213881995590047, 5.692131348098772),
+            ("0.0", 5.3290705182007514e-14, 3.4948895629346076e-14,
+             5.0922229396140515e-14, 4.6387276735831375e-14),
+            ("1.0", 0.7690626866472966, 0.45660270068823056,
+             0.48279417478877323, 0.5694865207081001),
+            ("2.0", 1.54453269808905, 0.9028623597739949, 0.9720359212938176, 1.1398103263856207),
+            ("3.0", 2.325348738438875, 1.336743322056755, 1.4681633383986075, 1.710085132964746),
+            ("4.0", 3.111140771663758, 1.7559902329961528, 1.9718600817065723, 2.2796636954554943),
+            ("5.0", 3.9023679053147973, 2.1582712462497193, 2.4840386243465424, 2.848225925303686),
+            ("6.0", 4.700332223607352, 2.5435445593492756, 3.0057908891746536, 3.416555890710427),
+            ("7.0", 5.507064498746344, 2.908886469901944, 3.5383345335588707, 3.984761834069053),
+            ("8.0", 6.325112192745871, 3.2511042192783672, 4.082972708375594, 4.553063040133277),
+            ("9.0", 7.157235962196347, 3.5676339970643878, 4.641053494192021, 5.121974484484252),
+            ("10.0", 8.005992478508313, 3.856519854262, 5.213882024929625, 5.692131452566646),
         ),
         "jitter-all-68": (
-            ("0.0", 3.434289889507151e-14, 6.972894484036374e-14,
-             4.7369515717340014e-14, 5.0480453150925086e-14),
-            ("1.0", 0.1926789413915261, 0.15733465310391048,
-             0.11813050654521244, 0.15604803368021633),
-            ("2.0", 0.3862700760177802, 0.31504897833981654,
-             0.2369685923006498, 0.3127625488860822),
-            ("3.0", 0.5807797326015832, 0.4731615163933635, 0.35651724561447534, 0.470152831536474),
-            ("4.0", 0.776214266045694, 0.6316907086655195, 0.47677970081026305, 0.6282282251738255),
-            ("5.0", 0.9725801268446368, 0.7906549099046595, 0.597759472542195, 0.7869981697638305),
-            ("6.0", 1.1698838318984706, 0.9500724742336213, 0.7194603684418143, 0.9464722248579687),
-            ("7.0", 1.368132081174115, 1.1099617045317018, 0.8418865591704984, 1.1066601149587718),
-            ("8.0", 1.5673317184489914, 1.2703409179901066, 0.9650425505139602, 1.2675717289843529),
-            ("9.0", 1.767489823572884, 1.4312284974818248, 1.0889332861730867, 1.429217202409265),
-            ("10.0", 1.9686137406186657, 1.5926428736301343,
-             1.2135641479345516, 1.5916069207277836),
+            ("0.0", 2.7237471537470508e-14, 7.178401391823759e-14,
+             5.033011044967376e-14, 4.978386530179395e-14),
+            ("1.0", 0.1926789414609935, 0.15733465310182168,
+             0.11813050657899164, 0.15604803371393564),
+            ("2.0", 0.38627007660300094, 0.3150489782041806,
+             0.2369685921840876, 0.3127625489970897),
+            ("3.0", 0.58077973100443, 0.4731615170093333, 0.3565172461764625, 0.47015283139674197),
+            ("4.0", 0.7762142673539962, 0.6316907076095748,
+             0.47677970113218154, 0.6282282253652508),
+            ("5.0", 0.9725801243597599, 0.7906549190220963, 0.5977594728408336, 0.78699817207423),
+            ("6.0", 1.1698838332560986, 0.9500724752115346, 0.7194603717516385, 0.9464722267397572),
+            ("7.0", 1.3681320786902909, 1.1099617006928046, 0.8418865588749433, 1.1066601127526796),
+            ("8.0", 1.5673317187029454, 1.2703409177158302, 0.9650425502669044, 1.2675717288952268),
+            ("9.0", 1.7674897847189222, 1.431228494720892, 1.0889332638247413, 1.429217181088185),
+            ("10.0", 1.9686137343735706, 1.5926428617959134,
+             1.2135641462094557, 1.5916069141263132),
         ),
         "stretch-width": (
-            ("0.6", 7.7628502962002, 8.512148377932661, 7.664197128557507, 7.979731934230123),
-            ("0.8", 3.8422503659605964, 3.967961619589145, 3.542721081702702, 3.7843110224174814),
-            ("1.0", 2.842170943040401e-14, 6.96618688659593e-14,
-             4.855375361027351e-14, 4.887911063554561e-14),
-            ("1.2", 3.3380839880718853, 3.0970359930963802, 2.8552457008052503, 3.0967885606578385),
-            ("1.4", 6.558780691250856, 5.611459531612198, 5.1068266899102746, 5.759022304257776),
+            ("0.6", 7.762850290777543, 8.512148375049746, 7.664197116209699, 7.9797319273456635),
+            ("0.8", 3.8422503600825344, 3.9679616193514273, 3.5427210757985566, 3.7843110184108397),
+            ("1.0", 2.3684757858670007e-14, 7.128788300410822e-14,
+             4.9145872556740265e-14, 4.8039504473172835e-14),
+            ("1.2", 3.3380840012416493, 3.0970359336668403, 2.855245694122681, 3.0967885430103905),
+            ("1.4", 6.55878068897202, 5.61145953242358, 5.106826690517175, 5.759022303970926),
         ),
         "stretch-height": (
-            ("0.6", 6.460780762282179, 8.095018390641775, 6.55977865073142, 7.038525934551791),
-            ("0.8", 3.118608611618805, 4.082121937946116, 3.378241259664805, 3.526323936409909),
-            ("1.0", 2.842170943040401e-14, 6.96618688659593e-14,
-             4.855375361027351e-14, 4.887911063554561e-14),
-            ("1.2", 3.0761342398588467, 4.101015443857146, 3.3305963647426697, 3.5025820161528873),
-            ("1.4", 5.926243759623787, 7.890975499352344, 6.500558847796128, 6.77259270225742),
+            ("0.6", 6.460780761820195, 8.095018419810676, 6.559778658414245, 7.038525946681705),
+            ("0.8", 3.1186086123709393, 4.082121934986062, 3.3782412579904584, 3.5263239351158195),
+            ("1.0", 2.3684757858670007e-14, 7.128788300410822e-14,
+             4.9145872556740265e-14, 4.8039504473172835e-14),
+            ("1.2", 3.0761342406470447, 4.101015446706724, 3.3305963652545447, 3.5025820175361044),
+            ("1.4", 5.926243779356697, 7.890975495160905, 6.50055886060792, 6.772592711708508),
         ),
     }
 

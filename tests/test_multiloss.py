@@ -199,6 +199,15 @@ class TestSoftmaxAndCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy(np.array([0.5, 0.5]), 2)
 
+    @pytest.mark.parametrize("target_bin", [2.5, 1.0, True, np.float64(1.0), np.bool_(True)])
+    def test_target_bin_must_be_an_integer(self, target_bin):
+        with pytest.raises(ValueError, match="^target_bin must be an integer, got "):
+            cross_entropy(np.array([0.25, 0.25, 0.5]), target_bin)
+
+    def test_numpy_integer_target_bin(self):
+        p = np.array([0.25, 0.25, 0.5])
+        assert cross_entropy(p, np.int64(2)) == cross_entropy(p, 2) == -math.log(0.5)
+
 
 class TestExpectedAngle:
     def test_one_hot_decodes_to_center(self):

@@ -54,15 +54,38 @@ def perfbench_bindings(source: str) -> list:
             and node.value.id in modules]
 
 
+def load_perfbench(script: str):
+    """perfbench/<script>.py, loaded by path as a module of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{script}",
+                                                  ROOT / "perfbench" / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_spans_resolve():
     # perfbench/spans.py wraps these names; one renamed or deleted here
     # would fail the benchmark run instead of the tests.
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_perfbench("spans")
     assert len(spans.SPANS) > 20
     for _, _, module, name in spans.SPANS:
         assert hasattr(importlib.import_module(f"poselab.{module}"), name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("name", ["pnp-sweep", "pnp-single", "lowres-train"])
+def test_benchmark_reference_rows_hold(tmp_path, name):
+    # One seed-0 repetition of the workload at its default sizes matches the
+    # benchmark's stored reference rows within the benchmark's tolerance, so
+    # a change that moves rows past it fails here, not only in a benchmark run.
+    run, workloads = load_perfbench("run"), load_perfbench("workloads")
+    workload = workloads.make(name, 0, tmp_path / "work")
+    try:
+        workload.setup()
+        rep = workload.run_once()
+    finally:
+        workload.close()
+    mae_dev, problems = run.check_rows(workload, [rep], run.load_reference(name, 0))
+    assert problems == [] and mae_dev <= run.MAE_TOLERANCE_DEG
 
 
 @pytest.mark.parametrize("script", ["kernels.py", "workloads.py"])

@@ -249,10 +249,11 @@ class TestSolvePnP:
         assert solution.rmse == math.inf and solution.iterations == 1
 
     def test_one_jacobian_per_iteration_on_the_evaluated_points(self, monkeypatch):
-        # Each Jacobian takes the very rotated and camera points that the
-        # residual evaluation at its iterate built: no model @ R.T of its own.
-        evaluated, jacobian_points = [], []
-        evaluate, pinhole_jacobian = pnp._evaluate, pnp._pinhole_jacobian
+        # Each Jacobian takes the very left Jacobian, rotated and camera
+        # points that the residual evaluation at its iterate built: no
+        # Rodrigues and no model @ R.T of its own.
+        evaluated, jacobian_parts = [], []
+        evaluate, jacobian = pnp._evaluate, pnp._jacobian
 
         def recording_evaluate(*args):
             result = evaluate(*args)
@@ -260,19 +261,20 @@ class TestSolvePnP:
                 evaluated.append(result[2])
             return result
 
-        def recording_pinhole_jacobian(q, cam, rot_jr, intrinsics):
-            jacobian_points.append((q, cam))
-            return pinhole_jacobian(q, cam, rot_jr, intrinsics)
+        def recording_jacobian(parts, intrinsics):
+            jacobian_parts.append(parts)
+            return jacobian(parts, intrinsics)
 
         monkeypatch.setattr(pnp, "_evaluate", recording_evaluate)
-        monkeypatch.setattr(pnp, "_pinhole_jacobian", recording_pinhole_jacobian)
+        monkeypatch.setattr(pnp, "_jacobian", recording_jacobian)
         for problem in criterion_scenes(10, seed=3, jitter=5.0):
             evaluated.clear()
-            jacobian_points.clear()
+            jacobian_parts.clear()
             solution = solve_pnp(problem)
-            assert len(jacobian_points) == solution.iterations > 0
-            for q, cam in jacobian_points:
-                assert any(q is parts[4] and cam is parts[5] for parts in evaluated)
+            assert len(jacobian_parts) == solution.iterations > 0
+            for got in jacobian_parts:
+                assert any(all(g is e for g, e in zip(got, parts, strict=True))
+                           for parts in evaluated)
 
 
 class TestLinearSolve:
@@ -417,7 +419,7 @@ class TestSolvePnPBatch:
         counts["scalar"] = 0
         for problem in problems:
             solve_pnp(problem)
-        assert stacked == counts["scalar"] == 473
+        assert stacked == counts["scalar"] == 499
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
@@ -433,11 +435,12 @@ class TestSolvePnPBatch:
         for problem, got in zip(problems, batch, strict=True):
             assert same_solution(got, solve_pnp(problem))
 
-    def test_stack_jacobian_matches_jacobian_analytic(self):
+    def test_stacked_evaluation_and_jacobian_match_scalar(self):
         # Every row of the stacked evaluation is _evaluate's, bitwise, in the
-        # residuals, the cost and all six rigid parts, and its Jacobian is
-        # _jacobian_analytic's.  A row behind the camera is not rejected: its
-        # depths show it, where _evaluate gives None.
+        # residuals, the cost and all four rigid parts, and every row of
+        # _jacobian on the stacked parts is _jacobian on that row's parts.  A
+        # row behind the camera is not rejected: its depths show it, where
+        # _evaluate gives None.
         problems = criterion_scenes(40, seed=2, jitter=3.0)
         rng = np.random.default_rng(4)
         for n_points in (68, 6):
@@ -457,7 +460,7 @@ class TestSolvePnPBatch:
             with np.errstate(all="ignore"):
                 residual, cost, parts = pnp._stack_evaluate(
                     model, np.stack([p.image_points for p in group]), x, K)
-                stacked = pnp._stack_jacobian(parts, K)
+                stacked = pnp._jacobian(parts, K)
             assert (parts[-1][4, :, 2] <= MIN_DEPTH).all()
             for i, (problem, xi) in enumerate(zip(group, x, strict=True)):
                 want = pnp._evaluate(problem.model_points, problem.image_points, xi, K)
@@ -470,7 +473,7 @@ class TestSolvePnPBatch:
                     assert cost[i] == want[1]
                 for got_part, want_part in zip(parts, want[2], strict=True):
                     assert np.array_equal(got_part[i], want_part)
-                assert np.array_equal(stacked[i], pnp._jacobian_analytic(want[2], K))
+                assert np.array_equal(stacked[i], pnp._jacobian(want[2], K))
 
     @pytest.mark.parametrize("cap", [1, 7 * 6, 7 * 68])
     def test_solution_independent_of_batch_cap_and_order(self, monkeypatch, cap):
@@ -618,13 +621,18 @@ class TestSolveArrays:
         counts = dict.fromkeys(("rodrigues_stack", "stack_evaluate", "stack_jacobian",
                                 "rodrigues", "evaluate", "jacobian", "public_rodrigues",
                                 "finite_scalar_steps"), 0)
-        solve = pnp._linear_solve
+        solve, jacobian = pnp._linear_solve, pnp._jacobian
 
         def counted(name, fn):
             def wrapper(*args):
                 counts[name] += 1
                 return fn(*args)
             return wrapper
+
+        def counted_jacobian(parts, intrinsics):
+            # One _jacobian serves both loops: stacked parts have a leading axis.
+            counts["stack_jacobian" if parts[-1].ndim == 3 else "jacobian"] += 1
+            return jacobian(parts, intrinsics)
 
         def counted_solve(systems, rhs):
             step = solve(systems, rhs)
@@ -633,12 +641,11 @@ class TestSolveArrays:
             return step
 
         monkeypatch.setattr(pnp, "_linear_solve", counted_solve)
+        monkeypatch.setattr(pnp, "_jacobian", counted_jacobian)
         for name, attr in (("rodrigues_stack", "_rodrigues_stack"),
                            ("stack_evaluate", "_stack_evaluate"),
-                           ("stack_jacobian", "_stack_jacobian"),
                            ("rodrigues", "_rodrigues"),
                            ("evaluate", "_evaluate"),
-                           ("jacobian", "_jacobian_analytic"),
                            ("public_rodrigues", "axis_angle_to_rotation")):
             monkeypatch.setattr(pnp, attr, counted(name, getattr(pnp, attr)))
         problems = criterion_scenes(20, seed=3, jitter=5.0)[0::2]

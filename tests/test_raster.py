@@ -149,8 +149,29 @@ class TestRasterizeStack:
             rasterize_stack(np.zeros(shape), 8, 8)
 
     def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError, match="dimensions"):
+        with pytest.raises(ValueError, match="^height must be an integer >= 1, got 0$"):
             rasterize_stack(np.zeros((1, 3, 2)), 8, 0)
+
+
+@pytest.mark.parametrize("argument", ["width", "height"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, 0, -1])
+def test_sizes_must_be_integers(argument, value):
+    # A float, even a whole one, or a bool is no raster size: each entry
+    # point rejects it with a ValueError naming the argument.
+    sizes = {"width": 3, "height": 3, argument: value}
+    message = f"^{argument} must be an integer >= 1, got {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        rasterize(np.zeros((1, 2)), **sizes)
+    with pytest.raises(ValueError, match=message):
+        rasterize_stack(np.zeros((1, 1, 2)), **sizes)
+    with pytest.raises(ValueError, match=message):
+        Raster(values=np.zeros((3, 3)), **sizes)
+
+
+def test_numpy_integer_sizes_accepted():
+    r = rasterize(np.array([[1.0, 0.0]]), np.int64(3), np.int32(2))
+    assert r.values.shape == (2, 3)
+    assert np.array_equal(r.values, rasterize(np.array([[1.0, 0.0]]), 3, 2).values)
 
 
 class TestRaster:

@@ -216,8 +216,73 @@ class TestAxisAngle:
             axis_angle_to_rotation(np.zeros(4))
 
 
+# Rotation angles for the left Jacobian: zero, inside the Taylor branch, both
+# sides of its 1e-4 switch, and up to just short of a half turn.
+JACOBIAN_ANGLES = (0.0, 1e-8, 5e-5, 1e-4 * (1.0 - 1e-9), 1e-4 * (1.0 + 1e-9), 0.3, 2.0,
+                   math.pi - 1e-7)
+
+
+def rotation_vectors(angle, count=20, seed=0):
+    """count rotation vectors of this angle about seeded random axes."""
+    axes = np.random.default_rng(seed).normal(size=(count, 3))
+    return angle * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
+def rotation_times_right_jacobian(r):
+    """R(r) @ J_r(r), J_r = I - (1-cos t)/t^2 [r]x + (t-sin t)/t^3 [r]x^2 with
+    t = |r|, written with 1-cos t = 2 sin^2(t/2) and, below t = 1e-2, with
+    the series of the second coefficient, both accurate to rounding."""
+    t = math.sqrt(float(r @ r))
+    k = skew(r)
+    if t < 1e-2:
+        t2 = t * t
+        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        b = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+    else:
+        a = 2.0 * (math.sin(t / 2.0) / t) ** 2
+        b = (t - math.sin(t)) / t ** 3
+    return axis_angle_to_rotation(r) @ (np.eye(3) - a * k + b * (k @ k))
+
+
+class TestLeftJacobian:
+    """The left Jacobian J that rotmath._rodrigues returns with the rotation."""
+
+    @pytest.mark.parametrize("angle", JACOBIAN_ANGLES)
+    def test_equals_rotation_times_right_jacobian(self, angle):
+        for r in rotation_vectors(angle):
+            rot, jac = rotmath._rodrigues(r)
+            assert np.array_equal(rot, axis_angle_to_rotation(r))
+            assert np.abs(jac - rotation_times_right_jacobian(r)).max() <= 1e-14
+
+    @pytest.mark.parametrize("angle", JACOBIAN_ANGLES)
+    def test_maps_a_step_to_its_rotation_to_first_order(self, angle):
+        # Exp(r + d) = Exp(J d) Exp(r) + O(|d|^2).
+        steps = rotation_vectors(1e-7, seed=1)
+        for r, d in zip(rotation_vectors(angle), steps, strict=True):
+            rot, jac = rotmath._rodrigues(r)
+            turn = rotation_to_axis_angle(axis_angle_to_rotation(r + d) @ rot.T)
+            assert np.abs(turn - jac @ d).max() <= 1e-6 * 1e-7
+
+    def test_continuous_across_the_taylor_switch(self):
+        # Series below 1e-4, closed form above: J changes across the switch
+        # as the written-out R J_r does.
+        for axis in rotation_vectors(1.0):
+            below, above = 1e-4 * (1.0 - 1e-9) * axis, 1e-4 * (1.0 + 1e-9) * axis
+            jump = rotmath._rodrigues(above)[1] - rotmath._rodrigues(below)[1]
+            want = rotation_times_right_jacobian(above) - rotation_times_right_jacobian(below)
+            assert np.abs(jump - want).max() <= 1e-15
+
+    def test_stack_rows_are_bitwise_rodrigues(self):
+        r = np.concatenate([rotation_vectors(angle) for angle in JACOBIAN_ANGLES])
+        with np.errstate(all="ignore"):
+            stacked = pnp._rodrigues_stack(r)
+        for i, ri in enumerate(r):
+            for got, want in zip(stacked, rotmath._rodrigues(ri), strict=True):
+                assert np.array_equal(got[i], want)
+
+
 def test_shared_identity_is_read_only():
-    # Every Rodrigues and right-Jacobian evaluation adds to this one array,
+    # Every Rodrigues and left-Jacobian evaluation adds to this one array,
     # in both modules; a write through any of them must fail, not leak.
     assert pnp._IDENTITY is rotmath._IDENTITY
     assert np.array_equal(rotmath._IDENTITY, np.eye(3))
