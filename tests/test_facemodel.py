@@ -21,6 +21,7 @@ from poselab.facemodel import (
     stretch_model,
     subset_by_name,
 )
+from poselab.harness import load_landmarks
 
 # 0-based row pairs that mirror across the x = 0 plane
 MIRROR_PAIRS = (
@@ -159,6 +160,29 @@ class TestSaveLoad:
             load_face_model(path)
         assert exc.value.line_number == 4
         assert "4" in str(exc.value)
+
+
+class TestFirstFaultWins:
+    """A file with several faults reports its earliest faulty line, with that
+    line's first failing check in the order field count, integer id, id
+    range, numbers, finite, duplicate."""
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("1 1 2\n2 3 4\n3 a 5\n4 1 2\n5 6\n", ParseError,
+         ":3: coordinates must be decimal numbers"),
+        ("1 1 2\n1 3 4\n3 1 2\n4 nan 2\n", DuplicateIdError,
+         ":2: duplicate landmark id 1"),
+        ("1 1 2\n2 3 4\n# note\n69 inf 7\n5 1 2\n0 1 2\n", ParseError,
+         ":4: landmark id 69 outside 1..68"),
+        ("1 1 2\n5.0 3\n3 1 2\nx 1 2\n", ParseError,
+         ":2: expected 3 fields 'id u v', got 2"),
+    ])
+    def test_earliest_line_reported(self, tmp_path, text, error, message):
+        path = tmp_path / "lm.txt"
+        path.write_text(text)
+        with pytest.raises(error) as exc:
+            load_landmarks(path)
+        assert str(exc.value) == f"{path}{message}"
 
 
 class TestStretch:
