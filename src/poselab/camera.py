@@ -56,7 +56,7 @@ class Pose:
         t = np.asarray(self.translation, dtype=float).reshape(-1)
         if t.shape != (3,):
             raise ValueError(f"translation must have 3 components, got {t.shape}")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValueError("translation has non-finite components")
         object.__setattr__(self, "translation", t.copy())
 

@@ -7,7 +7,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .facemodel import builtin_mean_face, load_face_model, subset_by_name
+from .facemodel import _MEAN_FACE, load_face_model, subset_by_name
 from .harness import (
     StudyConfig,
     emit_csv,
@@ -121,18 +121,18 @@ def cmd_study(args) -> int:
 
 
 def cmd_solve_pnp(args) -> int:
-    model = load_face_model(args.model) if args.model else builtin_mean_face()
+    points = load_face_model(args.model).points if args.model else _MEAN_FACE
     ids, image_points = load_landmarks(args.landmarks)
     intrinsics = default_intrinsics(args.image_width, args.image_height)
-    problem = PnPProblem(model.points[ids - 1], image_points, intrinsics)
+    problem = PnPProblem(points[ids - 1], image_points, intrinsics)
     solution = solve_pnp(problem)
     rot = solution.pose.rotation
     t = solution.pose.translation
-    print(f"yaw   {rot.yaw:12.6f} deg")
-    print(f"pitch {rot.pitch:12.6f} deg")
-    print(f"roll  {rot.roll:12.6f} deg")
-    print(f"translation {t[0]:.6f} {t[1]:.6f} {t[2]:.6f}")
-    print(f"rmse {solution.rmse:.6g} px over {len(ids)} landmarks, "
+    print(f"yaw   {rot.yaw:12.6f} deg\n"
+          f"pitch {rot.pitch:12.6f} deg\n"
+          f"roll  {rot.roll:12.6f} deg\n"
+          f"translation {t[0]:.6f} {t[1]:.6f} {t[2]:.6f}\n"
+          f"rmse {solution.rmse:.6g} px over {len(ids)} landmarks, "
           f"{solution.iterations} iterations, converged {solution.converged} "
           f"({solution.termination})")
     return 0

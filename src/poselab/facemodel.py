@@ -187,47 +187,70 @@ def save_face_model(model: FaceModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_id_lines(path, fields: str) -> dict:
+def _parse_id_lines(path, fields: str) -> tuple:
     """Read a landmark file with one whitespace-separated record per line.
 
     fields names the columns, id first (e.g. 'id x y z'); '#' starts a
-    comment.  The file is UTF-8, with or without a byte-order mark.
-    Returns {id: coordinates} in file order.  Raises ParseError (with the
-    line number) on a malformed line and DuplicateIdError on a repeated id.
+    comment, and a record ends at a newline only.  The file is UTF-8, with
+    or without a byte-order mark.  Returns (ids, coordinates) in file
+    order: the int ids (N,) and the float coordinates (N, columns - 1).
+    Raises ParseError (with the line number) on a malformed line and
+    DuplicateIdError on a repeated id, for the first faulty line.
     """
     width = len(fields.split())
-    text = Path(path).read_text(encoding="utf-8-sig")
-    records = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    records = [parts for parts in (line.split("#", 1)[0].split() for line in lines) if parts]
+    if all(len(parts) == width for parts in records):
+        try:
+            ids = [int(parts[0]) for parts in records]
+            coords = np.array([float(v) for parts in records for v in parts[1:]])
+        except ValueError:
+            pass
+        else:
+            # The ids are checked as a list: for a 6-line file, NumPy's
+            # per-call cost would exceed the checks themselves.
+            if (1 <= min(ids, default=1) and max(ids, default=1) <= 68
+                    and len(set(ids)) == len(ids) and np.isfinite(coords).all()):
+                return np.array(ids, dtype=int), coords.reshape(-1, width - 1)
+    raise _first_fault(path, fields, lines)
+
+
+def _first_fault(path, fields: str, lines) -> ValueError:
+    """The error _parse_id_lines raises for the lines of a faulty file: the
+    ParseError or DuplicateIdError of the first faulty line, found by
+    checking the lines one by one in file order."""
+    width = len(fields.split())
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
         if len(parts) != width:
-            raise ParseError(path, lineno, f"expected {width} fields '{fields}', got {len(parts)}")
+            return ParseError(path, lineno, f"expected {width} fields '{fields}', got {len(parts)}")
         try:
             landmark_id = int(parts[0])
         except ValueError:
-            raise ParseError(path, lineno, f"landmark id {parts[0]!r} is not an integer") from None
+            return ParseError(path, lineno, f"landmark id {parts[0]!r} is not an integer")
         if not 1 <= landmark_id <= 68:
-            raise ParseError(path, lineno, f"landmark id {landmark_id} outside 1..68")
+            return ParseError(path, lineno, f"landmark id {landmark_id} outside 1..68")
         try:
             coords = list(map(float, parts[1:]))
         except ValueError:
-            raise ParseError(path, lineno, "coordinates must be decimal numbers") from None
+            return ParseError(path, lineno, "coordinates must be decimal numbers")
         if not all(map(math.isfinite, coords)):
-            raise ParseError(path, lineno, "coordinates must be finite")
-        if landmark_id in records:
-            raise DuplicateIdError(f"{path}:{lineno}: duplicate landmark id {landmark_id}")
-        records[landmark_id] = coords
-    return records
+            return ParseError(path, lineno, "coordinates must be finite")
+        if landmark_id in seen:
+            return DuplicateIdError(f"{path}:{lineno}: duplicate landmark id {landmark_id}")
+        seen.add(landmark_id)
 
 
 def load_face_model(path) -> FaceModel:
     """Parse 'id x y z' lines ('#' starts a comment) and recenter the result."""
-    records = _parse_id_lines(path, "id x y z")
-    if len(records) != 68:
-        raise WrongCountError(f"{path}: expected 68 landmarks, got {len(records)}")
-    pts = np.array([records[i] for i in range(1, 69)])
+    ids, coords = _parse_id_lines(path, "id x y z")
+    if len(ids) != 68:
+        raise WrongCountError(f"{path}: expected 68 landmarks, got {len(ids)}")
+    pts = np.empty((68, 3))
+    pts[ids - 1] = coords
     pts -= pts.mean(axis=0)
     return FaceModel(pts)
 

@@ -566,6 +566,4 @@ def load_landmarks(path):
     Returns (ids, points) where ids is an int array of landmark ids in
     file order and points the matching (N, 2) pixel coordinates.
     """
-    records = _parse_id_lines(path, "id u v")
-    points = np.array(list(records.values()), dtype=float).reshape(-1, 2)
-    return np.array(list(records), dtype=int), points
+    return _parse_id_lines(path, "id u v")

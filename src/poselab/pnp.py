@@ -45,7 +45,10 @@ points model @ R^T and the camera points.  _evaluate makes it for the
 scalar loop (_iterate, under solve_pnp) and _stack_evaluate for every row
 of the stacked loop, so Rodrigues runs once per residual evaluation and
 never for a Jacobian, and _jacobian builds both loops' Jacobians from
-these parts.
+these parts.  Rodrigues builds the rotation and its left Jacobian from
+[r]x and [r]x^2 = r r^T - |r|^2 I: rotmath._rodrigues entry by entry in
+Python floats, _rodrigues_stack on arrays, each entry with the same
+operations in the same order, so the two loops stay bitwise equal.
 
 Both loops return one kind of result per problem: the best iterate, the
 rotation its evaluation built, its cost, the iterations run and the
@@ -156,9 +159,10 @@ class PnPProblem:
         if mp.ndim != 2 or mp.shape[1] != 3:
             raise ValueError(f"model_points must be (N, 3), got {mp.shape}")
         _check_images(ip[None], len(mp))
-        if not np.all(np.isfinite(mp)):
+        if not np.isfinite(mp).all():
             raise ValueError(_NON_FINITE)
-        singulars = np.linalg.svd(mp - mp.mean(axis=0), compute_uv=False)
+        # The gufunc np.linalg.svd(..., compute_uv=False) wraps, on finite points.
+        singulars = _umath_linalg.svd(mp - mp.mean(axis=0))
         if int(np.sum(singulars > 1e-9 * max(1.0, singulars[0]))) < 2:
             raise DegenerateProblemError("model points are coincident or collinear")
         object.__setattr__(self, "model_points", mp.copy())
@@ -180,7 +184,7 @@ def _check_images(images, n_points: int) -> np.ndarray:
         raise ValueError(f"{n_points} model points vs {images.shape[1]} image points")
     if n_points < 4:
         raise ValueError(f"need at least 4 correspondences, got {n_points}")
-    if not np.all(np.isfinite(images)):
+    if not np.isfinite(images).all():
         raise ValueError(_NON_FINITE)
     return images
 
@@ -214,7 +218,8 @@ def _start_params(model) -> np.ndarray:
     translated along the optical axis to the viewing distance of each
     model's bounding radius."""
     x = np.zeros((len(model), 6))
-    radius = np.linalg.norm(model - model.mean(axis=1, keepdims=True), axis=2).max(axis=1)
+    d = model - model.mean(axis=1, keepdims=True)
+    radius = np.sqrt(np.add.reduce(d * d, axis=2)).max(axis=1)
     x[:, 5] = _viewing_distance(radius)
     return x
 
@@ -264,7 +269,7 @@ def _evaluate(model, image, x, intrinsics):
         return None
     parts = _rigid_parts(model, x, rodrigues)
     cam = parts[-1]
-    if (cam[:, 2] <= MIN_DEPTH).any():
+    if cam[:, 2].min() <= MIN_DEPTH:
         return None
     residual = (_pinhole(cam, intrinsics) - image).ravel()
     return residual, float(residual @ residual), parts
@@ -589,8 +594,9 @@ def _rodrigues_stack(rvecs) -> tuple:
     """_rodrigues of every row of a (B, 3) array: the rotations and their left
     Jacobians (B, 3, 3), NaN where r @ r is not finite.  Every row takes the
     general branch; rows with an angle below 1e-4 then get the Taylor series
-    in its place."""
-    theta2 = _row_dots(rvecs)
+    in its place.  k @ k is built as r r^T - t^2 I, with _rodrigues' operations."""
+    kk = rvecs[:, :, None] * rvecs[:, None, :]  # r r^T
+    theta2 = kk[:, 0, 0] + kk[:, 1, 1] + kk[:, 2, 2]
     theta = np.sqrt(theta2)
     sin = np.sin(theta)
     half = np.sin(0.5 * theta) / theta  # _rodrigues' 1 - cos t = 2 sin(t/2)^2
@@ -606,7 +612,7 @@ def _rodrigues_stack(rvecs) -> tuple:
     k = np.zeros((len(rvecs), 9))  # skew() of every row
     k[:, _SKEW_AT] = np.concatenate((rvecs, -rvecs), axis=1)
     k = k.reshape(-1, 3, 3)
-    kk = k @ k
+    kk.reshape(-1, 9)[:, ::4] -= theta2[:, None]
     a, b, c = a[:, None, None], b[:, None, None], c[:, None, None]
     return _IDENTITY + a * k + b * kk, _IDENTITY + b * k + c * kk
 

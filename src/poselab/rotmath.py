@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "EulerAngles",
@@ -36,8 +37,9 @@ __all__ = [
 ]
 
 
-# The 3x3 identity, built once: the Rodrigues formulas add it to every
-# rotation and left Jacobian they build.  Read-only, because every caller shares it.
+# The 3x3 identity, built once: the stacked Rodrigues formula adds it to
+# every rotation and left Jacobian it builds, and the rotation checks use
+# it.  Read-only, because every caller shares it.
 _IDENTITY = np.eye(3)
 _IDENTITY.setflags(write=False)
 
@@ -102,12 +104,12 @@ def check_rotation(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("rotation matrix has non-finite entries")
     err = np.abs(m.T @ m - _IDENTITY).max()
     if err > ROTATION_TOLERANCE:
         raise ValueError(f"matrix is not orthogonal (|M'M - I| = {err:.3e})")
-    det = float(np.linalg.det(m))
+    det = float(_umath_linalg.det(m))  # np.linalg.det's gufunc; m is finite
     if abs(det - 1.0) > ROTATION_TOLERANCE:
         raise ValueError(f"matrix determinant is {det!r}, expected 1")
     return m
@@ -188,8 +190,15 @@ def _rodrigues(r):
     so that Exp(r + d) = Exp(J d) @ Exp(r) to first order in d, Exp this
     map.  J equals R times the right Jacobian of r (Sola, Deray &
     Atchuthan, A micro Lie theory for state estimation in robotics, 2018).
+
+    The entries are Python floats: k @ k is r r^T - t^2 I, and each entry of
+    R = I + a k + b k @ k and of J is written with the expression that
+    pnp._rodrigues_stack evaluates for it, zero terms of I and k included,
+    so a stacked row has the same bits, signed zeros too.
     """
-    theta2 = float(r @ r)
+    x, y, z = r.tolist()
+    xx, yy, zz = x * x, y * y, z * z
+    theta2 = xx + yy + zz
     theta = math.sqrt(theta2)
     if theta < 1e-4:
         # Series for sin(t)/t, (1-cos t)/t^2 and (t-sin t)/t^3; exact through O(t^4).
@@ -206,9 +215,15 @@ def _rodrigues(r):
         c = (theta - sin) / (theta2 * theta)
     else:
         return None
-    k = skew(r)
-    kk = k @ k
-    return _IDENTITY + a * k + b * kk, _IDENTITY + b * k + c * kk
+    xy, xz, yz = x * y, x * z, y * z
+    d0, d1, d2 = xx - theta2, yy - theta2, zz - theta2
+    rot = np.array([[1.0 + a * 0.0 + b * d0, 0.0 + a * -z + b * xy, 0.0 + a * y + b * xz],
+                    [0.0 + a * z + b * xy, 1.0 + a * 0.0 + b * d1, 0.0 + a * -x + b * yz],
+                    [0.0 + a * -y + b * xz, 0.0 + a * x + b * yz, 1.0 + a * 0.0 + b * d2]])
+    left = np.array([[1.0 + b * 0.0 + c * d0, 0.0 + b * -z + c * xy, 0.0 + b * y + c * xz],
+                     [0.0 + b * z + c * xy, 1.0 + b * 0.0 + c * d1, 0.0 + b * -x + c * yz],
+                     [0.0 + b * -y + c * xz, 0.0 + b * x + c * yz, 1.0 + b * 0.0 + c * d2]])
+    return rot, left
 
 
 def rotation_to_axis_angle(m) -> np.ndarray:

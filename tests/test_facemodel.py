@@ -185,6 +185,121 @@ class TestFirstFaultWins:
         assert str(exc.value) == f"{path}{message}"
 
 
+# Characters str.splitlines breaks a line at besides the newline; in a
+# landmark file they are whitespace inside a record or a comment.
+NON_NEWLINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestRecordsEndAtNewline:
+    @pytest.mark.parametrize("sep", NON_NEWLINE_BREAKS)
+    def test_landmarks(self, tmp_path, sep):
+        path = tmp_path / "lm.txt"
+        path.write_bytes(f"1 10 20\n2 30{sep}40  # note{sep}more\n3 1 2\n4 1 2\n".encode())
+        ids, pts = load_landmarks(path)
+        assert ids.tolist() == [1, 2, 3, 4]
+        assert pts.tolist() == [[10.0, 20.0], [30.0, 40.0], [1.0, 2.0], [1.0, 2.0]]
+        path.write_bytes(f"1 10 20\n# note{sep}more\n3 1\n".encode())
+        with pytest.raises(ParseError, match=r":3: expected 3 fields"):
+            load_landmarks(path)
+
+    @pytest.mark.parametrize("sep", NON_NEWLINE_BREAKS)
+    def test_face_model(self, tmp_path, sep):
+        plain, marked = tmp_path / "face.txt", tmp_path / "marked.txt"
+        save_face_model(builtin_mean_face(), plain)
+        lines = plain.read_text().split("\n")
+        lines[0] += f" {sep} more"
+        lines[5] = lines[5].replace(" ", sep, 1)
+        marked.write_bytes("\n".join(lines).encode())
+        assert np.array_equal(load_face_model(marked).points, load_face_model(plain).points)
+
+
+def reference_parse(text: str, fields: str) -> tuple:
+    """The per-line rule _parse_id_lines first stated, one dict entry per
+    record, kept as the reference for the array parser."""
+    width = len(fields.split())
+    records = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != width:
+            raise ParseError("f", lineno, f"expected {width} fields '{fields}', got {len(parts)}")
+        try:
+            landmark_id = int(parts[0])
+        except ValueError:
+            raise ParseError("f", lineno, f"landmark id {parts[0]!r} is not an integer") from None
+        if not 1 <= landmark_id <= 68:
+            raise ParseError("f", lineno, f"landmark id {landmark_id} outside 1..68")
+        try:
+            coords = list(map(float, parts[1:]))
+        except ValueError:
+            raise ParseError("f", lineno, "coordinates must be decimal numbers") from None
+        if not all(map(math.isfinite, coords)):
+            raise ParseError("f", lineno, "coordinates must be finite")
+        if landmark_id in records:
+            raise DuplicateIdError(f"f:{lineno}: duplicate landmark id {landmark_id}")
+        records[landmark_id] = coords
+    coords = np.array(list(records.values()), dtype=float).reshape(-1, width - 1)
+    return np.array(list(records), dtype=int), coords
+
+
+def random_id_file(rng, width: int) -> str:
+    """A valid file of 'id' plus width - 1 coordinates: shuffled ids, comments,
+    blank lines, tabs, signs and exponents."""
+    ids = rng.permutation(np.arange(1, 69))[:rng.integers(0, 69)]
+    forms = ("{!r}", "{:+.3f}", "{:.6e}", "{:+g}", "{:.0f}", "{:E}")
+    lines = []
+    for landmark_id in ids.tolist():
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "   ", "# comment", "\t# indented comment"]))
+        values = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), width - 1) * (rng.random() < 0.95)
+        fields = [f"{'+' if rng.random() < 0.1 else ''}{landmark_id}"]
+        fields += [rng.choice(forms).format(float(v)) for v in values]
+        line = "".join(f + rng.choice([" ", "  ", "\t", " \t"]) for f in fields)
+        if rng.random() < 0.2:
+            line = rng.choice([" ", "\t"]) + line + "# note 1 2 3"
+        lines.append(line.rstrip() if rng.random() < 0.5 else line)
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+class TestParseIdLinesParity:
+    @pytest.mark.parametrize("fields", ["id u v", "id x y z"])
+    def test_valid_files_match_reference(self, tmp_path, fields):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "ids.txt"
+        for _ in range(100):
+            text = random_id_file(rng, len(fields.split()))
+            data = text.replace("\n", "\r\n" if rng.random() < 0.3 else "\n").encode()
+            path.write_bytes(b"\xef\xbb\xbf" + data if rng.random() < 0.3 else data)
+            want = reference_parse(text, fields)
+            got = facemodel._parse_id_lines(path, fields)
+            for g, w in zip(got, want, strict=True):
+                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    def test_faulty_files_raise_as_reference(self, tmp_path):
+        # One or two faulty records dropped into a valid file: the array
+        # parser reports the reference's first fault, type and message.
+        faults = ("5 1", "5 1 2 3", "x 1 2", "1.0 1 2", "0 1 2", "69 1 2", "-3 1 2",
+                  "99999999999999999999 1 2", "5 a 2", "5 1 0x10", "5 nan 2", "5 1 -inf",
+                  "5 1e999 2")
+        rng = np.random.default_rng(11)
+        path = tmp_path / "lm.txt"
+        for _ in range(100):
+            lines = random_id_file(rng, 3).split("\n")
+            records = [line for line in lines if line.split("#", 1)[0].split()]
+            for _ in range(rng.integers(1, 3)):
+                # A copy of a record is a duplicate id.
+                bad = rng.choice(records) if records and rng.random() < 0.3 else rng.choice(faults)
+                lines.insert(rng.integers(0, len(lines) + 1), bad)
+            text = "\n".join(lines)
+            path.write_text(text)
+            with pytest.raises(ValueError) as want:
+                reference_parse(text, "id u v")
+            with pytest.raises(type(want.value)) as got:
+                load_landmarks(path)
+            assert str(got.value) == str(want.value).replace("f:", f"{path}:", 1)
+
+
 class TestStretch:
     def test_identity(self):
         model = builtin_mean_face()

@@ -176,68 +176,73 @@ class TestPnPSweep:
     CONFIG = StudyConfig(trials=12, master_seed=3)
 
     # (sweep, yaw, pitch, roll, mean) MAE per row, computed by _pnp_sweep
-    # with the step and cost stopping tests and the rotation's left
-    # Jacobian.  They replaced values computed with R times the right
-    # Jacobian, which were at most 2.0e-7 degrees away.
+    # with the step and cost stopping tests, the rotation's left Jacobian
+    # and Rodrigues' [r]x^2 built as r r^T - |r|^2 I.  They replaced values
+    # computed with [r]x @ [r]x, which were at most 1.5e-7 degrees away.
     PINNED = {
         "subset": (
-            ("rigid-6", 31.7876288725802, 11.505237302694178,
-             7.080496719555956, 16.791120964943445),
-            ("core-12", 12.649537785271091, 10.395518969526853,
-             6.045988072776858, 9.697014942524934),
-            ("no-mouth-48", 14.492895852717467, 10.464615086890799,
-             5.9243516641574345, 10.293954201255234),
-            ("all-68", 31.345758880442872, 20.220202777732712,
-             9.33663626797584, 20.300865975383807),
+            ("rigid-6", 31.78762883948546, 11.505237325318127,
+             7.08049668857766, 16.79112095112708),
+            ("core-12", 12.64953780470166, 10.395518826264107,
+             6.0459880460261095, 9.697014892330627),
+            ("no-mouth-48", 14.492895830686763, 10.464615097605156,
+             5.92435166443386, 10.293954197575259),
+            ("all-68", 31.345758953331416, 20.220202889239996,
+             9.336636319358552, 20.300866053976655),
         ),
         "jitter-rigid-6": (
-            ("0.0", 5.3290705182007514e-14, 3.4948895629346076e-14,
-             5.0922229396140515e-14, 4.6387276735831375e-14),
-            ("1.0", 0.7690626866472966, 0.45660270068823056,
-             0.48279417478877323, 0.5694865207081001),
-            ("2.0", 1.54453269808905, 0.9028623597739949, 0.9720359212938176, 1.1398103263856207),
-            ("3.0", 2.325348738438875, 1.336743322056755, 1.4681633383986075, 1.710085132964746),
-            ("4.0", 3.111140771663758, 1.7559902329961528, 1.9718600817065723, 2.2796636954554943),
-            ("5.0", 3.9023679053147973, 2.1582712462497193, 2.4840386243465424, 2.848225925303686),
-            ("6.0", 4.700332223607352, 2.5435445593492756, 3.0057908891746536, 3.416555890710427),
-            ("7.0", 5.507064498746344, 2.908886469901944, 3.5383345335588707, 3.984761834069053),
-            ("8.0", 6.325112192745871, 3.2511042192783672, 4.082972708375594, 4.553063040133277),
-            ("9.0", 7.157235962196347, 3.5676339970643878, 4.641053494192021, 5.121974484484252),
-            ("10.0", 8.005992478508313, 3.856519854262, 5.213882024929625, 5.692131452566646),
+            ("0.0", 4.973799150320701e-14, 3.6463887465032485e-14,
+             4.677739677087326e-14, 4.4326425246370915e-14),
+            ("1.0", 0.7690626740613276, 0.4566026919382649,
+             0.48279416837783035, 0.5694865114591409),
+            ("2.0", 1.5445327021105844, 0.9028623627428173,
+             0.9720359235855357, 1.1398103294796458),
+            ("3.0", 2.3253487384085396, 1.3367433216850169,
+             1.4681633377054304, 1.7100851325996622),
+            ("4.0", 3.1111407707466383, 1.7559902330118546,
+             1.9718600813505998, 2.2796636950363642),
+            ("5.0", 3.902367908873758, 2.158271233232956, 2.4840386256606393, 2.8482259225891178),
+            ("6.0", 4.700332223126915, 2.5435445728004535, 3.0057908858704594, 3.416555893932609),
+            ("7.0", 5.5070644926534, 2.9088864672949897, 3.5383345320401425, 3.984761830662844),
+            ("8.0", 6.325112194373559, 3.251104220096751, 4.082972711507799, 4.553063041992703),
+            ("9.0", 7.157235962862287, 3.5676339981486875, 4.641053495265084, 5.121974485425352),
+            ("10.0", 8.005992345642046, 3.8565197981952015, 5.213881995151258, 5.692131379662835),
         ),
         "jitter-all-68": (
-            ("0.0", 2.7237471537470508e-14, 7.178401391823759e-14,
-             5.033011044967376e-14, 4.978386530179395e-14),
-            ("1.0", 0.1926789414609935, 0.15733465310182168,
-             0.11813050657899164, 0.15604803371393564),
-            ("2.0", 0.38627007660300094, 0.3150489782041806,
-             0.2369685921840876, 0.3127625489970897),
-            ("3.0", 0.58077973100443, 0.4731615170093333, 0.3565172461764625, 0.47015283139674197),
-            ("4.0", 0.7762142673539962, 0.6316907076095748,
-             0.47677970113218154, 0.6282282253652508),
-            ("5.0", 0.9725801243597599, 0.7906549190220963, 0.5977594728408336, 0.78699817207423),
-            ("6.0", 1.1698838332560986, 0.9500724752115346, 0.7194603717516385, 0.9464722267397572),
-            ("7.0", 1.3681320786902909, 1.1099617006928046, 0.8418865588749433, 1.1066601127526796),
-            ("8.0", 1.5673317187029454, 1.2703409177158302, 0.9650425502669044, 1.2675717288952268),
-            ("9.0", 1.7674897847189222, 1.431228494720892, 1.0889332638247413, 1.429217181088185),
-            ("10.0", 1.9686137343735706, 1.5926428617959134,
-             1.2135641462094557, 1.5916069141263132),
+            ("0.0", 2.960594732333751e-14, 7.008514139409765e-14,
+             5.033011044967376e-14, 5.00070663890363e-14),
+            ("1.0", 0.19267894142371844, 0.15733465312382264,
+             0.1181305065671161, 0.15604803370488574),
+            ("2.0", 0.3862700763740167, 0.3150489782018026,
+             0.23696859213075902, 0.3127625489021928),
+            ("3.0", 0.580779730790861, 0.47316151698082703,
+             0.3565172461865143, 0.4701528313194008),
+            ("4.0", 0.7762142701928134, 0.6316907122098164,
+             0.47677970181889506, 0.6282282280738416),
+            ("5.0", 0.9725801253644745, 0.7906549190439368,
+             0.5977594730346745, 0.7869981724810285),
+            ("6.0", 1.169883830773184, 0.9500724785632809, 0.7194603705176744, 0.9464722266180465),
+            ("7.0", 1.3681320970570308, 1.1099616925472489, 0.8418865519552305, 1.10666011385317),
+            ("8.0", 1.5673317161006832, 1.2703409216650334, 0.965042552491275, 1.267571730085664),
+            ("9.0", 1.7674897966441598, 1.4312284821925105, 1.0889332646802086, 1.429217181172293),
+            ("10.0", 1.9686137356563063, 1.5926428616912924,
+             1.2135641461803377, 1.5916069145093121),
         ),
         "stretch-width": (
-            ("0.6", 7.762850290777543, 8.512148375049746, 7.664197116209699, 7.9797319273456635),
-            ("0.8", 3.8422503600825344, 3.9679616193514273, 3.5427210757985566, 3.7843110184108397),
-            ("1.0", 2.3684757858670007e-14, 7.128788300410822e-14,
-             4.9145872556740265e-14, 4.8039504473172835e-14),
-            ("1.2", 3.3380840012416493, 3.0970359336668403, 2.855245694122681, 3.0967885430103905),
-            ("1.4", 6.55878068897202, 5.61145953242358, 5.106826690517175, 5.759022303970926),
+            ("0.6", 7.76285030769018, 8.512148361654342, 7.664197118269311, 7.979731929204611),
+            ("0.8", 3.842250363965119, 3.9679616245445857, 3.542721080109296, 3.784311022873),
+            ("1.0", 2.1316282072803006e-14, 7.082760304181572e-14,
+             4.440892098500626e-14, 4.551760203320833e-14),
+            ("1.2", 3.338084001514859, 3.097035933739916, 2.855245694237256, 3.0967885431640103),
+            ("1.4", 6.558780703751336, 5.611459559787465, 5.1068266987663415, 5.759022320768381),
         ),
         "stretch-height": (
-            ("0.6", 6.460780761820195, 8.095018419810676, 6.559778658414245, 7.038525946681705),
-            ("0.8", 3.1186086123709393, 4.082121934986062, 3.3782412579904584, 3.5263239351158195),
-            ("1.0", 2.3684757858670007e-14, 7.128788300410822e-14,
-             4.9145872556740265e-14, 4.8039504473172835e-14),
-            ("1.2", 3.0761342406470447, 4.101015446706724, 3.3305963652545447, 3.5025820175361044),
-            ("1.4", 5.926243779356697, 7.890975495160905, 6.50055886060792, 6.772592711708508),
+            ("0.6", 6.4607807659365015, 8.095018437446083, 6.559778671863179, 7.038525958415254),
+            ("0.8", 3.1186085985230485, 4.082121933089437, 3.378241250978444, 3.52632392753031),
+            ("1.0", 2.1316282072803006e-14, 7.082760304181572e-14,
+             4.440892098500626e-14, 4.551760203320833e-14),
+            ("1.2", 3.076134247530547, 4.101015445665049, 3.3305963620929564, 3.5025820184295178),
+            ("1.4", 5.926243772171813, 7.890975498302766, 6.500558860263443, 6.772592710246008),
         ),
     }
 

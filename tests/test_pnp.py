@@ -419,7 +419,7 @@ class TestSolvePnPBatch:
         counts["scalar"] = 0
         for problem in problems:
             solve_pnp(problem)
-        assert stacked == counts["scalar"] == 499
+        assert stacked == counts["scalar"] == 460
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])

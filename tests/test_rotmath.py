@@ -273,17 +273,24 @@ class TestLeftJacobian:
             assert np.abs(jump - want).max() <= 1e-15
 
     def test_stack_rows_are_bitwise_rodrigues(self):
-        r = np.concatenate([rotation_vectors(angle) for angle in JACOBIAN_ANGLES])
+        # Bytes, not values: -0.0 == 0.0, so array_equal would miss an entry
+        # whose zero has the other sign.  Zero and negative-zero components,
+        # and an angle in (pi, 2 pi), where sin(t)/t < 0, join the random axes.
+        r = np.concatenate([*(rotation_vectors(angle) for angle in JACOBIAN_ANGLES),
+                            [(0.0, 0.0, 0.5), (-1e-3, -0.0, 0.0), (0.0, 2.0, -0.0),
+                             (1.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0),
+                             (-0.0, 3e-5, 0.0), (4.0, -0.0, 0.0)]])
         with np.errstate(all="ignore"):
             stacked = pnp._rodrigues_stack(r)
         for i, ri in enumerate(r):
             for got, want in zip(stacked, rotmath._rodrigues(ri), strict=True):
-                assert np.array_equal(got[i], want)
+                assert got[i].tobytes() == want.tobytes()
 
 
 def test_shared_identity_is_read_only():
-    # Every Rodrigues and left-Jacobian evaluation adds to this one array,
-    # in both modules; a write through any of them must fail, not leak.
+    # Every stacked Rodrigues and left-Jacobian evaluation adds to this one
+    # array, and rotmath's checks use it; a write through any of them must
+    # fail, not leak.
     assert pnp._IDENTITY is rotmath._IDENTITY
     assert np.array_equal(rotmath._IDENTITY, np.eye(3))
     with pytest.raises(ValueError):
