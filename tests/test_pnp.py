@@ -248,6 +248,30 @@ class TestSolvePnP:
         assert solution.termination == "damping_exhausted"
         assert solution.rmse == math.inf and solution.iterations == 1
 
+    def test_finite_step_whose_square_overflows_is_evaluated(self, monkeypatch):
+        # |h|^2 of this finite step overflows to inf.  The step is still
+        # finite, so its trial is evaluated (and, being far off, rejected)
+        # rather than skipped as a non-finite step.
+        problem, _ = make_problem((10.0, -5.0, 3.0), (0.0, 0.0, 5.0))
+        step = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1e200])
+        solve, evaluate = pnp._linear_solve, pnp._evaluate
+        pending, trials = [step], []
+
+        def first_step_overflowing(system, rhs):
+            return pending.pop() if pending else solve(system, rhs)
+
+        def recording_evaluate(model, image, x, intrinsics):
+            trials.append(x)
+            return evaluate(model, image, x, intrinsics)
+
+        monkeypatch.setattr(pnp, "_linear_solve", first_step_overflowing)
+        monkeypatch.setattr(pnp, "_evaluate", recording_evaluate)
+        solution = solve_pnp(problem)
+        start = pnp._start_params(problem.model_points[None])[0]
+        assert np.array_equal(trials[0], start)
+        assert np.array_equal(trials[1], start + step)
+        assert solution.converged and solution.rmse < 1e-9
+
     def test_one_jacobian_per_iteration_on_the_evaluated_points(self, monkeypatch):
         # Each Jacobian takes the very left Jacobian, rotated and camera
         # points that the residual evaluation at its iterate built: no
