@@ -22,12 +22,24 @@ Nielsen & Tingleff, Methods for Non-Linear Least Squares Problems (2004):
 
 The first three are convergence (PnPSolution.converged).  A damping climb
 leaves the iterate where it is while its steps shrink, so at the noise
-floor the step test ends the climb after a rejection or two.  There is
-no gradient test: an absolute gradient bound large enough to fire before
-these (1e-8 or more) also stops noiseless solves early, raising their
-mean pose error from about 5e-14 degrees to 6e-13 at 1e-8 and 2e-10 at
-1e-6.  The iteration cap, the damping schedule and the tolerances are
-module constants.
+floor the step test ends the climb after a rejection or two.
+
+The step test sets the precision of a result.  |x| is about 3.4 (the
+translation is in face-model units), so with STEP_TOLERANCE 1e-8 a solve
+stops once its step is below about 2e-6 degrees of rotation.  Noiseless
+solves converge quadratically and still end within about 1e-11 degrees
+of the true pose.  Noisy ones converge linearly, and the step test stops
+their angles within 1e-5 degrees of the fully refined least-squares
+minimum (a solve at STEP_TOLERANCE 1e-13).  A study row, a mean over
+trials, moves by about 1e-7 degrees against STEP_TOLERANCE 1e-10: in the
+CSV's full-precision floats, far below the four decimals a study command
+prints.
+
+There is no gradient test: an absolute gradient bound large enough to
+fire before these (1e-8 or more) also stops noiseless solves early
+(measured at STEP_TOLERANCE 1e-10, it raised their mean pose error from
+about 5e-14 degrees to 6e-13 at 1e-8 and 2e-10 at 1e-6).  The iteration
+cap, the damping schedule and the tolerances are module constants.
 
 solve_pnp_batch runs the same iteration on many problems at once, up to
 BATCH_POINTS points per stack.  Once at most HANDOFF problems of a stack
@@ -116,7 +128,7 @@ DIAG_FLOOR = 1e-12
 # Stopping tests, in the order they are checked (see the module docstring):
 # step relative to the iterate, cost decrease relative to the cost, and
 # RMS reprojection error in pixels.
-STEP_TOLERANCE = 1e-10
+STEP_TOLERANCE = 1e-8
 COST_TOLERANCE = 1e-15
 RESIDUAL_TOLERANCE = 1e-12
 # Reasons a solve stops; the first three mean it converged.
@@ -398,8 +410,11 @@ def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: in
             # A singular system gives a NaN step, rejected as non-finite.
             step = _linear_solve(system, descent)
             trial = None
-            if np.isfinite(step).all():
-                short = math.sqrt(float(step @ step)) <= step_limit
+            # A finite |h|^2 means a finite step; only an inf or NaN one,
+            # which a finite step can overflow to, needs the entrywise test.
+            length2 = float(step @ step)
+            if math.isfinite(length2) or np.isfinite(step).all():
+                short = math.sqrt(length2) <= step_limit
                 trial_x = x + step
                 trial = _evaluate(model, image, trial_x, intrinsics)
             if trial is not None and trial[1] < cost:

@@ -176,73 +176,77 @@ class TestPnPSweep:
     CONFIG = StudyConfig(trials=12, master_seed=3)
 
     # (sweep, yaw, pitch, roll, mean) MAE per row, computed by _pnp_sweep
-    # with the step and cost stopping tests, the rotation's left Jacobian
-    # and Rodrigues' [r]x^2 built as r r^T - |r|^2 I.  They replaced values
-    # computed with [r]x @ [r]x, which were at most 1.5e-7 degrees away.
+    # with the step and cost stopping tests at STEP_TOLERANCE 1e-8, the
+    # rotation's left Jacobian and Rodrigues' [r]x^2 built as
+    # r r^T - |r|^2 I.  They replaced values computed at STEP_TOLERANCE
+    # 1e-10, which were at most 1.2e-7 degrees away.
     PINNED = {
         "subset": (
-            ("rigid-6", 31.78762883948546, 11.505237325318127,
-             7.08049668857766, 16.79112095112708),
-            ("core-12", 12.64953780470166, 10.395518826264107,
-             6.0459880460261095, 9.697014892330627),
-            ("no-mouth-48", 14.492895830686763, 10.464615097605156,
-             5.92435166443386, 10.293954197575259),
-            ("all-68", 31.345758953331416, 20.220202889239996,
-             9.336636319358552, 20.300866053976655),
+            ("rigid-6", 31.787628821321068, 11.505237253402697,
+             7.080496733428816, 16.79112093605086),
+            ("core-12", 12.649537731835517, 10.395518839586853,
+             6.04598803290532, 9.69701486810923),
+            ("no-mouth-48", 14.492895886463183, 10.464615061989681,
+             5.924351675955613, 10.293954208136158),
+            ("all-68", 31.345758882254657, 20.22020289628256,
+             9.336636222623198, 20.300866000386804),
         ),
         "jitter-rigid-6": (
-            ("0.0", 4.973799150320701e-14, 3.6463887465032485e-14,
-             4.677739677087326e-14, 4.4326425246370915e-14),
-            ("1.0", 0.7690626740613276, 0.4566026919382649,
-             0.48279416837783035, 0.5694865114591409),
-            ("2.0", 1.5445327021105844, 0.9028623627428173,
-             0.9720359235855357, 1.1398103294796458),
-            ("3.0", 2.3253487384085396, 1.3367433216850169,
-             1.4681633377054304, 1.7100851325996622),
-            ("4.0", 3.1111407707466383, 1.7559902330118546,
-             1.9718600813505998, 2.2796636950363642),
-            ("5.0", 3.902367908873758, 2.158271233232956, 2.4840386256606393, 2.8482259225891178),
-            ("6.0", 4.700332223126915, 2.5435445728004535, 3.0057908858704594, 3.416555893932609),
-            ("7.0", 5.5070644926534, 2.9088864672949897, 3.5383345320401425, 3.984761830662844),
-            ("8.0", 6.325112194373559, 3.251104220096751, 4.082972711507799, 4.553063041992703),
-            ("9.0", 7.157235962862287, 3.5676339981486875, 4.641053495265084, 5.121974485425352),
-            ("10.0", 8.005992345642046, 3.8565197981952015, 5.213881995151258, 5.692131379662835),
+            ("0.0", 1.5087190755972795e-12, 1.6771075269280308e-13,
+             2.338869838543663e-13, 6.367722707148163e-13),
+            ("1.0", 0.7690626924126261, 0.45660268599807036,
+             0.48279417231561794, 0.5694865169087715),
+            ("2.0", 1.5445327028176525, 0.9028623596868011,
+             0.9720359214423494, 1.1398103279822676),
+            ("3.0", 2.3253487230056713, 1.3367433441238603,
+             1.4681633389984097, 1.7100851353759803),
+            ("4.0", 3.111140761859924, 1.755990257938018, 1.971860081128695, 2.279663700308879),
+            ("5.0", 3.902367884437871, 2.1582713170677743, 2.484038618316905, 2.84822593994085),
+            ("6.0", 4.700332193186163, 2.543544573579098, 3.0057908721088644, 3.4165558796247084),
+            ("7.0", 5.507064480048499, 2.908886469559301, 3.5383345081039685, 3.9847618192372565),
+            ("8.0", 6.325112181291181, 3.2511042987194307, 4.082972702211451, 4.553063060740687),
+            ("9.0", 7.157235842260316, 3.5676339178917718, 4.641053374972722, 5.1219743783749365),
+            ("10.0", 8.005992283701675, 3.8565197421068036, 5.213881957833094, 5.692131327880524),
         ),
         "jitter-all-68": (
             ("0.0", 2.960594732333751e-14, 7.008514139409765e-14,
              5.033011044967376e-14, 5.00070663890363e-14),
-            ("1.0", 0.19267894142371844, 0.15733465312382264,
-             0.1181305065671161, 0.15604803370488574),
-            ("2.0", 0.3862700763740167, 0.3150489782018026,
-             0.23696859213075902, 0.3127625489021928),
-            ("3.0", 0.580779730790861, 0.47316151698082703,
-             0.3565172461865143, 0.4701528313194008),
-            ("4.0", 0.7762142701928134, 0.6316907122098164,
-             0.47677970181889506, 0.6282282280738416),
-            ("5.0", 0.9725801253644745, 0.7906549190439368,
-             0.5977594730346745, 0.7869981724810285),
-            ("6.0", 1.169883830773184, 0.9500724785632809, 0.7194603705176744, 0.9464722266180465),
-            ("7.0", 1.3681320970570308, 1.1099616925472489, 0.8418865519552305, 1.10666011385317),
-            ("8.0", 1.5673317161006832, 1.2703409216650334, 0.965042552491275, 1.267571730085664),
-            ("9.0", 1.7674897966441598, 1.4312284821925105, 1.0889332646802086, 1.429217181172293),
-            ("10.0", 1.9686137356563063, 1.5926428616912924,
-             1.2135641461803377, 1.5916069145093121),
+            ("1.0", 0.19267894517747428, 0.15733465454126078,
+             0.1181305064448459, 0.1560480353878603),
+            ("2.0", 0.38627007663687013, 0.3150489777126975,
+             0.2369685918444008, 0.3127625487313228),
+            ("3.0", 0.5807797337500157, 0.4731615149516369,
+             0.356517244971472, 0.47015283122437485),
+            ("4.0", 0.7762142771833199, 0.6316907045275142,
+             0.47677969576297957, 0.6282282258246046),
+            ("5.0", 0.9725801194089634, 0.7906549173984644,
+             0.5977594689952319, 0.7869981686008866),
+            ("6.0", 1.1698838277621075, 0.9500724634244935,
+             0.7194603741152162, 0.9464722217672725),
+            ("7.0", 1.3681320865888438, 1.1099616884314878,
+             0.8418865463809494, 1.1066601071337605),
+            ("8.0", 1.5673317304587069, 1.2703408923362465,
+             0.9650425377314077, 1.2675717201754537),
+            ("9.0", 1.7674897674925976, 1.4312284862972116, 1.0889332547252633, 1.429217169505024),
+            ("10.0", 1.9686137363871232, 1.5926428588817794,
+             1.2135641463471114, 1.5916069138720046),
         ),
         "stretch-width": (
-            ("0.6", 7.76285030769018, 8.512148361654342, 7.664197118269311, 7.979731929204611),
-            ("0.8", 3.842250363965119, 3.9679616245445857, 3.542721080109296, 3.784311022873),
+            ("0.6", 7.762850419680375, 8.512148304934646, 7.664197121758623, 7.979731948791215),
+            ("0.8", 3.8422503778493797, 3.9679616090967045, 3.542721089338981, 3.784311025428355),
             ("1.0", 2.1316282072803006e-14, 7.082760304181572e-14,
              4.440892098500626e-14, 4.551760203320833e-14),
-            ("1.2", 3.338084001514859, 3.097035933739916, 2.855245694237256, 3.0967885431640103),
-            ("1.4", 6.558780703751336, 5.611459559787465, 5.1068266987663415, 5.759022320768381),
+            ("1.2", 3.3380839784931537, 3.0970360501268996,
+             2.8552457144972148, 3.0967885810390894),
+            ("1.4", 6.558780718818934, 5.611459568371128, 5.106826708581192, 5.7590223319237515),
         ),
         "stretch-height": (
-            ("0.6", 6.4607807659365015, 8.095018437446083, 6.559778671863179, 7.038525958415254),
-            ("0.8", 3.1186085985230485, 4.082121933089437, 3.378241250978444, 3.52632392753031),
+            ("0.6", 6.460780769216611, 8.09501842602415, 6.55977867776162, 7.038525957667461),
+            ("0.8", 3.1186085957279475, 4.082121868492758, 3.3782412463248837, 3.526323903515196),
             ("1.0", 2.1316282072803006e-14, 7.082760304181572e-14,
              4.440892098500626e-14, 4.551760203320833e-14),
-            ("1.2", 3.076134247530547, 4.101015445665049, 3.3305963620929564, 3.5025820184295178),
-            ("1.4", 5.926243772171813, 7.890975498302766, 6.500558860263443, 6.772592710246008),
+            ("1.2", 3.0761342660156656, 4.10101542124496, 3.33059636158692, 3.502582016282515),
+            ("1.4", 5.926243780399861, 7.890975454791639, 6.500558829685285, 6.772592688292261),
         ),
     }
 

@@ -26,19 +26,23 @@ JITTERS_PX = (0.0, 2.0, 5.0, 10.0)
 
 
 def golden_problems() -> dict:
-    """Rigid-6 and all-68 problems on four seeded scenes at each jitter, and one
-    whose image points, 1e160 px out, end the solve on exhausted damping."""
+    """Rigid-6 and all-68 problems on four seeded scenes at each jitter; on a
+    fifth scene, with its own seed, at 0 and 40 px, where the all-68 solves
+    end on the residual and the cost test, which the step test pre-empts on
+    the first four; and one whose image points, 1e160 px out, end the solve
+    on exhausted damping."""
     model = builtin_mean_face().points
     depth = 2.0 * builtin_mean_face().bounding_radius() / math.tan(math.radians(25.0))
     rng = np.random.default_rng(2024)
+    scenes = [(rng, JITTERS_PX)] * 4 + [(np.random.default_rng(2), (0.0, 40.0))]
     problems = {}
-    for scene in range(4):
+    for scene, (rng, jitters) in enumerate(scenes):
         pose = Pose(EulerAngles(rng.uniform(-75.0, 75.0), rng.uniform(-60.0, 60.0),
                                 rng.uniform(-50.0, 50.0)),
                     np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
                               depth * rng.uniform(0.8, 1.3)]))
         image = project(model, pose, K)
-        for jitter in JITTERS_PX:
+        for jitter in jitters:
             noisy = image + rng.uniform(-jitter, jitter, image.shape)
             for name in ("rigid-6", "all-68"):
                 rows = subset_by_name(name).rows()
