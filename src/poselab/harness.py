@@ -84,13 +84,14 @@ __all__ = [
 
 CSV_HEADER = "sweep,yaw_mae,pitch_mae,roll_mae,mae,trials"
 # Every scene draws yaw, pitch and roll uniformly within +-these bounds
-# (degrees), inside BinSpec's range, and is imaged by a default camera of
-# this size (pixels).
+# (degrees), inside BinSpec's range, and is imaged by CAMERA, the default
+# camera of this size (pixels).
 YAW_RANGE = 75.0
 PITCH_RANGE = 60.0
 ROLL_RANGE = 50.0
 IMAGE_WIDTH = 450
 IMAGE_HEIGHT = 450
+CAMERA = default_intrinsics(IMAGE_WIDTH, IMAGE_HEIGHT)
 # Side (pixels) of the low-resolution study's landmark rasters.
 RASTER_SIZE = 32
 # Trials whose problems a PnP study builds and solves together.  A block
@@ -185,13 +186,12 @@ class StudyResult:
 
 
 def _scenes(config: StudyConfig, model, count: int):
-    """Yield (rng, pose, intrinsics) for scenes 0..count-1.
+    """Yield (rng, pose) for scenes 0..count-1, each imaged by CAMERA.
 
     Scene i draws a uniform pose, at a depth scaled to the model, from
     seed master_seed+i; the caller makes its own draws from rng after
     that.  The fixed draw order keeps streams reproducible.
     """
-    intrinsics = default_intrinsics(IMAGE_WIDTH, IMAGE_HEIGHT)
     tz_base = _viewing_distance(model.bounding_radius())
     for i in range(count):
         rng = np.random.default_rng(config.master_seed + i)
@@ -201,7 +201,7 @@ def _scenes(config: StudyConfig, model, count: int):
         tx = rng.uniform(-0.3, 0.3)
         ty = rng.uniform(-0.3, 0.3)
         tz = tz_base * rng.uniform(0.8, 1.3)
-        yield rng, Pose(EulerAngles(yaw, pitch, roll), np.array([tx, ty, tz])), intrinsics
+        yield rng, Pose(EulerAngles(yaw, pitch, roll), np.array([tx, ty, tz]))
 
 
 def _sweep_label(value) -> str:
@@ -225,9 +225,9 @@ def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyRes
 
     models maps each sweep label, in row order, to the model rows (N, 3)
     it is solved against in every trial.  Trial i samples a pose of face
-    from seed master_seed+i and calls trial(rng, pose, intrinsics), which
-    makes the study's own draws from rng and returns label -> image rows
-    (N, 2).  Trials run in blocks of TRIAL_BLOCK.  Each label's model is
+    from seed master_seed+i and calls trial(rng, pose), which makes the
+    study's own draws from rng and returns label -> image rows (N, 2) in
+    CAMERA.  Trials run in blocks of TRIAL_BLOCK.  Each label's model is
     checked by one PnPProblem per block, on the block's first kept trial;
     the block's image rows are stacked and checked per label by
     _check_images and solved by one _solve_arrays call, whose rotations
@@ -245,9 +245,9 @@ def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyRes
     while block := list(islice(scenes, TRIAL_BLOCK)):
         images = {label: [] for label in labels}
         truths = []
-        for rng, pose, intrinsics in block:
+        for rng, pose in block:
             try:
-                image_rows = trial(rng, pose, intrinsics)
+                image_rows = trial(rng, pose)
             except BehindCameraError:
                 for label in labels:
                     excluded[label] += 1
@@ -261,15 +261,14 @@ def _pnp_sweep(config: StudyConfig, study: str, face, models, trial) -> StudyRes
         solved = []
         for label in labels:
             try:
-                PnPProblem(models[label], images[label][0], intrinsics)
+                PnPProblem(models[label], images[label][0], CAMERA)
             except DegenerateProblemError:
                 excluded[label] += len(truths)
             else:
                 solved.append(label)
 
-        # Every scene has the same camera (see _scenes).
         _, rot, _, _, _, behind = _solve_arrays(
-            [(models[label], _check_images(images[label], len(models[label])), intrinsics)
+            [(models[label], _check_images(images[label], len(models[label])), CAMERA)
              for label in solved])
         truths = np.array(truths)
         for k, label in enumerate(solved):
@@ -289,10 +288,10 @@ def run_subset_study(config: StudyConfig | None = None) -> StudyResult:
     model = builtin_mean_face()
     rows = {name: subset_by_name(name).rows() for name in config.subsets}
 
-    def trial(rng, pose, intrinsics):
+    def trial(rng, pose):
         deform_seed = int(rng.integers(2 ** 63))
         subject = deform_subject(model, config.rigid_sigma, config.nonrigid_sigma, deform_seed)
-        image = project(subject.points, pose, intrinsics)
+        image = project(subject.points, pose, CAMERA)
         return {name: image[r] for name, r in rows.items()}
 
     models = {name: model.points[r] for name, r in rows.items()}
@@ -313,9 +312,9 @@ def run_jitter_study(config: StudyConfig | None = None, subset_name: str = "all-
     rows = subset.rows()
     magnitudes = [float(m) for m in config.jitter_sweep]
 
-    def trial(rng, pose, intrinsics):
+    def trial(rng, pose):
         jitter_seed = int(rng.integers(2 ** 63))
-        clean = project(model.points, pose, intrinsics)[rows]
+        clean = project(model.points, pose, CAMERA)[rows]
         unit = np.random.default_rng(jitter_seed).random(clean.shape)
         return {m: clean + _scaled_uniform(unit, m) for m in magnitudes}
 
@@ -336,8 +335,8 @@ def run_stretch_study(config: StudyConfig | None = None, axis: str = "width") ->
         for s in scales
     }
 
-    def trial(rng, pose, intrinsics):
-        image = project(model.points, pose, intrinsics)
+    def trial(rng, pose):
+        image = project(model.points, pose, CAMERA)
         return dict.fromkeys(scales, image)
 
     return _pnp_sweep(config, f"stretch-{axis}", model, models, trial)
@@ -352,8 +351,8 @@ def _scene_dataset(config: StudyConfig, features):
     model = builtin_mean_face()
     landmarks = np.empty((config.scenes, len(model.points), 2))
     targets = np.empty((config.scenes, 3))
-    for i, (_, pose, intrinsics) in enumerate(_scenes(config, model, config.scenes)):
-        landmarks[i] = project(model.points, pose, intrinsics)
+    for i, (_, pose) in enumerate(_scenes(config, model, config.scenes)):
+        landmarks[i] = project(model.points, pose, CAMERA)
         targets[i] = pose.rotation.as_array()
     return features(landmarks), targets
 

@@ -200,7 +200,7 @@ def expected_angle(probabilities, spec: BinSpec):
     p = np.asarray(probabilities, dtype=float)
     if p.shape[-1] != spec.num_bins:
         raise ValueError(f"expected {spec.num_bins} bins, got {p.shape[-1]}")
-    if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
+    if not np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9):  # a NaN sum fails too
         raise ValueError("probabilities must sum to 1 within 1e-9")
     out = p @ spec.centers
     return float(out) if np.ndim(out) == 0 else out
@@ -653,10 +653,7 @@ def load_toynet(path) -> ToyNet:
             if not all(map(math.isfinite, row)):
                 fail(lineno, f"non-finite number in section {name!r}")
             rows.append(row)
-        data = np.array(rows)
-        if data.shape != (n_rows, n_cols):  # a section of no rows
-            fail(pos + 1, f"section {name!r} has shape {data.shape}, expected {(n_rows, n_cols)}")
-        arrays[name] = data
+        arrays[name] = np.array(rows)
         pos += n_rows
     for lineno in range(pos, len(lines)):
         if lines[lineno].strip():

@@ -8,17 +8,18 @@ translation vector.  Damping follows the classic Marquardt schedule
 accepted one), so accepted steps never increase the squared residual.
 Every solve uses the analytic Jacobian.
 
-A solve stops for the first of these reasons, recorded in
-PnPSolution.termination; the step and cost tests are those of Madsen,
-Nielsen & Tingleff, Methods for Non-Linear Least Squares Problems (2004):
+A solve stops for the first of these reasons, in this order (that of
+TERMINATIONS), recorded in PnPSolution.termination; the step and cost
+tests are those of Madsen, Nielsen & Tingleff, Methods for Non-Linear
+Least Squares Problems (2004):
 
 - "step": a computed step, accepted or rejected, is short relative to
   the iterate, |h| <= STEP_TOLERANCE * (|x| + STEP_TOLERANCE);
 - "cost": an accepted step lowered the cost by at most COST_TOLERANCE of it;
 - "residual": the RMS reprojection error is at most RESIDUAL_TOLERANCE;
-- "max_iterations": MAX_ITERATIONS iterations ran;
 - "damping_exhausted": the damping grew past MAX_DAMPING without a step
-  that lowered the cost.
+  that lowered the cost;
+- "max_iterations": MAX_ITERATIONS iterations ran.
 
 The first three are convergence (PnPSolution.converged).  A damping climb
 leaves the iterate where it is while its steps shrink, so at the noise
@@ -59,21 +60,23 @@ of the stacked loop, so Rodrigues runs once per residual evaluation and
 never for a Jacobian, and _jacobian builds both loops' Jacobians from
 these parts.  Rodrigues builds the rotation and its left Jacobian from
 [r]x and [r]x^2 = r r^T - |r|^2 I: rotmath._rodrigues entry by entry in
-Python floats, _rodrigues_stack on arrays, each entry with the same
-operations in the same order, so the two loops stay bitwise equal.
+Python floats, rotmath._rodrigues_stack on arrays, each entry with the
+same operations in the same order, so the two loops stay bitwise equal.
+Both give NaN where |r|^2 overflows.
 
 Both loops return one kind of result per problem: the best iterate, the
 rotation its evaluation built, its cost, the iterations run and the
-termination code (an index into TERMINATIONS) of the first test in the
-one _STOP_CODES table that holds.  Each runs the residual test on its own
-start: _iterate on the evaluation it is given, _solve_stack on its
-stacked one.  _solution makes every PnPSolution from such a result,
-reading the Euler angles off the rotation, so no Rodrigues runs after a
-loop.  Both loops solve the damped normal equations with the LAPACK
-gufunc under np.linalg.solve, with floating-point errors ignored: a
-singular system gives a NaN step, which is rejected as non-finite, and a
-trial that puts a point behind the camera or overflows its rotation is
-rejected too.
+termination code, the index into TERMINATIONS of the first test that
+holds.  Each runs the residual test on its own start: _iterate on the
+evaluation it is given, _solve_stack on its stacked one.  _solution
+makes every PnPSolution from such a result, reading the Euler angles off
+the rotation, so no Rodrigues runs after a loop.  Both loops solve the
+damped normal equations with the LAPACK gufunc under np.linalg.solve,
+with floating-point errors ignored, and accept a trial by one rule: its
+step is finite (a singular system gives a NaN step), no camera depth is
+<= MIN_DEPTH, and its cost is lower.  An overflowing rotation gives a NaN
+cost, which is never lower.  A start with a depth <= MIN_DEPTH is not
+solved: solve_pnp raises BehindCameraError, _solve_stack marks the row.
 """
 
 import math
@@ -93,10 +96,10 @@ from .camera import (
     project,
 )
 from .rotmath import (
-    _IDENTITY,
     EulerAngles,
     _euler_from_rotation,
     _rodrigues,
+    _rodrigues_stack,
     axis_angle_to_rotation,
     rotation_to_axis_angle,
     rotation_to_euler,
@@ -131,14 +134,10 @@ DIAG_FLOOR = 1e-12
 STEP_TOLERANCE = 1e-8
 COST_TOLERANCE = 1e-15
 RESIDUAL_TOLERANCE = 1e-12
-# Reasons a solve stops; the first three mean it converged.
-TERMINATIONS = ("step", "cost", "residual", "max_iterations", "damping_exhausted")
+# Reasons a solve stops, in the order both loops check them; the first
+# three mean it converged.  A termination code is an index into this.
+TERMINATIONS = ("step", "cost", "residual", "damping_exhausted", "max_iterations")
 CONVERGED = frozenset(TERMINATIONS[:3])
-# The termination codes of the tests both loops check after an iteration, in
-# the order they check them: the step, cost and residual tests, exhausted
-# damping and the iteration cap.  The first test that holds names the end.
-_STOP_CODES = tuple(TERMINATIONS.index(t) for t in
-                    ("step", "cost", "residual", "damping_exhausted", "max_iterations"))
 # Most points solve_pnp_batch stacks into one loop; larger groups are
 # split.  The stacked Jacobians and their temporaries grow with it, so it
 # bounds the solver's memory (97 problems of 68 points per stack).
@@ -273,17 +272,12 @@ def _evaluate(model, image, x, intrinsics):
     """The scalar loop's residual evaluation: the residual vector (2N,) at
     parameters x, its cost, and the _rigid_parts the Jacobian at x takes.
 
-    None where x puts a point on or behind the camera (depth <= MIN_DEPTH)
-    or its rotation vector overflows: a trial the loop rejects.
+    Nothing is rejected here, as in _stack_evaluate: the depths are
+    cam[:, 2], the last part, and a rotation vector whose square overflows
+    gives NaN parts and a NaN cost.
     """
-    rodrigues = _rodrigues(x[:3])
-    if rodrigues is None:
-        return None
-    parts = _rigid_parts(model, x, rodrigues)
-    cam = parts[-1]
-    if cam[:, 2].min() <= MIN_DEPTH:
-        return None
-    residual = (_pinhole(cam, intrinsics) - image).ravel()
+    parts = _rigid_parts(model, x, _rodrigues(x[:3]))
+    residual = (_pinhole(parts[-1], intrinsics) - image).ravel()
     return residual, float(residual @ residual), parts
 
 
@@ -363,11 +357,13 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
     model, image, intrinsics = problem.model_points, problem.image_points, problem.intrinsics
     x = _start_params(model[None])[0] if init is None else _params_from_pose(init)
     # As in _solve_stack: a cost that overflows to inf is compared, not
-    # used, so the floating-point warnings on the way are suppressed.
+    # used, so the floating-point warnings on the way are suppressed; the
+    # start is behind the camera by _solve_stack's test, on its own depths.
     with np.errstate(all="ignore"):
         evaluation = _evaluate(model, image, x, intrinsics)
-        if evaluation is None:
-            raise _behind_start(model, x)
+        depths = evaluation[2][-1][:, 2]
+        if (depths <= MIN_DEPTH).any():
+            raise _behind_camera(depths)
         x, rot, cost, iterations, code = _iterate(model, image, intrinsics, x, evaluation,
                                                   INITIAL_DAMPING, 0)
     return _solution(x, rot, math.sqrt(cost / len(model)), iterations, code)
@@ -375,9 +371,8 @@ def solve_pnp(problem: PnPProblem, init: Pose | None = None) -> PnPSolution:
 
 def _behind_start(model, x) -> BehindCameraError:
     """The error solve_pnp raises for a start x that puts a point of model on
-    or behind the camera: the depths _project_rigid finds there."""
-    rot = axis_angle_to_rotation(x[:3])
-    return _behind_camera((model @ rot.T + x[3:])[:, 2])
+    or behind the camera: the depths of its start evaluation."""
+    return _behind_camera(_rigid_parts(model, x, _rodrigues(x[:3]))[-1][:, 2])
 
 
 def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: int) -> tuple:
@@ -386,15 +381,18 @@ def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: in
     the iterations already run, until a stopping test ends them.
 
     The residual test runs first, on the evaluation given, so a start that
-    already fits ends with no iteration.  Each accepted trial's evaluation
-    rides with the iterate, so its Jacobian takes the rotation, the rotated
-    and the camera points that trial built.  Returns what a _solve_stack
-    row holds: the best iterate x, its rotation, its cost, the iterations
-    run and the termination code.
+    already fits ends with no iteration.  Only a finite step is evaluated,
+    and its trial is accepted by _solve_stack's rule: no camera depth
+    <= MIN_DEPTH and a lower cost.  Each accepted trial's evaluation rides
+    with the iterate, so its Jacobian takes the rotation, the rotated and
+    the camera points that trial built.  Returns what a _solve_stack row
+    holds: the best iterate x, its rotation, its cost, the iterations run
+    and the termination code: the index into TERMINATIONS of the first
+    true test in stops.
     """
     residual, cost, parts = evaluation
     n_points = len(model)
-    # The stopping tests in _STOP_CODES order.
+    # The stopping tests in TERMINATIONS order.
     stops = (False, False, math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE, False,
              iterations >= MAX_ITERATIONS)
     while not any(stops):
@@ -407,29 +405,28 @@ def _iterate(model, image, intrinsics, x, evaluation, lam: float, iterations: in
         while not (short or exhausted):
             system = normal.copy()
             system.reshape(36)[::7] += lam * damping
-            # A singular system gives a NaN step, rejected as non-finite.
             step = _linear_solve(system, descent)
-            trial = None
             # A finite |h|^2 means a finite step; only an inf or NaN one,
             # which a finite step can overflow to, needs the entrywise test.
+            # A singular system gives a NaN step.
             length2 = float(step @ step)
             if math.isfinite(length2) or np.isfinite(step).all():
                 short = math.sqrt(length2) <= step_limit
                 trial_x = x + step
                 trial = _evaluate(model, image, trial_x, intrinsics)
-            if trial is not None and trial[1] < cost:
-                slow = cost - trial[1] <= COST_TOLERANCE * cost
-                x = trial_x
-                residual, cost, parts = trial
-                tiny = math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE
-                lam = max(lam * DAMPING_DOWN, MIN_DAMPING)
-                break
+                if not (trial[2][-1][:, 2] <= MIN_DEPTH).any() and trial[1] < cost:
+                    slow = cost - trial[1] <= COST_TOLERANCE * cost
+                    x = trial_x
+                    residual, cost, parts = trial
+                    tiny = math.sqrt(cost / n_points) <= RESIDUAL_TOLERANCE
+                    lam = max(lam * DAMPING_DOWN, MIN_DAMPING)
+                    break
             lam *= DAMPING_UP
             exhausted = lam > MAX_DAMPING
         iterations += 1
         stops = (short, slow, tiny, exhausted, iterations >= MAX_ITERATIONS)
 
-    return x, parts[0], cost, iterations, _STOP_CODES[stops.index(True)]
+    return x, parts[0], cost, iterations, stops.index(True)
 
 
 def _solution(x, rot, rmse, iterations, code) -> PnPSolution:
@@ -512,10 +509,13 @@ def _solve_stack(model, image, intrinsics) -> tuple:
     and each round builds its Jacobian and normal equations from them.  A
     rejected step leaves the iterate where it was, so the next round rebuilds
     the same normal equations and solves them with the raised damping; an
-    accepted step ends one of its iterations.  The stopping tests are
-    solve_pnp's, with the same operations.  Once at most HANDOFF problems
-    are unfinished, each goes on in solve_pnp's own loop from its iterate,
-    its evaluation, its damping and iteration count.  A round costs mostly
+    accepted step ends one of its iterations.  A trial is accepted where its
+    step is finite, no camera depth is <= MIN_DEPTH and its cost is lower.
+    The trial rule and the stopping tests are solve_pnp's, with the same
+    operations, and a row's code is the index of its first true test.
+    Once at most HANDOFF problems are unfinished, each goes on in
+    solve_pnp's own loop from its iterate, its evaluation, its damping and
+    iteration count.  A round costs mostly
     its fixed number of NumPy calls, not its rows: a round for two problems
     costs two and a half to three times a scalar attempt.  The longest
     solves (up to MAX_ITERATIONS) would otherwise end in a nearly empty
@@ -530,7 +530,7 @@ def _solve_stack(model, image, intrinsics) -> tuple:
     count, n_points = model.shape[:2]
     x = _start_params(model)
     iterations_out = np.zeros(count, dtype=int)
-    codes = np.full(count, _STOP_CODES[2])  # the residual test's, for a start that fits
+    codes = np.full(count, TERMINATIONS.index("residual"))  # for a start that fits
     # The general Rodrigues branch is evaluated for every row, and a trial
     # step may be non-finite or put points behind the camera; such values
     # are never used, so their floating-point warnings are suppressed.
@@ -590,7 +590,7 @@ def _solve_stack(model, image, intrinsics) -> tuple:
                     x[finished], parts[0][finished], cost[finished])
                 iterations_out[ended] = iterations[finished]
                 codes[ended] = np.select((short, slow, tiny, exhausted, capped),
-                                         _STOP_CODES)[finished]
+                                         range(5))[finished]
                 state = [a[~finished] for a in state]
     return x_out, rot_out, cost_out, iterations_out, codes, behind
 
@@ -598,38 +598,6 @@ def _solve_stack(model, image, intrinsics) -> tuple:
 def _row_dots(a) -> np.ndarray:
     """a[i] @ a[i] for every row of a (B, K) array, with the dot product solve_pnp uses."""
     return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
-
-
-# Where _rodrigues_stack puts r and -r in each flattened skew matrix [r]x:
-# k[2, 1], k[0, 2], k[1, 0] = r and k[1, 2], k[2, 0], k[0, 1] = -r.
-_SKEW_AT = np.array([7, 2, 3, 5, 6, 1])
-
-
-def _rodrigues_stack(rvecs) -> tuple:
-    """_rodrigues of every row of a (B, 3) array: the rotations and their left
-    Jacobians (B, 3, 3), NaN where r @ r is not finite.  Every row takes the
-    general branch; rows with an angle below 1e-4 then get the Taylor series
-    in its place.  k @ k is built as r r^T - t^2 I, with _rodrigues' operations."""
-    kk = rvecs[:, :, None] * rvecs[:, None, :]  # r r^T
-    theta2 = kk[:, 0, 0] + kk[:, 1, 1] + kk[:, 2, 2]
-    theta = np.sqrt(theta2)
-    sin = np.sin(theta)
-    half = np.sin(0.5 * theta) / theta  # _rodrigues' 1 - cos t = 2 sin(t/2)^2
-    a = sin / theta
-    b = 2.0 * half * half
-    c = (theta - sin) / (theta2 * theta)
-    small = theta < 1e-4
-    if small.any():
-        t2 = theta2[small]
-        a[small] = 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0)
-        b[small] = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0))
-        c[small] = (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0
-    k = np.zeros((len(rvecs), 9))  # skew() of every row
-    k[:, _SKEW_AT] = np.concatenate((rvecs, -rvecs), axis=1)
-    k = k.reshape(-1, 3, 3)
-    kk.reshape(-1, 9)[:, ::4] -= theta2[:, None]
-    a, b, c = a[:, None, None], b[:, None, None], c[:, None, None]
-    return _IDENTITY + a * k + b * kk, _IDENTITY + b * k + c * kk
 
 
 def _stack_evaluate(model, image, x, intrinsics):

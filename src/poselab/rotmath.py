@@ -178,13 +178,12 @@ def axis_angle_to_rotation(rvec) -> np.ndarray:
     r = np.asarray(rvec, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"rotation vector must have shape (3,), got {r.shape}")
-    rodrigues = _rodrigues(r)
-    return np.full((3, 3), math.nan) if rodrigues is None else rodrigues[0]
+    return _rodrigues(r)[0]
 
 
 def _rodrigues(r):
     """axis_angle_to_rotation of an unchecked float (3,) vector r, with its
-    left Jacobian: (R, J), None where r @ r is not finite.
+    left Jacobian: (R, J), both NaN where r @ r is not finite.
 
     With k = skew(r) and t = |r|, J = I + (1-cos t)/t^2 k + (t-sin t)/t^3 k @ k,
     so that Exp(r + d) = Exp(J d) @ Exp(r) to first order in d, Exp this
@@ -193,8 +192,8 @@ def _rodrigues(r):
 
     The entries are Python floats: k @ k is r r^T - t^2 I, and each entry of
     R = I + a k + b k @ k and of J is written with the expression that
-    pnp._rodrigues_stack evaluates for it, zero terms of I and k included,
-    so a stacked row has the same bits, signed zeros too.
+    _rodrigues_stack evaluates for it, zero terms of I and k included,
+    so a stacked row has the same bits, signed zeros and NaN too.
     """
     x, y, z = r.tolist()
     xx, yy, zz = x * x, y * y, z * z
@@ -213,8 +212,8 @@ def _rodrigues(r):
         a = sin / theta
         b = 2.0 * half * half
         c = (theta - sin) / (theta2 * theta)
-    else:
-        return None
+    else:  # t is inf or NaN: every coefficient, so every entry, is NaN
+        a = b = c = math.nan
     xy, xz, yz = x * y, x * z, y * z
     d0, d1, d2 = xx - theta2, yy - theta2, zz - theta2
     rot = np.array([[1.0 + a * 0.0 + b * d0, 0.0 + a * -z + b * xy, 0.0 + a * y + b * xz],
@@ -224,6 +223,38 @@ def _rodrigues(r):
                      [0.0 + b * z + c * xy, 1.0 + b * 0.0 + c * d1, 0.0 + b * -x + c * yz],
                      [0.0 + b * -y + c * xz, 0.0 + b * x + c * yz, 1.0 + b * 0.0 + c * d2]])
     return rot, left
+
+
+# Where _rodrigues_stack puts r and -r in each flattened skew matrix [r]x:
+# k[2, 1], k[0, 2], k[1, 0] = r and k[1, 2], k[2, 0], k[0, 1] = -r.
+_SKEW_AT = np.array([7, 2, 3, 5, 6, 1])
+
+
+def _rodrigues_stack(rvecs) -> tuple:
+    """_rodrigues of every row of a (B, 3) array: the rotations and their left
+    Jacobians (B, 3, 3), NaN where r @ r is not finite.  Every row takes the
+    general branch; rows with an angle below 1e-4 then get the Taylor series
+    in its place.  k @ k is built as r r^T - t^2 I, with _rodrigues' operations."""
+    kk = rvecs[:, :, None] * rvecs[:, None, :]  # r r^T
+    theta2 = kk[:, 0, 0] + kk[:, 1, 1] + kk[:, 2, 2]
+    theta = np.sqrt(theta2)
+    sin = np.sin(theta)
+    half = np.sin(0.5 * theta) / theta  # _rodrigues' 1 - cos t = 2 sin(t/2)^2
+    a = sin / theta
+    b = 2.0 * half * half
+    c = (theta - sin) / (theta2 * theta)
+    small = theta < 1e-4
+    if small.any():
+        t2 = theta2[small]
+        a[small] = 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0)
+        b[small] = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0))
+        c[small] = (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0
+    k = np.zeros((len(rvecs), 9))  # skew() of every row
+    k[:, _SKEW_AT] = np.concatenate((rvecs, -rvecs), axis=1)
+    k = k.reshape(-1, 3, 3)
+    kk.reshape(-1, 9)[:, ::4] -= theta2[:, None]
+    a, b, c = a[:, None, None], b[:, None, None], c[:, None, None]
+    return _IDENTITY + a * k + b * kk, _IDENTITY + b * k + c * kk
 
 
 def rotation_to_axis_angle(m) -> np.ndarray:

@@ -1,4 +1,5 @@
 import argparse
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from poselab import cli, pnp
 from poselab.camera import Pose, default_intrinsics, project
 from poselab.cli import main
 from poselab.facemodel import builtin_mean_face, save_face_model
-from poselab.harness import CSV_HEADER, read_study_csv
+from poselab.harness import CSV_HEADER, StudyResult, StudyRow, read_study_csv
 from poselab.multiloss import load_toynet
 from poselab.rotmath import EulerAngles, angle_error
 
@@ -201,6 +202,30 @@ def test_repeated_sweep_values_rejected(tmp_path, capsys, argv):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["study-jitter", "--trials", "2", "--sweep", "1,x"],
+     "expected comma-separated numbers, got '1,x'"),
+    (["study-lowres", "--factors", "2,2.5"], "expected comma-separated integers, got '2,2.5'"),
+])
+def test_malformed_list_option_fails_cleanly(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_summary_names_empty_rows_and_exclusions(capsys):
+    rows = (StudyRow("1.0", 1.0, 2.0, 3.0, 2.0, 5, 0),
+            StudyRow("2.0", 1.5, 2.5, 3.5, 2.5, 4, 1),
+            StudyRow("3.0", math.nan, math.nan, math.nan, math.nan, 0, 5))
+    cli._print_result(StudyResult("jitter", rows))
+    assert capsys.readouterr().out.splitlines() == [
+        "  1.0: mae 2.0000 deg (yaw 1.0000, pitch 2.0000, roll 3.0000) over 5 trials",
+        "  2.0: mae 2.5000 deg (yaw 1.5000, pitch 2.5000, roll 3.5000) over 4 trials, 1 excluded",
+        "  3.0: no valid trials, 5 excluded",
+    ]
 
 
 class _Stop(Exception):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -363,9 +364,9 @@ class TestPnPSweep:
         # each solution sits at the lock and its Euler conversion warns.
         face = builtin_mean_face()
 
-        def trial(rng, pose, intrinsics):
+        def trial(rng, pose):
             locked = Pose(EulerAngles(20.0, 90.0, 0.0), pose.translation)
-            return {"all-68": project(face.points, locked, intrinsics)}
+            return {"all-68": project(face.points, locked, harness.CAMERA)}
 
         with pytest.warns(GimbalLockWarning):
             result = harness._pnp_sweep(StudyConfig(trials=2), "lock", face,
@@ -515,8 +516,8 @@ def per_scene_dataset(config, features):
     """(inputs, targets) built one scene at a time: project, then features."""
     model = builtin_mean_face()
     inputs, targets = [], []
-    for _, pose, intrinsics in harness._scenes(config, model, config.scenes):
-        inputs.append(features(project(model.points, pose, intrinsics)))
+    for _, pose in harness._scenes(config, model, config.scenes):
+        inputs.append(features(project(model.points, pose, harness.CAMERA)))
         targets.append(pose.rotation.as_array())
     return np.array(inputs), np.array(targets)
 
@@ -595,6 +596,15 @@ class TestCsvRoundTrip:
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_study_csv(tmp_path / "nope.csv")
+
+
+@pytest.mark.parametrize("emit, kind", [(emit_csv, "CSV"), (emit_svg, "SVG")])
+def test_unwritable_path_is_named(tmp_path, emit, kind):
+    path = tmp_path / "missing" / "out.txt"
+    result = StudyResult("x", (StudyRow("a", 1.0, 1.0, 1.0, 1.0, 1),))
+    with pytest.raises(OSError, match=f"^cannot write {kind} to {re.escape(str(path))}: "):
+        emit(result, path)
+    assert not path.parent.exists()
 
 
 class TestSvg:

@@ -91,6 +91,9 @@ class TestBinSpec:
             BinSpec(-99.0, 99.0, 4.0)  # range not a whole number of bins
         with pytest.raises(ValueError):
             BinSpec(-3.0, 3.0, 6.0)  # single bin
+        for values in ((-99.0, math.inf, 3.0), (math.nan, 99.0, 3.0), (-99.0, 99.0, math.inf)):
+            with pytest.raises(ValueError, match="^bin spec must be finite, got "):
+                BinSpec(*values)
 
 
 class TestBinAngle:
@@ -199,6 +202,10 @@ class TestSoftmaxAndCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy(np.array([0.5, 0.5]), 2)
 
+    def test_probabilities_must_be_one_vector(self):
+        with pytest.raises(ValueError, match=r"^expected a 1-D probability vector, got shape "):
+            cross_entropy(np.full((2, 2), 0.5), 0)
+
     @pytest.mark.parametrize("target_bin", [2.5, 1.0, True, np.float64(1.0), np.bool_(True)])
     def test_target_bin_must_be_an_integer(self, target_bin):
         with pytest.raises(ValueError, match="^target_bin must be an integer, got "):
@@ -227,6 +234,17 @@ class TestExpectedAngle:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             expected_angle(np.full(66, 0.5), DEFAULT)
+
+    @pytest.mark.parametrize("p, message", [
+        # NaN compares false both ways, so only "within 1e-9" rejects it.
+        (np.full(66, np.nan), "probabilities must sum to 1 within 1e-9"),
+        (np.full((2, 66), 1.0 / 66.0) * np.array([[1.0], [np.nan]]),
+         "probabilities must sum to 1 within 1e-9"),
+        (np.full(65, 1.0 / 65.0), "expected 66 bins, got 65"),
+    ], ids=["nan", "nan-row", "bins"])
+    def test_rejects_nan_sums_and_other_bin_counts(self, p, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expected_angle(p, DEFAULT)
 
     def test_round_trip_with_bin_angle(self):
         for i in range(DEFAULT.num_bins):
@@ -296,6 +314,18 @@ class TestMultiLoss:
             multi_loss(np.zeros((3, 65)), EulerAngles(0, 0, 0), DEFAULT, MultiLossConfig())
         with pytest.raises(ValueError):
             AngleHeadOutput(np.zeros((2, 66)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_logits(self, bad):
+        logits = np.zeros((3, 66))
+        logits[1, 7] = bad
+        with pytest.raises(ValueError, match="^logits must be finite$"):
+            AngleHeadOutput(logits)
+
+    @pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf])
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be a finite value >= 0, got "):
+            MultiLossConfig(alpha=alpha)
 
 
 class TestMultiLossGradient:
@@ -452,6 +482,33 @@ class TestToyNet:
         out = toynet_forward(net, x)
         grads = toynet_backward(net, x, np.ones_like(out.logits))
         assert grads["w_hidden"].shape == net.w_hidden.shape
+
+    @pytest.mark.parametrize("inputs, dlogits", [
+        (np.zeros(4), np.zeros((3, 5))),
+        (np.zeros((2, 4)), np.zeros((3, 3, 6))),
+        (np.zeros((2, 4)), np.zeros((2, 2, 6))),
+    ], ids=["single-bins", "batch-size", "batch-heads"])
+    def test_backward_dlogits_shape_checked(self, inputs, dlogits):
+        net = toynet_init(4, 3, SMALL, seed=5)
+        with pytest.raises(ShapeMismatchError, match=r"^dlogits shape \("):
+            toynet_backward(net, inputs, dlogits)
+
+    @pytest.mark.parametrize("name, shape, message", [
+        ("b_hidden", (5,), r"^b_hidden \(5,\) vs hidden size 4$"),
+        ("w_heads", (3, 6, 5), r"^w_heads must be \(3, num_bins, 4\), got \(3, 6, 5\)$"),
+        ("w_heads", (2, 6, 4), r"^w_heads must be \(3, num_bins, 4\), got \(2, 6, 4\)$"),
+        ("b_heads", (3, 5), r"^b_heads \(3, 5\) vs w_heads \(3, 6, 4\)$"),
+    ], ids=["b_hidden", "w_heads-hidden", "w_heads-angles", "b_heads"])
+    def test_built_from_mismatched_arrays(self, name, shape, message):
+        arrays = {"w_hidden": np.zeros((4, 5)), "b_hidden": np.zeros(4),
+                  "w_heads": np.zeros((3, 6, 4)), "b_heads": np.zeros((3, 6))}
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ShapeMismatchError, match=message):
+            ToyNet(**arrays, spec=SMALL)
+
+    def test_heads_must_emit_spec_bins(self):
+        with pytest.raises(ShapeMismatchError, match="^heads emit 6 logits, bin spec has 66$"):
+            ToyNet(np.zeros((4, 5)), np.zeros(4), np.zeros((3, 6, 4)), np.zeros((3, 6)), DEFAULT)
 
 
     def test_parameters_are_views_of_flat(self):
@@ -710,6 +767,12 @@ class TestTrainToy:
         with pytest.raises(ValueError, match="lr"):
             train_toy(*linear_dataset(40), epochs=1, seed=0, hidden_size=8, lr=lr)
 
+    @pytest.mark.parametrize("val_fraction", [-0.1, 1.0, math.nan])
+    def test_val_fraction_must_be_in_unit_interval(self, val_fraction):
+        with pytest.raises(ValueError, match=r"^val_fraction must be in \[0, 1\)$"):
+            train_toy(*linear_dataset(40), epochs=1, seed=0, hidden_size=8,
+                      val_fraction=val_fraction)
+
     def test_augment_hook_changes_training(self):
         data = linear_dataset(120)
 
@@ -791,6 +854,22 @@ class TestSaveLoadToyNet:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f":4: shape {shape}: input_dim and hidden_size "
                                              "must be >= 1$"):
+            load_toynet(path)
+
+    @pytest.mark.parametrize("line, name, cut", [(9, "b_hidden", ["b_hiddn"]),
+                                                 (9, "b_hidden", []), (30, "b_heads", [])],
+                             ids=["misnamed", "missing", "last-missing"])
+    def test_section_name_required(self, tmp_path, line, name, cut):
+        # A misnamed or absent section is reported at the line where its name
+        # belongs.  b_hidden's is line 9, after the 4 header lines and
+        # w_hidden's name and 3 rows; b_heads' is line 30, after b_hidden's 2
+        # lines and w_heads' 19.
+        path = tmp_path / "net.txt"
+        save_toynet(toynet_init(4, 3, SMALL, seed=0), path)
+        lines = path.read_text().splitlines()
+        assert lines[line - 1] == name
+        path.write_text("\n".join(lines[:line - 1] + cut) + "\n")
+        with pytest.raises(ValueError, match=f":{line}: expected section '{name}'$"):
             load_toynet(path)
 
     def test_corrupt_number(self, tmp_path):

@@ -1,11 +1,13 @@
 import ast
 import importlib.util
 import inspect
+import io
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -199,6 +201,69 @@ def test_dead_private_name_check_flags_and_exempts():
     b = "from a import _imported\nimport a\nprint(a._attr)\n"
     assert dead_private_names({"a": a, "b": b}) == [
         "a: _DEAD", "a: _Dead", "a: _annotated_dead", "a: _dead"]
+
+
+def cited_private_names(text: str) -> list:
+    """(module, name) for every _private name text cites, as module._name or
+    as _name with module ""; dunders are no citation."""
+    return re.findall(r"(?<!\w)(?:([A-Za-z]\w*)\.)?(_[A-Za-z0-9]\w*)", text)
+
+
+def stale_private_names(sources: dict, readme: str) -> list:
+    """Private names that a docstring or comment of sources (module name to
+    source), or a backticked span of readme, cites but no module defines.
+
+    module._name, with module one of sources, needs a function, class or
+    assignment at the top level of that module: an import does not count,
+    so a name cited where it no longer lives is flagged.  A bare _name
+    needs a binding of any kind in any module.
+    """
+    top, bound, texts = {}, set(), re.findall(r"(?<!`)`([^`\n]+)`(?!`)", readme)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        top[module] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                top[module].add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                top[module].update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+                texts.append(ast.get_docstring(node, clean=False) or "")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                bound.add(node.attr)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+            elif isinstance(node, ast.alias):
+                bound.add(node.asname or node.name.split(".")[-1])
+        texts.append(ast.get_docstring(tree, clean=False) or "")
+        texts += [token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                  if token.type == tokenize.COMMENT]
+    stale = {f"{module}.{name}" if module in top else name
+             for text in texts for module, name in cited_private_names(text)
+             if name not in (top[module] if module in top else bound)}
+    return sorted(stale)
+
+
+def test_no_stale_private_names():
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "poselab").glob("*.py")}
+    assert {"pnp", "rotmath"} <= set(sources)
+    assert stale_private_names(sources, (ROOT / "README.md").read_text()) == []
+
+
+def test_stale_private_name_check_flags_and_exempts():
+    a = ('"""Calls _helper, b._moved and b._kept; __init__ and x_y are no citations."""\n'
+         "from b import _moved\n"
+         "def _helper(_arg):  # _arg, _gone and a._helper\n"
+         "    _local = 1\n")
+    b = "_kept = 1\n"
+    readme = "`a._helper`, `_local`, `c._other` and `b._missing`\n```\n_block\n```\n"
+    assert stale_private_names({"a": a, "b": b}, readme) == ["_gone", "_other", "b._missing",
+                                                             "b._moved"]
 
 
 def test_no_unused_imports():

@@ -479,9 +479,8 @@ class TestSolvePnPBatch:
     def test_stacked_evaluation_and_jacobian_match_scalar(self):
         # Every row of the stacked evaluation is _evaluate's, bitwise, in the
         # residuals, the cost and all four rigid parts, and every row of
-        # _jacobian on the stacked parts is _jacobian on that row's parts.  A
-        # row behind the camera is not rejected: its depths show it, where
-        # _evaluate gives None.
+        # _jacobian on the stacked parts is _jacobian on that row's parts.
+        # Neither rejects a row behind the camera: its depths show it.
         problems = criterion_scenes(40, seed=2, jitter=3.0)
         rng = np.random.default_rng(4)
         for n_points in (68, 6):
@@ -505,13 +504,8 @@ class TestSolvePnPBatch:
             assert (parts[-1][4, :, 2] <= MIN_DEPTH).all()
             for i, (problem, xi) in enumerate(zip(group, x, strict=True)):
                 want = pnp._evaluate(problem.model_points, problem.image_points, xi, K)
-                if i == 4:
-                    assert want is None
-                    want = None, None, pnp._rigid_parts(problem.model_points, xi,
-                                                        pnp._rodrigues(xi[:3]))
-                else:
-                    assert np.array_equal(residual[i], want[0])
-                    assert cost[i] == want[1]
+                assert np.array_equal(residual[i], want[0])
+                assert cost[i] == want[1]
                 for got_part, want_part in zip(parts, want[2], strict=True):
                     assert np.array_equal(got_part[i], want_part)
                 assert np.array_equal(stacked[i], pnp._jacobian(want[2], K))

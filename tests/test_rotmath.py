@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poselab import pnp, rotmath
+from poselab import rotmath
 from poselab.rotmath import (
     EulerAngles,
     GimbalLockWarning,
@@ -158,6 +158,13 @@ class TestCheckRotation:
         m[0, 1] = 0.1 * rotmath.ROTATION_TOLERANCE
         check_rotation(m)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(3)
+        m[2, 0] = bad
+        with pytest.raises(ValueError, match="^rotation matrix has non-finite entries$"):
+            check_rotation(m)
+
 
 class TestSkew:
     def test_cross_product_equivalence(self):
@@ -201,6 +208,15 @@ class TestAxisAngle:
         # at a half turn the axis sign is ambiguous
         assert np.allclose(back, r, atol=1e-6) or np.allclose(back, -r, atol=1e-6)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_half_turn_keeps_axis_sign(self, sign):
+        # Within 1e-4 of pi the axis comes from the column of (M + I)/2 at its
+        # largest diagonal entry, which has the sign of that axis component;
+        # with a negative one it is flipped back to the sign of the rotation.
+        axis = sign * np.array([0.8, -0.36, 0.48])
+        r = (math.pi - 1e-5) * axis
+        assert np.allclose(rotation_to_axis_angle(axis_angle_to_rotation(r)), r, atol=1e-5)
+
     def test_consistent_with_euler(self):
         e = EulerAngles(33.0, -12.0, 71.0)
         m = euler_to_rotation(e)
@@ -209,7 +225,7 @@ class TestAxisAngle:
     def test_angle_too_long_to_square_is_nan_as_stacked(self):
         r = np.array([1e200, -2e200, 0.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            stacked = pnp._rodrigues_stack(r[None])[0]
+            stacked = rotmath._rodrigues_stack(r[None])[0]
             assert np.all(np.isnan(axis_angle_to_rotation(r)))
         assert np.all(np.isnan(stacked))
         with pytest.raises(ValueError, match=r"rotation vector must have shape \(3,\), got \(4,\)"):
@@ -281,7 +297,7 @@ class TestLeftJacobian:
                              (1.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0),
                              (-0.0, 3e-5, 0.0), (4.0, -0.0, 0.0)]])
         with np.errstate(all="ignore"):
-            stacked = pnp._rodrigues_stack(r)
+            stacked = rotmath._rodrigues_stack(r)
         for i, ri in enumerate(r):
             for got, want in zip(stacked, rotmath._rodrigues(ri), strict=True):
                 assert got[i].tobytes() == want.tobytes()
@@ -291,7 +307,6 @@ def test_shared_identity_is_read_only():
     # Every stacked Rodrigues and left-Jacobian evaluation adds to this one
     # array, and rotmath's checks use it; a write through any of them must
     # fail, not leak.
-    assert pnp._IDENTITY is rotmath._IDENTITY
     assert np.array_equal(rotmath._IDENTITY, np.eye(3))
     with pytest.raises(ValueError):
         rotmath._IDENTITY[0, 0] = 2.0
