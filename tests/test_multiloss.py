@@ -494,11 +494,12 @@ class TestToyNet:
             toynet_backward(net, inputs, dlogits)
 
     @pytest.mark.parametrize("name, shape, message", [
+        ("w_hidden", (3,), r"^w_hidden must be \(hidden, input_dim\), got \(3,\)$"),
         ("b_hidden", (5,), r"^b_hidden \(5,\) vs hidden size 4$"),
         ("w_heads", (3, 6, 5), r"^w_heads must be \(3, num_bins, 4\), got \(3, 6, 5\)$"),
         ("w_heads", (2, 6, 4), r"^w_heads must be \(3, num_bins, 4\), got \(2, 6, 4\)$"),
         ("b_heads", (3, 5), r"^b_heads \(3, 5\) vs w_heads \(3, 6, 4\)$"),
-    ], ids=["b_hidden", "w_heads-hidden", "w_heads-angles", "b_heads"])
+    ], ids=["w_hidden", "b_hidden", "w_heads-hidden", "w_heads-angles", "b_heads"])
     def test_built_from_mismatched_arrays(self, name, shape, message):
         arrays = {"w_hidden": np.zeros((4, 5)), "b_hidden": np.zeros(4),
                   "w_heads": np.zeros((3, 6, 4)), "b_heads": np.zeros((3, 6))}
