@@ -89,12 +89,7 @@ def project(points, pose: Pose, intrinsics: CameraIntrinsics) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
-    return _project_rigid(pts, pose.rotation_matrix(), pose.translation, intrinsics)
-
-
-def _project_rigid(points, rotation, translation, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """The pinhole model for unchecked (N, 3) points under p -> rotation @ p + translation."""
-    cam = points @ rotation.T + translation
+    cam = pts @ pose.rotation_matrix().T + pose.translation
     z = cam[:, 2]
     if np.any(z <= MIN_DEPTH):
         raise _behind_camera(z)

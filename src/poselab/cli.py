@@ -9,6 +9,8 @@ from pathlib import Path
 
 from .facemodel import _MEAN_FACE, load_face_model, subset_by_name
 from .harness import (
+    IMAGE_HEIGHT,
+    IMAGE_WIDTH,
     StudyConfig,
     emit_csv,
     emit_svg,
@@ -174,6 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         if trials:
             p.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point")
+        else:
+            p.add_argument("--scenes", type=int, help="synthetic scenes to generate")
+            p.add_argument("--epochs", type=int)
+            p.add_argument("--hidden", dest="hidden_size", type=int, help="hidden layer width")
         p.add_argument("--seed", dest="master_seed", type=int,
                        help="master seed; trial i uses seed+i")
         p.add_argument("--out", required=True, help="output CSV path")
@@ -205,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = study("study-lowres", "trained-net MAE vs raster degradation factor",
               lambda config, _: run_lowres_study(config), trials=False)
-    p.add_argument("--scenes", type=int, help="synthetic scenes to generate")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--hidden", dest="hidden_size", type=int, help="hidden layer width")
     p.add_argument("--schemes", dest="lowres_schemes",
                    help="comma-separated augmentation schemes (none, fixed10, uniform1to10, set5)")
     p.add_argument("--factors", dest="lowres_factors",
@@ -216,15 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = study("ablate-alpha", "trained-net MAE vs regression loss weight",
               lambda config, _: run_alpha_ablation(config), trials=False)
     p.add_argument("--sweep", dest="alpha_sweep", help="comma-separated alpha values")
-    p.add_argument("--scenes", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--hidden", dest="hidden_size", type=int)
 
     p = sub.add_parser("solve-pnp", help="solve one pose from a landmark file")
     p.add_argument("--landmarks", required=True, help="file with one 'id u v' per line")
     p.add_argument("--model", help="face model file 'id x y z' (default: built-in)")
-    p.add_argument("--image-width", dest="image_width", type=float, default=450.0)
-    p.add_argument("--image-height", dest="image_height", type=float, default=450.0)
+    p.add_argument("--image-width", dest="image_width", type=float, default=IMAGE_WIDTH)
+    p.add_argument("--image-height", dest="image_height", type=float, default=IMAGE_HEIGHT)
     p.set_defaults(func=cmd_solve_pnp)
 
     p = sub.add_parser("train-toy", help="train a small net on synthetic landmark scenes")

@@ -278,7 +278,9 @@ class ToyNet:
         self.b_hidden = np.asarray(self.b_hidden, dtype=float)
         self.w_heads = np.asarray(self.w_heads, dtype=float)
         self.b_heads = np.asarray(self.b_heads, dtype=float)
-        hidden, _ = self.w_hidden.shape
+        if self.w_hidden.ndim != 2:
+            raise ShapeMismatchError(f"w_hidden must be (hidden, input_dim), got {self.w_hidden.shape}")
+        hidden = len(self.w_hidden)
         if self.b_hidden.shape != (hidden,):
             raise ShapeMismatchError(f"b_hidden {self.b_hidden.shape} vs hidden size {hidden}")
         if self.w_heads.ndim != 3 or self.w_heads.shape[0] != 3 or self.w_heads.shape[2] != hidden:

@@ -177,24 +177,25 @@ class TestPnPSweep:
     CONFIG = StudyConfig(trials=12, master_seed=3)
 
     # (sweep, yaw, pitch, roll, mean) MAE per row, computed by _pnp_sweep
-    # with the step and cost stopping tests at STEP_TOLERANCE 1e-8, the
-    # rotation's left Jacobian and Rodrigues' [r]x^2 built as
-    # r r^T - |r|^2 I.  They replaced values computed at STEP_TOLERANCE
-    # 1e-10, which were at most 1.2e-7 degrees away.
+    # with the step test alone at STEP_TOLERANCE 1e-8, the rotation's left
+    # Jacobian and Rodrigues' [r]x^2 built as r r^T - |r|^2 I.  Dropping
+    # the cost and residual tests moved no-mouth-48 by 1.3e-7 degrees and
+    # the four noiseless rows by about 1e-13; the values before that, at
+    # STEP_TOLERANCE 1e-10, were at most 1.2e-7 degrees away.
     PINNED = {
         "subset": (
             ("rigid-6", 31.787628821321068, 11.505237253402697,
              7.080496733428816, 16.79112093605086),
             ("core-12", 12.649537731835517, 10.395518839586853,
              6.04598803290532, 9.69701486810923),
-            ("no-mouth-48", 14.492895886463183, 10.464615061989681,
-             5.924351675955613, 10.293954208136158),
+            ("no-mouth-48", 14.492895793276451, 10.464614928190349,
+             5.924351613276009, 10.293954111580936),
             ("all-68", 31.345758882254657, 20.22020289628256,
              9.336636222623198, 20.300866000386804),
         ),
         "jitter-rigid-6": (
-            ("0.0", 1.5087190755972795e-12, 1.6771075269280308e-13,
-             2.338869838543663e-13, 6.367722707148163e-13),
+            ("0.0", 1.4755604145951413e-12, 1.5409201692406782e-13,
+             2.030967986380953e-13, 6.109164100524348e-13),
             ("1.0", 0.7690626924126261, 0.45660268599807036,
              0.48279417231561794, 0.5694865169087715),
             ("2.0", 1.5445327028176525, 0.9028623596868011,
@@ -210,8 +211,8 @@ class TestPnPSweep:
             ("10.0", 8.005992283701675, 3.8565197421068036, 5.213881957833094, 5.692131327880524),
         ),
         "jitter-all-68": (
-            ("0.0", 2.960594732333751e-14, 7.008514139409765e-14,
-             5.033011044967376e-14, 5.00070663890363e-14),
+            ("0.0", 1.1842378929335004e-14, 8.870219373828073e-15,
+             1.1842378929335004e-14, 1.085165907749936e-14),
             ("1.0", 0.19267894517747428, 0.15733465454126078,
              0.1181305064448459, 0.1560480353878603),
             ("2.0", 0.38627007663687013, 0.3150489777126975,
@@ -235,8 +236,8 @@ class TestPnPSweep:
         "stretch-width": (
             ("0.6", 7.762850419680375, 8.512148304934646, 7.664197121758623, 7.979731948791215),
             ("0.8", 3.8422503778493797, 3.9679616090967045, 3.542721089338981, 3.784311025428355),
-            ("1.0", 2.1316282072803006e-14, 7.082760304181572e-14,
-             4.440892098500626e-14, 4.551760203320833e-14),
+            ("1.0", 5.921189464667502e-15, 7.976258542541359e-15,
+             7.697546304067751e-15, 7.198331437092204e-15),
             ("1.2", 3.3380839784931537, 3.0970360501268996,
              2.8552457144972148, 3.0967885810390894),
             ("1.4", 6.558780718818934, 5.611459568371128, 5.106826708581192, 5.7590223319237515),
@@ -244,8 +245,8 @@ class TestPnPSweep:
         "stretch-height": (
             ("0.6", 6.460780769216611, 8.09501842602415, 6.55977867776162, 7.038525957667461),
             ("0.8", 3.1186085957279475, 4.082121868492758, 3.3782412463248837, 3.526323903515196),
-            ("1.0", 2.1316282072803006e-14, 7.082760304181572e-14,
-             4.440892098500626e-14, 4.551760203320833e-14),
+            ("1.0", 5.921189464667502e-15, 7.976258542541359e-15,
+             7.697546304067751e-15, 7.198331437092204e-15),
             ("1.2", 3.0761342660156656, 4.10101542124496, 3.33059636158692, 3.502582016282515),
             ("1.4", 5.926243780399861, 7.890975454791639, 6.500558829685285, 6.772592688292261),
         ),
@@ -593,6 +594,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_study_csv(path)
 
+    def test_read_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text(CSV_HEADER + "\na,1.0,2.0,3.0,2.0,5\n\n  \nb,2.0,3.0,4.0,3.0,6\n\n")
+        rows = read_study_csv(path).rows
+        assert rows == (StudyRow("a", 1.0, 2.0, 3.0, 2.0, 5), StudyRow("b", 2.0, 3.0, 4.0, 3.0, 6))
+
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_study_csv(tmp_path / "nope.csv")
@@ -632,6 +639,18 @@ class TestSvg:
         ns = {"s": "http://www.w3.org/2000/svg"}
         for poly in root.findall("s:polyline", ns):
             assert len(poly.attrib["points"].split()) == 2
+
+    def test_all_zero_maes_keep_a_unit_axis(self, tmp_path):
+        # A noiseless row can be exactly 0 at every angle; the axis then
+        # tops out at 1 rather than dividing by zero.
+        rows = (StudyRow("a", 0.0, 0.0, 0.0, 0.0, 5), StudyRow("b", 0.0, 0.0, 0.0, 0.0, 5))
+        path = tmp_path / "zero.svg"
+        emit_svg(StudyResult("zero", rows), path)
+        root = ET.fromstring(path.read_text())
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        assert "1" in [t.text for t in root.findall("s:text", ns)]
+        for poly in root.findall("s:polyline", ns):
+            assert poly.attrib["points"] == "60.00,350.00 510.00,350.00"
 
     def test_escapes_markup(self, tmp_path):
         rows = (StudyRow("a<b&c>d", 1.0, 1.0, 1.0, 1.0, 1),)

@@ -798,6 +798,20 @@ class TestTrainToy:
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(TrainingDivergedError):
             train_toy(*linear_dataset(40), epochs=1, seed=0, hidden_size=8, augment=poison)
 
+    def test_non_finite_parameters_detected_after_epoch(self):
+        # An infinite input column saturates tanh, so the loss stays finite,
+        # but 0 * inf makes the w_hidden gradient NaN; with one batch per
+        # epoch the check after the epoch is the one that sees it.
+        def spike(batch, rng):
+            out = batch.copy()
+            out[:, 0] = np.inf
+            return out
+
+        with np.errstate(invalid="ignore"), pytest.raises(
+                TrainingDivergedError, match="^non-finite parameters after epoch 1$"):
+            train_toy(*linear_dataset(40), epochs=1, seed=0, hidden_size=8, batch_size=64,
+                      augment=spike)
+
 
 class TestSaveLoadToyNet:
     def test_round_trip_exact(self, tmp_path):

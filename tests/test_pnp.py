@@ -235,7 +235,7 @@ class TestSolvePnP:
                            problem.image_points + rng.uniform(-5.0, 5.0, (68, 2)), K)
         first = solve_pnp(noisy)
         again = solve_pnp(noisy, init=first.pose)
-        assert again.termination in ("step", "cost")
+        assert again.termination == "step"
         assert again.converged and again.iterations == 1
         assert again.rmse == pytest.approx(first.rmse, rel=1e-12)
 
@@ -292,8 +292,8 @@ class TestSolvePnP:
     def test_converged_only_within_stated_precision(self, monkeypatch):
         # Trial 57 of the subset study: the deformed subject's all-68
         # landmarks solved against the mean face converge slowly.  A solve
-        # that reports converged must be within the stated 1e-5 degrees of
-        # the same solve refined to a step test of 1e-13 and run to the end.
+        # that reports converged must be within 1e-5 degrees of the same
+        # solve refined to a step test of 1e-13 and run to its end.
         model = builtin_mean_face()
         config = StudyConfig(master_seed=57)
         rng, pose = next(harness._scenes(config, model, 1))
@@ -303,7 +303,6 @@ class TestSolvePnP:
         got = solve_pnp(problem)
         with monkeypatch.context() as patch:
             patch.setattr(pnp, "STEP_TOLERANCE", 1e-13)
-            patch.setattr(pnp, "COST_TOLERANCE", 0.0)
             patch.setattr(pnp, "MAX_ITERATIONS", 2000)
             refined = solve_pnp(problem)
         assert refined.termination == "step"
@@ -415,11 +414,10 @@ class TestSolvePnPBatch:
             assert got.termination != "damping_exhausted"
             assert got.termination == solve_pnp(problem).termination
 
-    def test_without_step_and_cost_tests_climbs_exhaust_damping(self, monkeypatch):
-        # The climbs the step test ends: with it and the cost test off, the
-        # noise floor is left only by damping passing MAX_DAMPING.
+    def test_without_step_test_climbs_exhaust_damping(self, monkeypatch):
+        # The climbs the step test ends: with it off, the noise floor is
+        # left only by damping passing MAX_DAMPING.
         monkeypatch.setattr(pnp, "STEP_TOLERANCE", 0.0)
-        monkeypatch.setattr(pnp, "COST_TOLERANCE", 0.0)
         problems = criterion_scenes(10, seed=0, jitter=5.0)
         batch = solve_pnp_batch(problems)
         assert any(got.termination == "damping_exhausted" and not got.converged
@@ -575,7 +573,8 @@ class TestSolvePnPBatch:
     def test_mixed_cameras_and_point_counts_in_input_order(self, monkeypatch):
         # Three cameras and two point counts, interleaved: each camera's
         # all-68 and rigid-6 problems make a stack of their own.  One
-        # problem's default start is its exact answer.
+        # problem's default start is its exact answer: its first step is
+        # zero, so short, and ends the solve there.
         model = builtin_mean_face().points
         rows6 = subset_by_name("rigid-6").rows()
         cameras = (K, default_intrinsics(640, 480), CameraIntrinsics(800.0, 760.0, 300.0, 260.0))
@@ -606,7 +605,7 @@ class TestSolvePnPBatch:
         for problem, got in zip(problems, batch, strict=True):
             assert same_solution(got, solve_pnp(problem))
         for got in (batch[5], solve_pnp(exact)):
-            assert (got.iterations, got.termination) == (0, "residual")
+            assert (got.iterations, got.termination) == (1, "step")
 
     def test_behind_camera_start_reported_for_that_problem_only(self):
         good, _ = make_problem((10.0, -5.0, 3.0), (0.0, 0.0, 5.0))
@@ -674,10 +673,11 @@ class TestSolveArrays:
         # the hand-off takes the stack's evaluation of its last row, so the
         # scalar loop evaluates only the finite steps it solves for.  Both
         # loops return the rotation of their best iterate, so no Rodrigues
-        # runs after a loop: not in solve_pnp, not in a PnP study.
+        # runs after a loop: not in solve_pnp, not in a PnP study.  pnp
+        # builds every rotation through _rodrigues or _rodrigues_stack.
+        assert not hasattr(pnp, "axis_angle_to_rotation")
         counts = dict.fromkeys(("rodrigues_stack", "stack_evaluate", "stack_jacobian",
-                                "rodrigues", "evaluate", "jacobian", "public_rodrigues",
-                                "finite_scalar_steps"), 0)
+                                "rodrigues", "evaluate", "jacobian", "finite_scalar_steps"), 0)
         solve, jacobian = pnp._linear_solve, pnp._jacobian
 
         def counted(name, fn):
@@ -702,8 +702,7 @@ class TestSolveArrays:
         for name, attr in (("rodrigues_stack", "_rodrigues_stack"),
                            ("stack_evaluate", "_stack_evaluate"),
                            ("rodrigues", "_rodrigues"),
-                           ("evaluate", "_evaluate"),
-                           ("public_rodrigues", "axis_angle_to_rotation")):
+                           ("evaluate", "_evaluate")):
             monkeypatch.setattr(pnp, attr, counted(name, getattr(pnp, attr)))
         problems = criterion_scenes(20, seed=3, jitter=5.0)[0::2]
         x, rot, *_ = pnp._solve_arrays([(problems[0].model_points,
@@ -712,18 +711,15 @@ class TestSolveArrays:
         assert counts["rodrigues_stack"] == counts["stack_evaluate"]
         assert counts["rodrigues"] == counts["evaluate"]
         assert counts["evaluate"] == counts["finite_scalar_steps"] > 0
-        assert counts["public_rodrigues"] == 0
         for xk, rk in zip(x, rot, strict=True):
             assert np.array_equal(rk, axis_angle_to_rotation(xk[:3]))
 
         counts.update(dict.fromkeys(counts, 0))
         solve_pnp(problems[0])
         assert counts["jacobian"] > 0 and counts["rodrigues"] == counts["evaluate"]
-        assert counts["public_rodrigues"] == 0
 
         counts.update(dict.fromkeys(counts, 0))
         run_jitter_study(StudyConfig(trials=2), "all-68")
         assert counts["stack_jacobian"] > 0
         assert counts["rodrigues_stack"] == counts["stack_evaluate"]
         assert counts["rodrigues"] == counts["evaluate"]
-        assert counts["public_rodrigues"] == 0
