@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from functools import partial
 from pathlib import Path
@@ -30,7 +31,7 @@ from poselab.harness import (
     run_subset_study,
 )
 from poselab.harness import _degrade_rows, _make_raster_augment
-from poselab.multiloss import BinSpec, TrainingDivergedError
+from poselab.multiloss import BinSpec, TrainingDivergedError, train_toy
 from poselab.raster import SPLAT_BLOCK, augment_factor, degrade_values, rasterize
 from poselab.pnp import DegenerateProblemError
 from poselab.rotmath import EulerAngles, GimbalLockWarning
@@ -493,6 +494,24 @@ class TestAlphaAblation:
         assert a.study == "alpha"
         assert [r.sweep for r in a.rows] == ["0.0", "2.0"]
         assert all(math.isfinite(r.mae) for r in a.rows)
+
+    def test_runs_share_training_rows_and_release_each_net(self, monkeypatch):
+        # Every run trains on the same rows, not on a copy of its own, and
+        # no net outlives its scoring into the next run's training.
+        trained_on, nets, alive_at_start = [], [], []
+
+        def spy(inputs, *args, **kwargs):
+            alive_at_start.append([ref() is not None for ref in nets])
+            trained_on.append(inputs)
+            net, history = train_toy(inputs, *args, **kwargs)
+            nets.append(weakref.ref(net))
+            return net, history
+
+        monkeypatch.setattr(harness, "train_toy", spy)
+        run_alpha_ablation(StudyConfig(alpha_sweep=(0.0, 2.0), **TINY_TRAIN))
+        assert len(trained_on) == 2
+        assert np.shares_memory(trained_on[0], trained_on[1])
+        assert alive_at_start[1] == [False]
 
 
 class TestLandmarkDataset:
