@@ -342,19 +342,18 @@ def run_stretch_study(config: StudyConfig | None = None, axis: str = "width") ->
     return _pnp_sweep(config, f"stretch-{axis}", model, models, trial)
 
 
-def _scene_dataset(config: StudyConfig, features):
-    """(inputs, targets) for config.scenes scenes: row i of inputs is row i
-    of features(landmarks), where landmarks (scenes, N, 2) stacks the mean
-    face projected at the pose drawn from seed master_seed+i, and row i of
-    targets is that pose's true (yaw, pitch, roll).  features maps the
-    whole stack at once."""
+def _scene_dataset(config: StudyConfig):
+    """(landmarks, targets) for config.scenes scenes, in scene order:
+    landmarks (scenes, N, 2) stacks the mean face projected at the pose
+    drawn from seed master_seed+i, and row i of targets is that pose's
+    true (yaw, pitch, roll)."""
     model = builtin_mean_face()
     landmarks = np.empty((config.scenes, len(model.points), 2))
     targets = np.empty((config.scenes, 3))
     for i, (_, pose) in enumerate(_scenes(config, model, config.scenes)):
         landmarks[i] = project(model.points, pose, CAMERA)
         targets[i] = pose.rotation.as_array()
-    return features(landmarks), targets
+    return landmarks, targets
 
 
 def _train_val_split(config: StudyConfig, n: int):
@@ -364,41 +363,52 @@ def _train_val_split(config: StudyConfig, n: int):
     return perm[n_val:], perm[:n_val]
 
 
-def _trained_rows(config: StudyConfig, inputs, targets, views, runs) -> tuple:
-    """Train one net per run on a shared split, then score every net on
-    every view of the held-out inputs.
+def _trained_rows(config: StudyConfig, features, views, runs) -> tuple:
+    """Train one net per run on a shared split, scoring each net on every
+    view of the held-out inputs before the next run starts.
 
-    Each view is a transform of the held-out inputs.  It is applied once,
-    after all training, so one transformed copy is alive at a time.  Each
-    run is (loss_config, augment, labels) and yields one row per view,
-    labelled in order: the net's MAE on that view.  All runs share the
-    seed, split and initialization.  Each run trains on its own copy of
-    the training rows, freed when its training ends, so the copy is not
-    alive while the views are scored.  A run whose training diverges
-    yields NaN rows with trials=0 for all its labels.
+    The scene dataset (built by _scene_dataset) is put in split order,
+    training scenes first, while it is still the small landmark stack, and
+    features maps that whole stack once.  So there is one inputs array:
+    every run trains on a view of its leading rows, and train_toy uses
+    that view without copying it.  Each view is a transform of the
+    held-out (trailing) inputs, applied once per run, so one transformed
+    copy is alive at a time.  Each run is (loss_config, augment, labels)
+    and yields one row per view, labelled in order: the net's MAE on that
+    view.  A net is released once it is scored, so a study's memory does
+    not grow with its number of runs.  All runs share the seed, split and
+    initialization; every input row depends only on its own scene, so the
+    order changes no row.  A run whose training diverges yields NaN rows
+    with trials=0 for all its labels.
     """
-    train_idx, val_idx = _train_val_split(config, len(inputs))
-    nets = []
-    for loss_config, augment, _ in runs:
+    landmarks, targets = _scene_dataset(config)
+    train_idx, val_idx = _train_val_split(config, len(targets))
+    order = np.concatenate((train_idx, val_idx))
+    # Reorder before features, so the scene-order stack is dropped first.
+    landmarks = landmarks[order]
+    inputs = features(landmarks)
+    del landmarks
+    targets = targets[order]
+    n_train = len(train_idx)
+    held_out, held_out_targets = inputs[n_train:], targets[n_train:]
+    rows = []
+    for loss_config, augment, labels in runs:
         try:
-            nets.append(train_toy(
-                inputs[train_idx], targets[train_idx], config=loss_config,
+            net = train_toy(
+                inputs[:n_train], targets[:n_train], config=loss_config,
                 epochs=config.epochs, seed=config.master_seed,
                 hidden_size=config.hidden_size, batch_size=config.batch_size,
                 lr=config.learning_rate, val_fraction=0.0, augment=augment,
-            )[0])
+            )[0]
         except TrainingDivergedError:
-            nets.append(None)
-    n_val = len(val_idx)
-    rows = [[_finish_row(label, np.empty((0, 3)), n_val) for label in labels]
-            for *_, labels in runs]
-    for v, view in enumerate(views):
-        view_inputs = view(inputs[val_idx])
-        for (*_, labels), net, run_rows in zip(runs, nets, rows):
-            if net is not None:
-                errors = angle_error(predict_angles(net, view_inputs), targets[val_idx])
-                run_rows[v] = _finish_row(labels[v], errors, 0)
-    return tuple(row for run_rows in rows for row in run_rows)
+            rows.extend(_finish_row(label, np.empty((0, 3)), len(held_out)) for label in labels)
+            continue
+        for view, label in zip(views, labels):
+            errors = angle_error(predict_angles(net, view(held_out)), held_out_targets)
+            rows.append(_finish_row(label, errors, 0))
+        # Released here, not when the next run's net replaces it.
+        del net
+    return tuple(rows)
 
 
 def _landmark_features(image_points: np.ndarray) -> np.ndarray:
@@ -431,9 +441,9 @@ def run_lowres_study(config: StudyConfig | None = None) -> StudyResult:
     config = config or StudyConfig()
     size = RASTER_SIZE
     scale = np.array([size / IMAGE_WIDTH, size / IMAGE_HEIGHT])
-    inputs, targets = _scene_dataset(
-        config, lambda landmarks: rasterize_stack(landmarks * scale, size, size).reshape(
-            len(landmarks), -1))
+
+    def rasters(landmarks):
+        return rasterize_stack(landmarks * scale, size, size).reshape(len(landmarks), -1)
 
     def degraded(factor):
         return lambda held_out: _degrade_rows(held_out, size, [factor] * len(held_out))
@@ -444,13 +454,14 @@ def run_lowres_study(config: StudyConfig | None = None) -> StudyResult:
          [f"{scheme}@x{f}" for f in config.lowres_factors])
         for scheme in config.lowres_schemes
     ]
-    return StudyResult("lowres", _trained_rows(config, inputs, targets, views, runs))
+    return StudyResult("lowres", _trained_rows(config, rasters, views, runs))
 
 
 def landmark_dataset(config: StudyConfig | None = None):
     """(inputs, targets) for config.scenes synthetic scenes: normalized
     flat landmark vectors (N, 136) and true angle rows (N, 3)."""
-    return _scene_dataset(config or StudyConfig(), _landmark_features)
+    landmarks, targets = _scene_dataset(config or StudyConfig())
+    return _landmark_features(landmarks), targets
 
 
 def run_alpha_ablation(config: StudyConfig | None = None) -> StudyResult:
@@ -460,10 +471,9 @@ def run_alpha_ablation(config: StudyConfig | None = None) -> StudyResult:
     the only difference between rows.
     """
     config = config or StudyConfig()
-    inputs, targets = landmark_dataset(config)
     runs = [(MultiLossConfig(alpha=float(alpha)), None, [float(alpha)])
             for alpha in config.alpha_sweep]
-    rows = _trained_rows(config, inputs, targets, [lambda held_out: held_out], runs)
+    rows = _trained_rows(config, _landmark_features, [lambda held_out: held_out], runs)
     return StudyResult("alpha", rows)
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import weakref
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from poselab.harness import (
     run_subset_study,
 )
 from poselab.harness import _degrade_rows, _make_raster_augment
-from poselab.multiloss import BinSpec, TrainingDivergedError, train_toy
+from poselab.multiloss import BinSpec, TrainingDivergedError, predict_angles, train_toy
 from poselab.raster import SPLAT_BLOCK, augment_factor, degrade_values, rasterize
 from poselab.pnp import DegenerateProblemError
 from poselab.rotmath import EulerAngles, GimbalLockWarning
@@ -557,19 +558,34 @@ class TestStackedSceneDataset:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_lowres_inputs_match_per_scene_rasters(self, monkeypatch):
-        seen = []
+        # What the net trains on and which held-out rows it is scored on,
+        # against per-scene rasters put in split order, training scenes first.
+        config = replace(self.CONFIG, epochs=0, lowres_schemes=("none",), lowres_factors=(1, 5))
+        trained, scored = [], []
 
-        def capture(config, inputs, targets, views, runs):
-            seen.append((inputs, targets))
-            return ()
+        def train_spy(inputs, targets, **kwargs):
+            trained.append((inputs, targets))
+            return train_toy(inputs, targets, **kwargs)
 
-        monkeypatch.setattr(harness, "_trained_rows", capture)
-        run_lowres_study(self.CONFIG)
+        def predict_spy(net, inputs):
+            scored.append(inputs)
+            return predict_angles(net, inputs)
+
+        monkeypatch.setattr(harness, "train_toy", train_spy)
+        monkeypatch.setattr(harness, "predict_angles", predict_spy)
+        run_lowres_study(config)
         size = harness.RASTER_SIZE
         scale = np.array([size / harness.IMAGE_WIDTH, size / harness.IMAGE_HEIGHT])
-        want = per_scene_dataset(
-            self.CONFIG, lambda points: rasterize(points * scale, size, size).values.ravel())
-        assert all(np.array_equal(g, w) for g, w in zip(seen[0], want))
+        inputs, targets = per_scene_dataset(
+            config, lambda points: rasterize(points * scale, size, size).values.ravel())
+        train_idx, val_idx = harness._train_val_split(config, config.scenes)
+        [(train_inputs, train_targets)] = trained
+        assert np.array_equal(train_inputs, inputs[train_idx])
+        assert np.array_equal(train_targets, targets[train_idx])
+        held_out = inputs[val_idx]
+        assert len(scored) == 2
+        assert np.array_equal(scored[0], held_out)
+        assert np.array_equal(scored[1], _degrade_rows(held_out, size, [5] * len(held_out)))
 
 
 class TestCsvRoundTrip:
