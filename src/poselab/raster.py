@@ -134,7 +134,9 @@ def degrade_stack(stack, factors) -> np.ndarray:
     if stack.ndim != 3 or factors.shape != stack.shape[:1]:
         raise ValueError(f"expected a (B, H, W) stack and B factors, got shapes "
                          f"{stack.shape} and {factors.shape}")
-    valid = np.isfinite(factors) & (factors >= 1) & (factors == np.floor(factors))
+    # A bool is no factor, though True would pass the numeric tests as 1.
+    valid = (np.isfinite(factors) & (factors >= 1) & (factors == np.floor(factors))
+             & (factors.dtype != bool))
     if not valid.all():
         raise ValueError(f"factor must be an integer >= 1, got {factors[~valid][0]}")
     count, height, width = stack.shape

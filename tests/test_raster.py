@@ -279,6 +279,8 @@ class TestDegrade:
             degrade_values(np.zeros((4, 4)), 0)
         with pytest.raises(ValueError):
             degrade_values(np.zeros((4, 4)), -2)
+        with pytest.raises(ValueError):
+            degrade_values(np.zeros((4, 4)), True)
 
     def test_information_loss_grows_with_factor(self):
         # averaged over many point sets, heavier degradation moves the
@@ -306,7 +308,7 @@ class TestDegradeStack:
         assert not np.shares_memory(got, stack)
 
     @pytest.mark.parametrize("factors", [[1, 2], [1, 2, 3, 4], [1, 0, 2], [1, 2.5, 2],
-                                         [1, math.nan, 2], [1, math.inf, 2]])
+                                         [1, math.nan, 2], [1, math.inf, 2], [True, True, True]])
     def test_rejects_bad_factors(self, factors):
         with pytest.raises(ValueError):
             degrade_stack(np.zeros((3, 4, 4)), factors)
