@@ -14,9 +14,10 @@ per label.  It stacks the image rows of a block of trials into arrays and
 solves them with one call of pnp's array path per block; each problem
 goes through the same iteration as a separate solve_pnp call, and no
 PnPProblem or PnPSolution is built per problem.  _trained_rows runs the
-low-resolution study and the alpha ablation: it splits one scene dataset
-(built by _scene_dataset), trains one net per run and scores it on the
-held-out scenes.
+low-resolution study and the alpha ablation: it builds one scene dataset
+in split order, training scenes first, and each run trains one net on a
+view of its training rows, scores it on the held-out rows and releases
+it, so a trained study's memory does not grow with its number of runs.
 
 StudyConfig holds what a caller sets: trial and scene counts, seeds,
 sweeps and training sizes.  The scene pose ranges, the camera size and
@@ -364,22 +365,20 @@ def _train_val_split(config: StudyConfig, n: int):
 
 
 def _trained_rows(config: StudyConfig, features, views, runs) -> tuple:
-    """Train one net per run on a shared split, scoring each net on every
-    view of the held-out inputs before the next run starts.
+    """Train one net per run on a shared split and score it on every view
+    of the held-out inputs before the next run starts.
 
-    The scene dataset (built by _scene_dataset) is put in split order,
-    training scenes first, while it is still the small landmark stack, and
-    features maps that whole stack once.  So there is one inputs array:
-    every run trains on a view of its leading rows, and train_toy uses
-    that view without copying it.  Each view is a transform of the
-    held-out (trailing) inputs, applied once per run, so one transformed
-    copy is alive at a time.  Each run is (loss_config, augment, labels)
-    and yields one row per view, labelled in order: the net's MAE on that
-    view.  A net is released once it is scored, so a study's memory does
-    not grow with its number of runs.  All runs share the seed, split and
-    initialization; every input row depends only on its own scene, so the
-    order changes no row.  A run whose training diverges yields NaN rows
-    with trials=0 for all its labels.
+    The scene dataset is put in split order, training scenes first, while
+    it is still _scene_dataset's small landmark stack, and features maps
+    it once.  Every run trains on the leading rows, a view train_toy uses
+    without a copy; each view transforms the trailing held-out rows, one
+    transformed copy at a time.  A net is released once it is scored, so
+    a study's memory does not grow with its number of runs.  Each run is
+    (loss_config, augment, labels) and yields one row per view, labelled
+    in order: the net's MAE on that view.  All runs share the seed, split
+    and initialization; each input row depends only on its own scene, so
+    the order changes no row.  A run whose training diverges yields NaN
+    rows with trials=0 for all its labels.
     """
     landmarks, targets = _scene_dataset(config)
     train_idx, val_idx = _train_val_split(config, len(targets))
@@ -458,8 +457,9 @@ def run_lowres_study(config: StudyConfig | None = None) -> StudyResult:
 
 
 def landmark_dataset(config: StudyConfig | None = None):
-    """(inputs, targets) for config.scenes synthetic scenes: normalized
-    flat landmark vectors (N, 136) and true angle rows (N, 3)."""
+    """(inputs, targets) for config.scenes synthetic scenes, in scene
+    order: normalized flat landmark vectors (N, 136) and true angle rows
+    (N, 3)."""
     landmarks, targets = _scene_dataset(config or StudyConfig())
     return _landmark_features(landmarks), targets
 
