@@ -12,6 +12,7 @@ from .harness import (
     IMAGE_HEIGHT,
     IMAGE_WIDTH,
     StudyConfig,
+    _train_val_split,
     emit_csv,
     emit_svg,
     landmark_dataset,
@@ -141,13 +142,17 @@ def cmd_solve_pnp(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    """Train on the studies' training scenes and score the held-out ones,
+    so the saved net and its final MAE are those of the ablation's row
+    at this alpha and config."""
     config = _study_config(args)
     inputs, targets = landmark_dataset(config)
+    train_idx, val_idx = _train_val_split(config, len(targets))
     net, history = train_toy(
-        inputs, targets, config=MultiLossConfig(alpha=args.alpha),
+        inputs[train_idx], targets[train_idx], config=MultiLossConfig(alpha=args.alpha),
         epochs=config.epochs, seed=config.master_seed,
         hidden_size=config.hidden_size, batch_size=config.batch_size,
-        lr=config.learning_rate, val_fraction=config.val_fraction,
+        lr=config.learning_rate, held_out=(inputs[val_idx], targets[val_idx]),
     )
     save_toynet(net, args.out)
     print(f"untrained val MAE {history[0]['val_mae']:.4f} deg")

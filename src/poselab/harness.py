@@ -64,7 +64,7 @@ from .raster import (
     degrade_stack,
     rasterize_stack,
 )
-from .rotmath import EulerAngles, _is_integer, angle_error
+from .rotmath import EulerAngles, _is_integer, _is_real, angle_error
 
 __all__ = [
     "CSV_HEADER",
@@ -135,7 +135,7 @@ class StudyConfig:
             raise ValueError("scenes must be >= 2")
         for name, value in (("rigid_sigma", self.rigid_sigma),
                             ("nonrigid_sigma", self.nonrigid_sigma)):
-            if not (math.isfinite(value) and value >= 0):
+            if not (_is_real(value) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name in ("subsets", "jitter_sweep", "stretch_sweep", "lowres_schemes",
                      "lowres_factors", "alpha_sweep"):
@@ -144,11 +144,14 @@ class StudyConfig:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has repeated values: {values}")
-        if not all(math.isfinite(m) and m >= 0 for m in self.jitter_sweep):
+        if not all(_is_real(m) and math.isfinite(m) and m >= 0 for m in self.jitter_sweep):
             raise ValueError(f"jitter magnitudes must be finite and >= 0, got {self.jitter_sweep}")
+        if not all(_is_real(s) for s in self.stretch_sweep):
+            raise ValueError(f"stretch factors must be numbers, got {self.stretch_sweep}")
         if self.epochs < 0 or self.hidden_size < 1 or self.batch_size < 1:
             raise ValueError("bad training dimensions")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+        if not (_is_real(self.learning_rate) and math.isfinite(self.learning_rate)
+                and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
@@ -158,7 +161,7 @@ class StudyConfig:
                                          f"known: none, {', '.join(AUGMENT_SCHEMES)}")
         if not all(_is_integer(f) and f >= 1 for f in self.lowres_factors):
             raise ValueError(f"lowres factors must be integers >= 1, got {self.lowres_factors}")
-        if not all(math.isfinite(a) and a >= 0 for a in self.alpha_sweep):
+        if not all(_is_real(a) and math.isfinite(a) and a >= 0 for a in self.alpha_sweep):
             raise ValueError(f"alphas must be finite and >= 0, got {self.alpha_sweep}")
 
 
@@ -397,7 +400,7 @@ def _trained_rows(config: StudyConfig, features, views, runs) -> tuple:
                 inputs[:n_train], targets[:n_train], config=loss_config,
                 epochs=config.epochs, seed=config.master_seed,
                 hidden_size=config.hidden_size, batch_size=config.batch_size,
-                lr=config.learning_rate, val_fraction=0.0, augment=augment,
+                lr=config.learning_rate, augment=augment,
             )[0]
         except TrainingDivergedError:
             rows.extend(_finish_row(label, np.empty((0, 3)), len(held_out)) for label in labels)

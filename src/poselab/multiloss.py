@@ -21,7 +21,15 @@ arrays a dataset already is, inputs (B, ...) and targets (B, 3) in
 degrees, and calls the helpers directly, so each step computes the hidden
 layer once, writes the gradients into one flat vector laid out like the
 parameters, and makes one adam_step on the pair {"flat": ...}.
-train_toy's history holds only the held-out MAE per epoch.
+
+train_toy trains on every sample it is given and holds none out: the
+caller splits its dataset (the studies and the CLI by
+harness._train_val_split) and may pass the held-out rows as held_out.
+Its history holds only their MAE per epoch, by the wrap-aware
+rotmath.angle_error the studies score with.  It draws one permutation of
+the samples before the net's initial seed, which it uses for nothing but
+the order every epoch's shuffle permutes; dropping that draw would move
+every trained net.
 """
 
 import math
@@ -30,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rotmath import EulerAngles, _check_count, _is_integer
+from .rotmath import EulerAngles, _check_count, _is_integer, _is_real, angle_error
 
 __all__ = [
     "AdamState",
@@ -111,7 +119,7 @@ class MultiLossConfig:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+        if not (_is_real(self.alpha) and math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be a finite value >= 0, got {self.alpha}")
 
 
@@ -507,45 +515,57 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
             pb -= a
 
 
+def _sample_rows(inputs, targets, which: str = ""):
+    """inputs as float (B, D) rows, each sample flattened, and targets as
+    float (B, 3); raises unless there is a sample and a target row per
+    sample.  which prefixes the argument names in the messages."""
+    inputs = np.asarray(inputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if inputs.ndim == 0 or len(inputs) == 0:
+        raise ValueError(f"{which}inputs must be a nonempty (B, ...) array, got shape {inputs.shape}")
+    if targets.shape != (len(inputs), 3):
+        raise ShapeMismatchError(f"{which}targets shape {targets.shape} vs ({len(inputs)}, 3)")
+    return inputs.reshape(len(inputs), -1), targets
+
+
 def train_toy(inputs, targets, config: MultiLossConfig | None = None, epochs: int = 30,
               seed=0, hidden_size: int = 128, batch_size: int = 32, lr: float = 1e-3,
-              val_fraction: float = 0.2, augment=None):
-    """Train a tanh ToyNet on the default BinSpec.
+              held_out=None, augment=None):
+    """Train a tanh ToyNet on the default BinSpec on every given sample.
 
     inputs is (B, ...), one sample per row, each flattened to a vector
     (a C-contiguous float64 array is used as it is, not copied); targets
     is (B, 3): yaw, pitch and roll in degrees.  Every target is binned
-    before the first training step.  Returns (net, history); history
-    rows are dicts with keys epoch and val_mae, starting with an epoch-0
-    row for the untrained network.  val_mae is decoded-vs-target degrees
-    averaged over the held-out samples and angles, NaN when val_fraction
-    is 0.  augment, when given, is called as augment(batch, rng) on every
+    before the first training step.  held_out, when given, is a pair
+    (inputs, targets) of samples the net does not train on, shaped like
+    the training ones.  Returns (net, history); history rows are dicts
+    with keys epoch and val_mae, starting with an epoch-0 row for the
+    untrained network.  val_mae is the mean wrap-aware angle_error, in
+    degrees, of the decoded held-out angles over samples and angles, the
+    error the studies score a net by; it is NaN without held_out.
+    augment, when given, is called as augment(batch, rng) on every
     training mini-batch and must return an equally-shaped array.  Fully
     deterministic for a fixed seed.
     """
     if config is None:
         config = MultiLossConfig()
     spec = BinSpec()
-    inputs = np.asarray(inputs, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if inputs.ndim == 0 or len(inputs) == 0:
-        raise ValueError(f"inputs must be a nonempty (B, ...) array, got shape {inputs.shape}")
-    if targets.shape != (len(inputs), 3):
-        raise ShapeMismatchError(f"targets shape {targets.shape} vs ({len(inputs)}, 3)")
+    inputs, targets = _sample_rows(inputs, targets)
+    if held_out is not None:
+        # A feature width unlike the training samples' fails the epoch-0 score.
+        val_inputs, val_targets = _sample_rows(*held_out, "held-out ")
+        if not np.all(np.isfinite(val_targets)):
+            raise ValueError("held-out targets must be finite")
     _check_count("epochs", epochs, 0)
     _check_count("batch_size", batch_size, 1)
-    if not 0.0 <= val_fraction < 1.0:
-        raise ValueError("val_fraction must be in [0, 1)")
-    if not (math.isfinite(lr) and lr > 0.0):
+    if not (_is_real(lr) and math.isfinite(lr) and lr > 0.0):
         raise ValueError(f"lr must be finite and > 0, got {lr}")
-    inputs = inputs.reshape(len(inputs), -1)
     target_bins = _bin_indices(targets, spec)
 
-    n = len(inputs)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_val = min(int(round(n * val_fraction)), n - 1)
-    val_idx, train_idx = order[:n_val], order[n_val:]
+    # The net's initial seed is drawn after this permutation and every
+    # epoch shuffles it; dropping the draw would move every trained net.
+    order = rng.permutation(len(inputs))
     net = toynet_init(inputs.shape[1], hidden_size, spec, seed=int(rng.integers(2 ** 63)))
     # One gradient vector laid out like net.flat, so one Adam step covers
     # every parameter.
@@ -554,14 +574,13 @@ def train_toy(inputs, targets, config: MultiLossConfig | None = None, epochs: in
     state = AdamState(lr=lr)
 
     def val_mae() -> float:
-        if n_val == 0:
+        if held_out is None:
             return math.nan
-        decoded = predict_angles(net, inputs[val_idx])
-        return float(np.mean(np.abs(decoded - targets[val_idx])))
+        return float(np.mean(angle_error(predict_angles(net, val_inputs), val_targets)))
 
     history = [{"epoch": 0, "val_mae": val_mae()}]
     for epoch in range(1, epochs + 1):
-        shuffled = rng.permutation(train_idx)
+        shuffled = rng.permutation(order)
         for start in range(0, len(shuffled), batch_size):
             batch = shuffled[start:start + batch_size]
             xb = inputs[batch]

@@ -49,6 +49,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    # Nor is True a rate, a weight, a sigma, a magnitude or a scale.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, least: int) -> None:
     """Raise ValueError naming the argument unless value is an integer >= least."""
     if not (_is_integer(value) and value >= least):

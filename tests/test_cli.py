@@ -4,12 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from poselab import cli, pnp
+from poselab import cli, harness, pnp
 from poselab.camera import Pose, default_intrinsics, project
 from poselab.cli import main
 from poselab.facemodel import builtin_mean_face, save_face_model
-from poselab.harness import CSV_HEADER, StudyResult, StudyRow, read_study_csv
-from poselab.multiloss import load_toynet
+from poselab.harness import (
+    CSV_HEADER,
+    StudyConfig,
+    StudyResult,
+    StudyRow,
+    read_study_csv,
+    run_alpha_ablation,
+)
+from poselab.multiloss import load_toynet, train_toy
 from poselab.rotmath import EulerAngles, angle_error
 
 
@@ -401,3 +408,24 @@ class TestTrainToy:
         assert net.input_dim == 136
         printed = capsys.readouterr().out
         assert "final val MAE" in printed and str(out) in printed
+
+    def test_saves_the_ablation_net_and_prints_its_row(self, tmp_path, capsys, monkeypatch):
+        # train-toy trains on the studies' split: its net is the one
+        # ablate-alpha trains at that alpha, and its final MAE is that row's.
+        nets = []
+
+        def spy(*args, **kwargs):
+            net, history = train_toy(*args, **kwargs)
+            nets.append(net)
+            return net, history
+
+        monkeypatch.setattr(harness, "train_toy", spy)
+        config = StudyConfig(scenes=300, epochs=3, hidden_size=16, master_seed=4,
+                             alpha_sweep=(2.0,))
+        [row] = run_alpha_ablation(config).rows
+        out = tmp_path / "net.txt"
+        assert main(["train-toy", "--scenes", "300", "--epochs", "3", "--hidden", "16",
+                     "--seed", "4", "--alpha", "2", "--out", str(out)]) == 0
+        assert np.array_equal(load_toynet(out).flat, nets[0].flat)
+        final = capsys.readouterr().out.splitlines()[1]
+        assert final.startswith(f"final val MAE {row.mae:.4f} deg ")

@@ -96,6 +96,12 @@ class TestStudyConfig:
             {"learning_rate": math.inf},
             {"trials": True},
             {"lowres_factors": (True,)},
+            {"learning_rate": True},
+            {"rigid_sigma": True},
+            {"nonrigid_sigma": True},
+            {"jitter_sweep": (True,)},
+            {"stretch_sweep": (True,)},
+            {"alpha_sweep": (True,)},
         ],
     )
     def test_validation(self, kwargs):

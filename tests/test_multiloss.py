@@ -322,7 +322,7 @@ class TestMultiLoss:
         with pytest.raises(ValueError, match="^logits must be finite$"):
             AngleHeadOutput(logits)
 
-    @pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf, True])
     def test_alpha_must_be_finite_and_non_negative(self, alpha):
         with pytest.raises(ValueError, match="^alpha must be a finite value >= 0, got "):
             MultiLossConfig(alpha=alpha)
@@ -664,36 +664,52 @@ def linear_dataset(n, seed=0):
     return xs, xs[:, :3] * np.array([30.0, 20.0, 10.0])
 
 
+def split(xs, targets, n_train):
+    """(training xs, training targets, held_out): the first n_train rows
+    train, the rest are held out."""
+    return xs[:n_train], targets[:n_train], (xs[n_train:], targets[n_train:])
+
+
 class TestTrainToy:
     def test_learns_linear_targets(self):
+        xs, targets, held_out = split(*linear_dataset(400), 320)
         net, history = train_toy(
-            *linear_dataset(400), epochs=8, seed=0, hidden_size=32, batch_size=32
+            xs, targets, epochs=8, seed=0, hidden_size=32, batch_size=32, held_out=held_out
         )
         assert len(history) == 9
         assert history[0]["epoch"] == 0
         assert history[-1]["epoch"] == 8
         assert history[-1]["val_mae"] < history[0]["val_mae"] * 0.6
-        xs, targets = linear_dataset(400)
-        decoded = predict_angles(net, xs[0])
-        assert abs(decoded[0] - targets[0, 0]) < 15.0
+        decoded = predict_angles(net, held_out[0][0])
+        assert abs(decoded[0] - held_out[1][0, 0]) < 15.0
 
     def test_untrained_row_reflects_zero_decode(self):
-        _, history = train_toy(*linear_dataset(100), epochs=0, seed=0, hidden_size=8)
+        xs, targets, held_out = split(*linear_dataset(100), 80)
+        _, history = train_toy(xs, targets, epochs=0, seed=0, hidden_size=8, held_out=held_out)
         # untrained network decodes 0 for every angle, so the MAE is the
-        # mean absolute target
-        _, targets = linear_dataset(100)
+        # mean absolute held-out target
         assert len(history) == 1 and set(history[0]) == {"epoch", "val_mae"}
-        assert history[0]["val_mae"] == pytest.approx(np.mean(np.abs(targets)), rel=0.3)
+        assert history[0]["val_mae"] == pytest.approx(np.mean(np.abs(held_out[1])), abs=1e-12)
+
+    def test_held_out_error_wraps(self):
+        # A held-out angle 360 degrees from another is the same angle.
+        xs, targets, held_out = split(*linear_dataset(100), 80)
+        turned = (held_out[0], held_out[1] + np.array([360.0, -360.0, 720.0]))
+        _, plain = train_toy(xs, targets, epochs=1, seed=0, hidden_size=8, held_out=held_out)
+        _, wrapped = train_toy(xs, targets, epochs=1, seed=0, hidden_size=8, held_out=turned)
+        for p, w in zip(plain, wrapped):
+            assert w["val_mae"] == pytest.approx(p["val_mae"], abs=1e-9)
 
     def test_deterministic(self):
-        _, h1 = train_toy(*linear_dataset(120), epochs=2, seed=7, hidden_size=8)
-        _, h2 = train_toy(*linear_dataset(120), epochs=2, seed=7, hidden_size=8)
-        _, h3 = train_toy(*linear_dataset(120), epochs=2, seed=8, hidden_size=8)
+        xs, targets, held_out = split(*linear_dataset(120), 96)
+        _, h1 = train_toy(xs, targets, epochs=2, seed=7, hidden_size=8, held_out=held_out)
+        _, h2 = train_toy(xs, targets, epochs=2, seed=7, hidden_size=8, held_out=held_out)
+        _, h3 = train_toy(xs, targets, epochs=2, seed=8, hidden_size=8, held_out=held_out)
         assert h1 == h2
         assert h1 != h3
 
     def test_no_validation_split(self):
-        _, history = train_toy(*linear_dataset(50), epochs=1, seed=0, hidden_size=8, val_fraction=0.0)
+        _, history = train_toy(*linear_dataset(50), epochs=1, seed=0, hidden_size=8, held_out=None)
         assert [row["epoch"] for row in history] == [0, 1]
         assert all(math.isnan(row["val_mae"]) for row in history)
 
@@ -726,9 +742,11 @@ class TestTrainToy:
             train_toy(xs, np.zeros(shape), epochs=1, hidden_size=8)
 
     def test_sample_axes_flattened(self):
-        xs, targets = linear_dataset(60)
-        net_flat, h_flat = train_toy(xs, targets, epochs=2, seed=3, hidden_size=8)
-        net_grid, h_grid = train_toy(xs.reshape(60, 2, 3), targets, epochs=2, seed=3, hidden_size=8)
+        xs, targets, (val_xs, val_targets) = split(*linear_dataset(60), 48)
+        net_flat, h_flat = train_toy(xs, targets, epochs=2, seed=3, hidden_size=8,
+                                     held_out=(val_xs, val_targets))
+        net_grid, h_grid = train_toy(xs.reshape(48, 2, 3), targets, epochs=2, seed=3, hidden_size=8,
+                                     held_out=(val_xs.reshape(12, 3, 2), val_targets))
         assert net_grid.input_dim == 6
         assert h_grid == h_flat
         assert np.array_equal(net_grid.flat, net_flat.flat)
@@ -763,16 +781,47 @@ class TestTrainToy:
             train_toy(*linear_dataset(40), seed=0, augment=spy, **sizes)
         assert steps == []
 
-    @pytest.mark.parametrize("lr", [-1e-3, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("lr", [-1e-3, 0.0, math.nan, math.inf, True])
     def test_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="lr"):
             train_toy(*linear_dataset(40), epochs=1, seed=0, hidden_size=8, lr=lr)
 
-    @pytest.mark.parametrize("val_fraction", [-0.1, 1.0, math.nan])
-    def test_val_fraction_must_be_in_unit_interval(self, val_fraction):
-        with pytest.raises(ValueError, match=r"^val_fraction must be in \[0, 1\)$"):
-            train_toy(*linear_dataset(40), epochs=1, seed=0, hidden_size=8,
-                      val_fraction=val_fraction)
+    @pytest.mark.parametrize("inputs_shape, targets_shape, error, message", [
+        ((10, 5), (10, 3), ShapeMismatchError, r"^input shape \(10, 5\) vs network input_dim 6$"),
+        ((10, 6), (10, 2), ShapeMismatchError, r"^held-out targets shape \(10, 2\) vs \(10, 3\)$"),
+        ((10, 6), (11, 3), ShapeMismatchError, r"^held-out targets shape \(11, 3\) vs \(10, 3\)$"),
+        ((10, 6), (10,), ShapeMismatchError, r"^held-out targets shape \(10,\) vs \(10, 3\)$"),
+        ((0, 6), (0, 3), ValueError, r"^held-out inputs must be a nonempty"),
+    ], ids=["feature-width", "target-width", "target-rows", "target-ndim", "empty"])
+    def test_held_out_shapes_checked_before_any_step(self, inputs_shape, targets_shape, error,
+                                                     message):
+        # An empty held-out set would reach np.mean([]), whose warning is an error here.
+        steps = []
+
+        def spy(batch, rng):
+            steps.append(len(batch))
+            return batch
+
+        held_out = (np.zeros(inputs_shape), np.zeros(targets_shape))
+        with pytest.raises(error, match=message):
+            train_toy(*linear_dataset(40), epochs=1, seed=0, hidden_size=8, held_out=held_out,
+                      augment=spy)
+        assert steps == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_held_out_targets_must_be_finite(self, bad):
+        steps = []
+
+        def spy(batch, rng):
+            steps.append(len(batch))
+            return batch
+
+        xs, targets, (val_xs, val_targets) = split(*linear_dataset(50), 40)
+        val_targets[3, 2] = bad
+        with pytest.raises(ValueError, match="^held-out targets must be finite$"):
+            train_toy(xs, targets, epochs=1, seed=0, hidden_size=8,
+                      held_out=(val_xs, val_targets), augment=spy)
+        assert steps == []
 
     def test_augment_hook_changes_training(self):
         data = linear_dataset(120)
@@ -780,9 +829,9 @@ class TestTrainToy:
         def noisy(batch, rng):
             return batch + rng.normal(scale=0.5, size=batch.shape)
 
-        _, plain = train_toy(*data, epochs=2, seed=0, hidden_size=8)
-        _, augmented = train_toy(*data, epochs=2, seed=0, hidden_size=8, augment=noisy)
-        assert plain != augmented
+        plain, _ = train_toy(*data, epochs=2, seed=0, hidden_size=8)
+        augmented, _ = train_toy(*data, epochs=2, seed=0, hidden_size=8, augment=noisy)
+        assert not np.array_equal(plain.flat, augmented.flat)
 
     def test_augment_shape_checked(self):
         def broken(batch, rng):

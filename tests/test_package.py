@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib.util
 import inspect
@@ -5,6 +6,7 @@ import io
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 import tokenize
@@ -14,6 +16,7 @@ import pytest
 
 import poselab
 from poselab import pnp
+from poselab.cli import build_parser
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(poselab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +32,22 @@ def test_readme_examples_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_commands_parse():
+    # Every poselab command line of the README's sh blocks, with its
+    # backslash continuations joined, parses; together they show every
+    # subcommand.
+    blocks = re.findall(r"^```sh\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        flags=re.DOTALL | re.MULTILINE)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("poselab ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    shown = {parser.parse_args(argv).command for argv in commands}
+    [subcommands] = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert shown == set(subcommands.choices)
 
 
 def test_readme_termination_table_matches_pnp():
