@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rotmath import EulerAngles, euler_to_rotation
+from .rotmath import EulerAngles, _check_real, euler_to_rotation
 
 __all__ = [
     "BehindCameraError",
@@ -38,11 +38,10 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
-            raise ValueError(f"intrinsics must be finite, got fx={self.fx}, fy={self.fy}, "
-                             f"cx={self.cx}, cy={self.cy}")
-        if not (self.fx > 0.0 and self.fy > 0.0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        _check_real("fx", self.fx, 0, strict=True)
+        _check_real("fy", self.fy, 0, strict=True)
+        _check_real("cx", self.cx, -math.inf)
+        _check_real("cy", self.cy, -math.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +52,8 @@ class Pose:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
+        if not isinstance(self.rotation, EulerAngles):
+            raise ValueError(f"rotation must be an EulerAngles, got {self.rotation!r}")
         t = np.asarray(self.translation, dtype=float).reshape(-1)
         if t.shape != (3,):
             raise ValueError(f"translation must have 3 components, got {t.shape}")
@@ -70,9 +71,8 @@ def default_intrinsics(image_width: float, image_height: float) -> CameraIntrins
     Focal length is taken as the image width and the principal point as
     the image center.
     """
-    if not all(math.isfinite(d) and d >= 1 for d in (image_width, image_height)):
-        raise ValueError(f"image dimensions must be finite and at least 1 pixel, "
-                         f"got {image_width} x {image_height}")
+    _check_real("image_width", image_width, 1)
+    _check_real("image_height", image_height, 1)
     return CameraIntrinsics(
         fx=float(image_width),
         fy=float(image_width),

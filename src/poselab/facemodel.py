@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rotmath import _is_integer
+from .rotmath import _check_real, _is_integer, _is_real
 
 __all__ = [
     "DuplicateIdError",
@@ -55,7 +55,7 @@ class DuplicateIdError(ValueError):
 
 
 class ScaleOutOfRangeError(ValueError):
-    """Stretch factor outside the supported [0.5, 2.0] range."""
+    """Stretch factor that is not a number in the supported [0.5, 2.0] range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,11 +255,16 @@ def load_face_model(path) -> FaceModel:
     return FaceModel(pts)
 
 
+def _check_scale(name: str, value) -> None:
+    """Raise ScaleOutOfRangeError naming the argument unless value is a real in [0.5, 2.0]."""
+    if not (_is_real(value) and 0.5 <= value <= 2.0):
+        raise ScaleOutOfRangeError(f"{name} must be a number in [0.5, 2.0], got {value!r}")
+
+
 def stretch_model(model: FaceModel, sx: float, sy: float) -> FaceModel:
     """Scale width by sx and height by sy (each in [0.5, 2.0]), recentered."""
-    for axis_name, s in (("sx", sx), ("sy", sy)):
-        if not 0.5 <= s <= 2.0:
-            raise ScaleOutOfRangeError(f"{axis_name}={s} outside [0.5, 2.0]")
+    _check_scale("sx", sx)
+    _check_scale("sy", sy)
     pts = model.points * np.array([sx, sy, 1.0])
     pts = pts - pts.mean(axis=0)
     return FaceModel(pts)
@@ -267,8 +272,7 @@ def stretch_model(model: FaceModel, sx: float, sy: float) -> FaceModel:
 
 def jitter_landmarks(points2d, magnitude: float, rng_seed) -> np.ndarray:
     """Displace every coordinate by an independent uniform draw in [-m, +m]."""
-    if not (math.isfinite(magnitude) and magnitude >= 0):
-        raise ValueError(f"jitter magnitude must be finite and >= 0, got {magnitude}")
+    _check_real("magnitude", magnitude, 0)
     pts = np.asarray(points2d, dtype=float)
     return pts + _scaled_uniform(np.random.default_rng(rng_seed).random(pts.shape), magnitude)
 
@@ -292,7 +296,7 @@ def deform_subject(model: FaceModel, rigid_sigma: float, nonrigid_sigma: float, 
     out in a least-squares solve.  Not recentered, so zero-sigma
     landmarks stay exactly where they were.
     """
-    if not all(math.isfinite(s) and s >= 0 for s in (rigid_sigma, nonrigid_sigma)):
+    if not all(_is_real(s) and s >= 0 for s in (rigid_sigma, nonrigid_sigma)):
         raise ValueError(f"deformation sigmas must be finite and >= 0, got "
                          f"{rigid_sigma}, {nonrigid_sigma}")
     rng = np.random.default_rng(rng_seed)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .camera import BehindCameraError, Pose, default_intrinsics, project
 from .facemodel import (
+    _check_scale,
     _parse_id_lines,
     _scaled_uniform,
     builtin_mean_face,
@@ -59,12 +60,12 @@ from .pnp import (
 from .pnp import solve_pnp  # noqa: F401
 from .raster import (
     AUGMENT_SCHEMES,
-    UnknownSchemeError,
+    _check_scheme,
     augment_factor,
     degrade_stack,
     rasterize_stack,
 )
-from .rotmath import EulerAngles, _is_integer, _is_real, angle_error
+from .rotmath import EulerAngles, _check_count, _check_real, _is_real, angle_error
 
 __all__ = [
     "CSV_HEADER",
@@ -123,20 +124,6 @@ class StudyConfig:
     alpha_sweep: tuple = (0.0, 0.01, 0.1, 1.0, 2.0, 4.0)
 
     def __post_init__(self):
-        for name in ("trials", "master_seed", "scenes", "epochs", "hidden_size", "batch_size"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.scenes < 2:
-            raise ValueError("scenes must be >= 2")
-        for name, value in (("rigid_sigma", self.rigid_sigma),
-                            ("nonrigid_sigma", self.nonrigid_sigma)):
-            if not (_is_real(value) and math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name in ("subsets", "jitter_sweep", "stretch_sweep", "lowres_schemes",
                      "lowres_factors", "alpha_sweep"):
             values = getattr(self, name)
@@ -144,25 +131,25 @@ class StudyConfig:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has repeated values: {values}")
-        if not all(_is_real(m) and math.isfinite(m) and m >= 0 for m in self.jitter_sweep):
-            raise ValueError(f"jitter magnitudes must be finite and >= 0, got {self.jitter_sweep}")
-        if not all(_is_real(s) for s in self.stretch_sweep):
-            raise ValueError(f"stretch factors must be numbers, got {self.stretch_sweep}")
-        if self.epochs < 0 or self.hidden_size < 1 or self.batch_size < 1:
-            raise ValueError("bad training dimensions")
-        if not (_is_real(self.learning_rate) and math.isfinite(self.learning_rate)
-                and self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
+        if not (_is_real(self.val_fraction) and 0.0 < self.val_fraction < 1.0):
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
+        # Every other field is checked by the rule of the code that uses it.
+        for name, least in (("trials", 1), ("master_seed", 0), ("scenes", 2), ("epochs", 0),
+                            ("hidden_size", 1), ("batch_size", 1)):
+            _check_count(name, getattr(self, name), least)
+        _check_real("rigid_sigma", self.rigid_sigma, 0)
+        _check_real("nonrigid_sigma", self.nonrigid_sigma, 0)
+        _check_real("learning_rate", self.learning_rate, 0, strict=True)
+        for magnitude in self.jitter_sweep:
+            _check_real("jitter magnitude", magnitude, 0)
+        for scale in self.stretch_sweep:
+            _check_scale("stretch factor", scale)
         for scheme in self.lowres_schemes:
-            if scheme not in ("none", *AUGMENT_SCHEMES):
-                raise UnknownSchemeError(f"unknown augmentation scheme {scheme!r}; "
-                                         f"known: none, {', '.join(AUGMENT_SCHEMES)}")
-        if not all(_is_integer(f) and f >= 1 for f in self.lowres_factors):
-            raise ValueError(f"lowres factors must be integers >= 1, got {self.lowres_factors}")
-        if not all(_is_real(a) and math.isfinite(a) and a >= 0 for a in self.alpha_sweep):
-            raise ValueError(f"alphas must be finite and >= 0, got {self.alpha_sweep}")
+            _check_scheme(scheme, ("none", *AUGMENT_SCHEMES))
+        for factor in self.lowres_factors:
+            _check_count("lowres factor", factor, 1)
+        for alpha in self.alpha_sweep:
+            _check_real("alpha", alpha, 0)
 
 
 @dataclass(frozen=True)

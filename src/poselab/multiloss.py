@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rotmath import EulerAngles, _check_count, _is_integer, _is_real, angle_error
+from .rotmath import EulerAngles, _check_count, _check_real, _is_integer, _is_real, angle_error
 
 __all__ = [
     "AdamState",
@@ -95,7 +95,7 @@ class BinSpec:
 
     def __post_init__(self):
         values = (self.min_angle, self.max_angle, self.bin_width)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(_is_real, values)):
             raise ValueError(f"bin spec must be finite, got {values}")
         if self.bin_width <= 0.0:
             raise ValueError(f"bin_width must be positive, got {self.bin_width}")
@@ -119,8 +119,7 @@ class MultiLossConfig:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not (_is_real(self.alpha) and math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ValueError(f"alpha must be a finite value >= 0, got {self.alpha}")
+        _check_real("alpha", self.alpha, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,8 +557,7 @@ def train_toy(inputs, targets, config: MultiLossConfig | None = None, epochs: in
             raise ValueError("held-out targets must be finite")
     _check_count("epochs", epochs, 0)
     _check_count("batch_size", batch_size, 1)
-    if not (_is_real(lr) and math.isfinite(lr) and lr > 0.0):
-        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    _check_real("lr", lr, 0, strict=True)
     target_bins = _bin_indices(targets, spec)
 
     rng = np.random.default_rng(seed)

@@ -161,6 +161,8 @@ class PnPProblem:
     intrinsics: CameraIntrinsics
 
     def __post_init__(self):
+        if not isinstance(self.intrinsics, CameraIntrinsics):
+            raise ValueError(f"intrinsics must be a CameraIntrinsics, got {self.intrinsics!r}")
         mp = np.asarray(self.model_points, dtype=float)
         ip = np.asarray(self.image_points, dtype=float)
         if mp.ndim != 2 or mp.shape[1] != 3:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rotmath import _check_count
+from .rotmath import _check_count, _is_integer, _is_real
 
 __all__ = [
     "Raster",
@@ -127,20 +127,26 @@ def degrade_stack(stack, factors) -> np.ndarray:
     factors[j]; returns a new array of equal shape.
 
     Each output pixel is the top-left pixel of its factor-wide block, so
-    the whole stack is one gather, whatever mix of factors it holds.
+    the whole stack is one gather, whatever mix of factors it holds.  A
+    factor of at least the image's larger side leaves one block, so it
+    is read as that side, however large it is.
     """
     stack = np.asarray(stack, dtype=float)
     factors = np.asarray(factors)
     if stack.ndim != 3 or factors.shape != stack.shape[:1]:
         raise ValueError(f"expected a (B, H, W) stack and B factors, got shapes "
                          f"{stack.shape} and {factors.shape}")
+    count, height, width = stack.shape
+    side = max(height, width)
+    if factors.dtype == object:  # integers past int64 arrive as Python ints
+        factors = np.array([min(f, side) if _is_integer(f) or _is_real(f) else math.nan
+                            for f in factors.tolist()])
     # A bool is no factor, though True would pass the numeric tests as 1.
     valid = (np.isfinite(factors) & (factors >= 1) & (factors == np.floor(factors))
              & (factors.dtype != bool))
     if not valid.all():
         raise ValueError(f"factor must be an integer >= 1, got {factors[~valid][0]}")
-    count, height, width = stack.shape
-    f = factors.astype(int)[:, None]
+    f = np.minimum(factors, side).astype(int)[:, None]
     rows = np.arange(height) // f * f
     cols = np.arange(width) // f * f
     index = (np.arange(count)[:, None, None] * height + rows[:, :, None]) * width + cols[:, None, :]
@@ -162,15 +168,20 @@ def augment_factor(scheme: str, rng_seed) -> int:
     set5 a uniform choice from {1, 6, 11, 16, 21}.  rng_seed may be an
     integer seed or a numpy Generator.
     """
+    _check_scheme(scheme)
     rng = np.random.default_rng(rng_seed)
     if scheme == "fixed10":
         return 10
     if scheme == "uniform1to10":
         return int(rng.integers(1, 11))
-    if scheme == "set5":
-        return int(SET5_FACTORS[rng.integers(0, len(SET5_FACTORS))])
-    raise UnknownSchemeError(f"unknown augmentation scheme {scheme!r}; "
-                             f"known: {', '.join(AUGMENT_SCHEMES)}")
+    return int(SET5_FACTORS[rng.integers(0, len(SET5_FACTORS))])
+
+
+def _check_scheme(scheme, known=AUGMENT_SCHEMES) -> None:
+    """Raise UnknownSchemeError unless scheme is one of the known scheme names."""
+    if scheme not in known:
+        raise UnknownSchemeError(f"unknown augmentation scheme {scheme!r}; "
+                                 f"known: {', '.join(known)}")
 
 
 def write_pgm(r: Raster, path) -> None:

@@ -45,19 +45,37 @@ _IDENTITY.setflags(write=False)
 
 
 def _is_integer(value) -> bool:
-    # bool is an Integral, but True is no count, seed, size, factor or id.
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
-    # Nor is True a rate, a weight, a sigma, a magnitude or a scale.
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for a finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _check_count(name: str, value, least: int) -> None:
-    """Raise ValueError naming the argument unless value is an integer >= least."""
+    """Raise ValueError naming the argument unless value is an integer >= least.
+
+    The rule for counts, sizes, degradation factors and ids.  bool is an
+    Integral, but True is none of these, so it is refused.  Seed arguments
+    are out of scope: they also accept a numpy Generator.
+    """
     if not (_is_integer(value) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_real(name: str, value, least, strict: bool = False) -> None:
+    """Raise ValueError naming the argument unless value is a finite real
+    >= least, or > least when strict.
+
+    The rule for rates, weights, sigmas, magnitudes, focal lengths and
+    image sizes; scales add facemodel's [0.5, 2.0] range to _is_real.
+    True is none of these, so a bool is refused, as are NaN and
+    infinities.  Angles are out of scope: any finite angle is accepted,
+    and wrapped or range-checked where it is used.
+    """
+    if not (_is_real(value) and (value > least if strict else value >= least)):
+        raise ValueError(f"{name} must be a finite value {'>' if strict else '>='} {least}, got {value!r}")
 
 
 # check_rotation's bound on |M'M - I| and on |det M - 1|.

@@ -30,7 +30,8 @@ class TestCameraIntrinsics:
     @pytest.mark.parametrize("values", [(np.inf, 1.0, np.nan, 0.0),
                                         (450.0, np.inf, 225.0, 225.0),
                                         (450.0, 450.0, np.inf, 225.0),
-                                        (450.0, 450.0, 225.0, np.nan)])
+                                        (450.0, 450.0, 225.0, np.nan),
+                                        (True, True, 0, 0), (450.0, 450.0, True, 225.0)])
     def test_rejects_non_finite(self, values):
         with pytest.raises(ValueError, match="finite"):
             CameraIntrinsics(*values)
@@ -56,7 +57,7 @@ class TestDefaultIntrinsics:
             default_intrinsics(0, 450)
 
     @pytest.mark.parametrize("dims", [(np.nan, 450), (450, np.nan), (np.inf, 450),
-                                      (450, np.inf)])
+                                      (450, np.inf), (True, True), (450, True)])
     def test_rejects_non_finite_dims(self, dims):
         with pytest.raises(ValueError, match="finite"):
             default_intrinsics(*dims)
@@ -72,6 +73,11 @@ class TestPose:
             Pose(EulerAngles(0, 0, 0), np.zeros(2))
         with pytest.raises(ValueError):
             Pose(EulerAngles(0, 0, 0), np.array([np.nan, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("rotation", [(1, 2, 3), None, np.eye(3)])
+    def test_rejects_rotation_that_is_not_euler_angles(self, rotation):
+        with pytest.raises(ValueError, match="^rotation must be an EulerAngles, got "):
+            Pose(rotation)
 
     def test_rotation_matrix_matches_angles(self):
         from poselab.rotmath import euler_to_rotation

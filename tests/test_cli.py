@@ -178,6 +178,21 @@ class TestStudyLowres:
         rows = read_study_csv(out).rows
         assert [r.sweep for r in rows] == ["none@x1", "none@x5"]
 
+    def test_factor_past_the_raster_side_scores_as_the_side(self, tmp_path):
+        # A factor of at least the raster's side leaves one block, so 10**30
+        # scores as the side itself instead of crashing after training.
+        out = tmp_path / "lowres.csv"
+        huge = 10 ** 30
+        code = main([
+            "study-lowres", "--scenes", "10", "--epochs", "1", "--hidden", "4",
+            "--schemes", "none", "--factors", f"1,{harness.RASTER_SIZE},{huge}",
+            "--out", str(out),
+        ])
+        assert code == 0
+        _, side, past = read_study_csv(out).rows
+        assert past.sweep == f"none@x{huge}"
+        assert past.mae == side.mae and past.trials == side.trials
+
     def test_unknown_scheme_fails_cleanly(self, tmp_path, capsys):
         code = main([
             "study-lowres", "--scenes", "50", "--epochs", "1", "--hidden", "8",

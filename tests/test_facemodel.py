@@ -317,7 +317,8 @@ class TestStretch:
         out = stretch_model(builtin_mean_face(), 2.0, 0.5)
         assert np.max(np.abs(out.centroid())) < 1e-12
 
-    @pytest.mark.parametrize("sx,sy", [(0.49, 1.0), (2.01, 1.0), (1.0, 0.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("sx,sy", [(0.49, 1.0), (2.01, 1.0), (1.0, 0.0), (1.0, 3.0),
+                                       (True, 1.0), (1.0, True), (math.nan, 1.0), ("1", 1.0)])
     def test_out_of_range(self, sx, sy):
         with pytest.raises(ScaleOutOfRangeError):
             stretch_model(builtin_mean_face(), sx, sy)
@@ -349,7 +350,7 @@ class TestJitter:
         with pytest.raises(ValueError):
             jitter_landmarks(np.zeros((4, 2)), -1.0, 0)
 
-    @pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf, True])
     def test_non_finite_magnitude_rejected(self, magnitude):
         with pytest.raises(ValueError, match="finite"):
             jitter_landmarks(np.zeros((4, 2)), magnitude, 0)
@@ -398,7 +399,8 @@ class TestDeform:
             deform_subject(builtin_mean_face(), -0.1, 0.0, rng_seed=0)
 
     @pytest.mark.parametrize("sigmas", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan),
-                                        (0.0, -math.inf)])
+                                        (0.0, -math.inf), (True, 0.0), (0.0, True),
+                                        ("0.1", 0.0)])
     def test_non_finite_sigma_rejected(self, sigmas):
         with pytest.raises(ValueError, match="sigmas must be finite"):
             deform_subject(builtin_mean_face(), *sigmas, rng_seed=0)

@@ -14,7 +14,14 @@ import pytest
 
 from poselab import harness
 from poselab.camera import BehindCameraError, Pose, project
-from poselab.facemodel import DuplicateIdError, ParseError, builtin_mean_face
+from poselab.facemodel import (
+    DuplicateIdError,
+    ParseError,
+    ScaleOutOfRangeError,
+    builtin_mean_face,
+    jitter_landmarks,
+    stretch_model,
+)
 from poselab.harness import (
     CSV_HEADER,
     StudyConfig,
@@ -32,7 +39,13 @@ from poselab.harness import (
     run_subset_study,
 )
 from poselab.harness import _degrade_rows, _make_raster_augment
-from poselab.multiloss import BinSpec, TrainingDivergedError, predict_angles, train_toy
+from poselab.multiloss import (
+    BinSpec,
+    MultiLossConfig,
+    TrainingDivergedError,
+    predict_angles,
+    train_toy,
+)
 from poselab.raster import SPLAT_BLOCK, augment_factor, degrade_values, rasterize
 from poselab.pnp import DegenerateProblemError
 from poselab.rotmath import EulerAngles, GimbalLockWarning
@@ -102,11 +115,52 @@ class TestStudyConfig:
             {"jitter_sweep": (True,)},
             {"stretch_sweep": (True,)},
             {"alpha_sweep": (True,)},
+            {"val_fraction": "x"},
+            {"val_fraction": None},
+            {"val_fraction": True},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             StudyConfig(**kwargs)
+
+    @pytest.mark.parametrize("factor", [3.0, 0.4, True, "1.0"])
+    def test_stretch_factor_out_of_range_fails_at_construction(self, factor):
+        with pytest.raises(ScaleOutOfRangeError):
+            StudyConfig(stretch_sweep=(0.8, factor))
+
+    @pytest.mark.parametrize("value", [True, math.nan, -1.0, 0.0, 0.4, 0.5, 1.7, 2.0, 3.0, "1"])
+    @pytest.mark.parametrize("field, use", [
+        ("stretch_sweep", lambda v: stretch_model(builtin_mean_face(), v, 1.0)),
+        ("alpha_sweep", lambda v: MultiLossConfig(alpha=v)),
+        ("jitter_sweep", lambda v: jitter_landmarks(np.zeros((1, 2)), v, 0)),
+        ("lowres_schemes", lambda v: augment_factor(v, 0)),
+    ])
+    def test_sweep_values_follow_the_rule_of_their_user(self, field, use, value):
+        # The config refuses a sweep value exactly when the code that uses
+        # it does, with the same error class.
+        errors = []
+        for build in (use, lambda v: StudyConfig(**{field: (v,)})):
+            try:
+                build(value)
+            except ValueError as err:
+                errors.append(type(err))
+            else:
+                errors.append(None)
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("field, message", [
+        ("trials", "trials must be an integer >= 1, got True"),
+        ("scenes", "scenes must be an integer >= 2, got True"),
+        ("rigid_sigma", "rigid_sigma must be a finite value >= 0, got True"),
+        ("learning_rate", "learning_rate must be a finite value > 0, got True"),
+        ("lowres_factors", "lowres factor must be an integer >= 1, got True"),
+        ("alpha_sweep", "alpha must be a finite value >= 0, got True"),
+    ])
+    def test_bool_field_error_names_the_field(self, field, message):
+        value = (True,) if field.endswith(("_sweep", "_factors")) else True
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StudyConfig(**{field: value})
 
     def test_scene_constants_in_range(self):
         for bound in (harness.YAW_RANGE, harness.PITCH_RANGE, harness.ROLL_RANGE):

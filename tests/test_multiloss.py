@@ -91,7 +91,9 @@ class TestBinSpec:
             BinSpec(-99.0, 99.0, 4.0)  # range not a whole number of bins
         with pytest.raises(ValueError):
             BinSpec(-3.0, 3.0, 6.0)  # single bin
-        for values in ((-99.0, math.inf, 3.0), (math.nan, 99.0, 3.0), (-99.0, 99.0, math.inf)):
+        # BinSpec(bin_width=True) would otherwise build 198 one-degree bins.
+        for values in ((-99.0, math.inf, 3.0), (math.nan, 99.0, 3.0), (-99.0, 99.0, math.inf),
+                       (True, 99.0, 3.0), (-99.0, True, 3.0), (-99.0, 99.0, True)):
             with pytest.raises(ValueError, match="^bin spec must be finite, got "):
                 BinSpec(*values)
 

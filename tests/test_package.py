@@ -12,6 +12,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import poselab
@@ -121,6 +122,78 @@ def test_benchmark_calls_resolve(script):
         if call is not None and not any(isinstance(a, ast.Starred) for a in call.args) \
                 and all(k.arg is not None for k in call.keywords):
             inspect.signature(target).bind(*call.args, **{k.arg: None for k in call.keywords})
+
+
+# One valid call of every public callable and dataclass that has a parameter
+# annotated int or float, as (args, kwargs) built afresh for each call.
+VALID_CALLS = {
+    "camera.CameraIntrinsics": lambda: ((450.0, 450.0, 225.0, 225.0), {}),
+    "camera.default_intrinsics": lambda: ((640, 480), {}),
+    "facemodel.deform_subject": lambda: ((poselab.builtin_mean_face(), 0.1, 0.2, 0), {}),
+    "facemodel.jitter_landmarks": lambda: ((np.zeros((4, 2)), 1.0, 0), {}),
+    "facemodel.stretch_model": lambda: ((poselab.builtin_mean_face(), 1.2, 0.8), {}),
+    "harness.StudyConfig": lambda: ((), {}),
+    "multiloss.BinSpec": lambda: ((), {}),
+    "multiloss.MultiLossConfig": lambda: ((), {}),
+    "multiloss.cross_entropy": lambda: ((np.full(4, 0.25), 1), {}),
+    "multiloss.toynet_init": lambda: ((4, 3, poselab.BinSpec()), {}),
+    "multiloss.train_toy": lambda: ((np.zeros((4, 3)), np.zeros((4, 3))),
+                                    {"epochs": 1, "hidden_size": 2, "batch_size": 2, "lr": 1e-3}),
+    "raster.Raster": lambda: ((2, 3, np.zeros((3, 2))), {}),
+    "raster.degrade": lambda: ((poselab.rasterize(np.zeros((1, 2)), 4, 4), 2), {}),
+    "raster.degrade_values": lambda: ((np.zeros((4, 4)), 2), {}),
+    "raster.rasterize": lambda: ((np.zeros((1, 2)), 4, 4), {}),
+    "raster.rasterize_stack": lambda: ((np.zeros((1, 1, 2)), 4, 4), {}),
+}
+# Public callables whose int or float parameters may take a bool, and why.
+NUMBER_RULE_EXEMPT = {
+    "rotmath.EulerAngles": "angles: any finite angle is accepted and wrapped where it is used",
+    "rotmath.wrap_degrees": "angles: wraps any angle it is given",
+    "multiloss.bin_angle": "angles: the bin spec's range check is the angle's rule",
+    "pnp.PnPSolution": "result record: built by the solver from values it computed",
+    "multiloss.AngleLossTerms": "result record: built by the loss from values it computed",
+    "harness.StudyRow": "result record: built by the studies from counts and means",
+    "facemodel.ParseError": "result record: the parser's own line number in an error",
+    "multiloss.AdamState": "train_toy builds it from an lr it has already checked",
+}
+
+
+def number_parameters() -> list:
+    """("module.name", parameter) for every parameter annotated int or float
+    on a callable in the __all__ of a poselab module."""
+    found = []
+    for module in MODULES:
+        namespace = importlib.import_module(f"poselab.{module}")
+        for name in getattr(namespace, "__all__", ()):
+            try:
+                parameters = inspect.signature(getattr(namespace, name)).parameters.values()
+            except (TypeError, ValueError):  # a constant, or an exception with no __init__
+                continue
+            found += [(f"{module}.{name}", parameter.name) for parameter in parameters
+                      if parameter.annotation in (int, float)]
+    return found
+
+
+def test_number_rule_tables_cover_every_number_parameter():
+    qualified = {name for name, _ in number_parameters()}
+    assert qualified == set(VALID_CALLS) | set(NUMBER_RULE_EXEMPT)
+    assert not set(VALID_CALLS) & set(NUMBER_RULE_EXEMPT)
+
+
+@pytest.mark.parametrize("qualified, parameter",
+                         [found for found in number_parameters() if found[0] in VALID_CALLS])
+def test_bool_number_argument_raises_value_error(qualified, parameter):
+    # True passes a numeric test as 1, so every count and real argument is
+    # checked as one: a bool raises ValueError, as NaN and infinity do.
+    module, name = qualified.split(".")
+    target = getattr(importlib.import_module(f"poselab.{module}"), name)
+    args, kwargs = VALID_CALLS[qualified]()
+    target(*args, **kwargs)
+    args, kwargs = VALID_CALLS[qualified]()
+    bound = inspect.signature(target).bind(*args, **kwargs)
+    bound.arguments[parameter] = True
+    with pytest.raises(ValueError):
+        target(*bound.args, **bound.kwargs)
 
 
 def test_modules_found():

@@ -59,6 +59,12 @@ class TestPnPProblem:
         with pytest.raises(ValueError, match="correspondences contain non-finite values"):
             PnPProblem(pts, bad, K)
 
+    @pytest.mark.parametrize("intrinsics", [None, (450.0, 450.0, 225.0, 225.0)])
+    def test_rejects_intrinsics_that_are_not_camera_intrinsics(self, intrinsics):
+        problem, _ = make_problem((10.0, 5.0, 0.0), (0.0, 0.0, 4.0))
+        with pytest.raises(ValueError, match="^intrinsics must be a CameraIntrinsics, got "):
+            PnPProblem(problem.model_points, problem.image_points, intrinsics)
+
     def test_validation_of_stacked_images(self):
         # The checks PnPProblem makes of one problem's image points, made on
         # the (B, N, 2) stack of a study block, with the same messages.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,10 +309,26 @@ class TestDegradeStack:
         assert not np.shares_memory(got, stack)
 
     @pytest.mark.parametrize("factors", [[1, 2], [1, 2, 3, 4], [1, 0, 2], [1, 2.5, 2],
-                                         [1, math.nan, 2], [1, math.inf, 2], [True, True, True]])
+                                         [1, math.nan, 2], [1, math.inf, 2], [True, True, True],
+                                         [1, 10 ** 30, True], [1, 10 ** 30, 2.5], [1, 10 ** 30, 0],
+                                         [1, 10 ** 30, "2"], [1, 10 ** 30, None]])
     def test_rejects_bad_factors(self, factors):
         with pytest.raises(ValueError):
             degrade_stack(np.zeros((3, 4, 4)), factors)
+
+    @pytest.mark.parametrize("huge", [14, 10 ** 6, 2 ** 63, 10 ** 30, 1e300, np.float64(1e300)])
+    def test_factor_past_the_larger_side_is_one_block(self, huge):
+        # A factor of at least the image's larger side keeps only the
+        # top-left pixel, however large it is, and warns of nothing.
+        stack = np.random.default_rng(8).uniform(size=(3, 13, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = degrade_stack(stack, [1, huge, 5])
+            alone = degrade_values(stack[1], huge)
+        want = degrade_stack(stack, [1, 13, 5])
+        assert np.array_equal(got, want)
+        assert np.array_equal(alone, want[1])
+        assert np.all(alone == stack[1, 0, 0])
 
 
 class TestAugmentFactor:
@@ -340,6 +357,13 @@ class TestAugmentFactor:
     def test_unknown_scheme(self):
         with pytest.raises(UnknownSchemeError):
             augment_factor("blur", 0)
+
+    def test_unknown_scheme_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(UnknownSchemeError, match="^unknown augmentation scheme 'none'; known: "
+                                                     "fixed10, uniform1to10, set5$"):
+            augment_factor("none", rng)
+        assert augment_factor("uniform1to10", rng) == augment_factor("uniform1to10", 3)
 
     def test_scheme_catalog(self):
         assert AUGMENT_SCHEMES == ("fixed10", "uniform1to10", "set5")

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -313,3 +314,36 @@ def test_shared_identity_is_read_only():
     with pytest.raises(ValueError):
         rotmath._IDENTITY += 1.0
     assert np.array_equal(rotmath._IDENTITY, np.eye(3))
+
+
+class TestNumberCheckers:
+    @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "3", None, np.float64(3.0)])
+    def test_count_refuses_what_is_no_integer(self, value):
+        message = f"n must be an integer >= 0, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rotmath._check_count("n", value, 0)
+
+    @pytest.mark.parametrize("value", [0, 3, 2 ** 70, np.int64(5)])
+    def test_count_passes_integers(self, value):
+        rotmath._check_count("n", value, 0)
+
+    @pytest.mark.parametrize("value", [True, False, math.nan, math.inf, -math.inf, "1", None,
+                                       np.bool_(True), np.nan])
+    def test_real_refuses_what_is_no_finite_real(self, value):
+        with pytest.raises(ValueError, match="^x must be a finite value >= 0, got "):
+            rotmath._check_real("x", value, 0)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 1e-300, 7, 1e300, 10 ** 300, np.float32(2.5),
+                                       np.float32(1e38), np.int64(4)])
+    def test_real_passes_finite_reals_at_or_above_the_bound(self, value):
+        rotmath._check_real("x", value, 0)
+
+    def test_strict_bound_excludes_the_bound(self):
+        rotmath._check_real("lr", 1e-300, 0, strict=True)
+        with pytest.raises(ValueError, match="^lr must be a finite value > 0, got 0.0$"):
+            rotmath._check_real("lr", 0.0, 0, strict=True)
+
+    def test_unbounded_real_refuses_only_what_is_not_finite(self):
+        rotmath._check_real("cx", -1e300, -math.inf)
+        with pytest.raises(ValueError, match="^cx must be a finite value >= -inf, got nan$"):
+            rotmath._check_real("cx", math.nan, -math.inf)
